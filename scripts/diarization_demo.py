@@ -19,7 +19,7 @@ import numpy as np
 from convstate.clustering import EmbeddingSet, spectral_cluster
 from convstate.controller import Thresholds, check_iteration
 from convstate.harness import align_labels, generate_synthetic_sequence
-from convstate.markov import Sampled, estimate_transition, normalize, sample_next
+from convstate.markov import estimate_transition, normalize, walk
 
 
 def main() -> None:
@@ -65,15 +65,8 @@ def main() -> None:
     # Continuation check: predict the next stretch of conversation and
     # compare against a seed-matched continuation of the true chain.
     horizon = args.segments
-    predict_rng = np.random.default_rng(args.seed + 2)
-    truth_rng = np.random.default_rng(args.seed + 2)
-    current_pred = current_truth = aligned[-1]
-    predicted, actual = [], []
-    for _ in range(horizon):
-        current_pred = sample_next(model, current_pred, predict_rng)
-        current_truth = sample_next(truth_chain, current_truth, truth_rng)
-        predicted.append(current_pred)
-        actual.append(current_truth)
+    predicted = walk(model, aligned[-1], horizon, np.random.default_rng(args.seed + 2))
+    actual = walk(truth_chain, aligned[-1], horizon, np.random.default_rng(args.seed + 2))
     verdict = check_iteration(predicted, actual, Thresholds(), args.speakers)
     print(
         f"sampled continuation vs matched truth: TPE {verdict.report.tpe:.2f}% "

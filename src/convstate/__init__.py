@@ -16,6 +16,7 @@ from .markov import (
     predict_sequence,
     stationary_distribution,
     update_online,
+    walk,
     windowed_transition,
 )
 from .metrics import EvaluationReport, epps, evaluate, tpe

@@ -50,15 +50,20 @@ def _emit(text: str, out_path: str | None) -> None:
 def _parse_interval(spec: str) -> CheckerInterval:
     if spec == "every":
         return EveryIteration()
-    if spec.startswith("fixed:"):
-        return FixedEvery(int(spec.split(":", 1)[1]))
-    if spec.startswith("bernoulli:"):
-        parts = spec.split(":")
-        probability = float(parts[1])
-        seed = int(parts[2]) if len(parts) > 2 else 0
-        return RandomBernoulli(probability, seed)
+    try:
+        if spec.startswith("fixed:"):
+            return FixedEvery(int(spec.split(":", 1)[1]))
+        if spec.startswith("bernoulli:"):
+            parts = spec.split(":")
+            probability = float(parts[1])
+            seed = int(parts[2]) if len(parts) > 2 else 0
+            return RandomBernoulli(probability, seed)
+    except ValidationError:
+        raise
+    except ValueError:
+        pass  # an unparsable number gets the same message as an unknown kind
     raise ValidationError(
-        f"unknown checker interval {spec!r}; expected every, fixed:m, or bernoulli:p[:seed]"
+        f"invalid checker interval {spec!r}; expected every, fixed:m, or bernoulli:p[:seed]"
     )
 
 
@@ -167,6 +172,14 @@ def _load_session_file(path: str) -> dict:
     return doc
 
 
+def _int_field(doc: dict, key: str, default: int, path: str) -> int:
+    value = doc.get(key, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise SchemaError(f"{path}: expected an integer, got {value!r}") from None
+
+
 def _build_oracle(doc: dict, iterations: int | None):
     spec = doc.get("oracle")
     if not isinstance(spec, dict) or "kind" not in spec:
@@ -178,10 +191,13 @@ def _build_oracle(doc: dict, iterations: int | None):
             raise SchemaError("$.oracle.paths: expected a non-empty list")
         return [storage.read_labels(p) for p in paths]
     if kind == "chain":
-        truth, _ = storage.load_model(spec["model"])
-        length = int(spec.get("length", 300))
-        initial = int(spec.get("initial", 0))
-        seed = int(spec.get("seed", doc.get("seed", 0)))
+        model_path = spec.get("model")
+        if not isinstance(model_path, str):
+            raise SchemaError("$.oracle.model: expected a model file path")
+        truth, _ = storage.load_model(model_path)
+        length = _int_field(spec, "length", 300, "$.oracle.length")
+        initial = _int_field(spec, "initial", 0, "$.oracle.initial")
+        seed = _int_field(spec, "seed", doc.get("seed", 0), "$.oracle.seed")
         total = None if iterations is None else iterations + 1
         bootstrap = None
         if spec.get("exact_bootstrap"):
@@ -219,14 +235,14 @@ def _cmd_session(args: argparse.Namespace) -> None:
         row_diff_min=thresholds_doc.get("row_diff_min"),
         checker_interval=_parse_interval(interval_spec),
     )
-    seed = args.seed if args.seed is not None else int(doc.get("seed", 0))
+    seed = args.seed if args.seed is not None else _int_field(doc, "seed", 0, "$.seed")
     iterations = doc.get("iterations")
     window = args.window if args.window is not None else doc.get("window")
     config = SessionConfig(
         thresholds=thresholds,
         mode=_parse_mode(doc.get("mode", "argmax"), seed),
         seed=seed,
-        candidate_count=int(doc.get("candidate_count", 5)),
+        candidate_count=_int_field(doc, "candidate_count", 5, "$.candidate_count"),
         window_len=window,
         iterations=iterations,
     )

@@ -273,19 +273,6 @@ def _should_check(
     return bool(bernoulli_rng.random() < interval.p)
 
 
-def _free_run(
-    model: TransitionModel,
-    anchor: int,
-    length: int,
-    mode: PredictionMode,
-    rng: np.random.Generator | None,
-) -> list[int]:
-    labels = [markov.predict_next(model, anchor, mode, rng=rng)]
-    for _ in range(length - 1):
-        labels.append(markov.predict_next(model, labels[-1], mode, rng=rng))
-    return labels
-
-
 def run_session(
     oracle: Iterable[StateSequence | Sequence[int]],
     config: SessionConfig,
@@ -354,13 +341,11 @@ def run_session(
         checked = _should_check(config.thresholds.checker_interval, iteration, bernoulli_rng)
 
         if isinstance(config.mode, Argmax):
-            candidates = [_free_run(basis, anchor, length, Argmax(), None)]
+            candidates = [markov.walk(basis, anchor, length)]
         else:
             count = config.candidate_count if checked else 1
-            candidates = []
-            for j in range(count):
-                rng = np.random.default_rng([config.seed, iteration, j])
-                candidates.append(_free_run(basis, anchor, length, config.mode, rng))
+            rngs = (np.random.default_rng([config.seed, iteration, j]) for j in range(count))
+            candidates = [markov.walk(basis, anchor, length, rng) for rng in rngs]
 
         if checked:
             scored = [(tpe(cand, actual), j) for j, cand in enumerate(candidates)]
@@ -403,10 +388,6 @@ def run_session(
 def update_from_labels(
     model: TransitionModel, anchor: int, labels: Sequence[int]
 ) -> TransitionModel:
-    """Apply online updates for anchor -> labels[0] and each adjacent pair."""
-    current = model
-    previous = anchor
-    for label in labels:
-        current = markov.update_online(current, previous, int(label))
-        previous = int(label)
-    return current
+    """Record the transitions anchor -> labels[0] and each adjacent pair."""
+    added = markov.count_transitions([anchor, *labels], model.n_states)
+    return markov.normalize(model.counts + added, model.policy)

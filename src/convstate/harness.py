@@ -8,31 +8,43 @@ Gaussian cluster embeddings with known ground truth.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from . import markov
 from .clustering import EmbeddingSet
 from .errors import ValidationError
-from .markov import StateSequence, TransitionModel, _as_labels
+from .markov import Sampled, StateSequence, TransitionModel, _as_labels
 
 
 def generate_synthetic_sequence(
     truth_chain: TransitionModel, length: int, initial: int, seed: int
 ) -> StateSequence:
     """Sample a label sequence from a chain, deterministically per seed."""
-    if length < 1:
-        raise ValidationError(f"length must be >= 1, got {length}")
-    if not 0 <= initial < truth_chain.n_states:
-        raise ValidationError(
-            f"initial {initial} outside 0..{truth_chain.n_states - 1}"
-        )
-    rng = np.random.default_rng(seed)
-    labels = [initial]
-    for _ in range(length - 1):
-        labels.append(markov.sample_next(truth_chain, labels[-1], rng))
-    return StateSequence(labels=tuple(labels), n_states=truth_chain.n_states)
+    return markov.predict_sequence(truth_chain, initial, length, Sampled(seed))
+
+
+def _chain_chunks(
+    truth_chain: TransitionModel,
+    length: int,
+    current: int,
+    count: int,
+    iterations: int | None,
+    rng_for: Callable[[int], np.random.Generator],
+) -> Iterator[StateSequence]:
+    """Continue one trajectory in chunks; chunk `count` draws from ``rng_for(count)``.
+
+    Chunk 0 starts at `current` itself, every later chunk at the successor
+    of the previous chunk's last label. Chunks hold at least one label.
+    """
+    size = max(length, 1)
+    while iterations is None or count < iterations:
+        labels = [current] if count == 0 else []
+        labels += markov.walk(truth_chain, current, size - len(labels), rng_for(count))
+        current = labels[-1]
+        count += 1
+        yield StateSequence(labels=tuple(labels), n_states=truth_chain.n_states)
 
 
 def chain_oracle(
@@ -49,17 +61,7 @@ def chain_oracle(
     is threaded across the whole trajectory.
     """
     rng = np.random.default_rng(seed)
-    current = initial
-    count = 0
-    while iterations is None or count < iterations:
-        labels = [current] if count == 0 else [
-            markov.sample_next(truth_chain, current, rng)
-        ]
-        while len(labels) < length:
-            labels.append(markov.sample_next(truth_chain, labels[-1], rng))
-        current = labels[-1]
-        count += 1
-        yield StateSequence(labels=tuple(labels), n_states=truth_chain.n_states)
+    yield from _chain_chunks(truth_chain, length, initial, 0, iterations, lambda _: rng)
 
 
 def matched_chain_oracle(
@@ -88,21 +90,13 @@ def matched_chain_oracle(
     if bootstrap is not None:
         if bootstrap.n_states != truth_chain.n_states:
             raise ValidationError("bootstrap alphabet does not match the chain")
-        current = bootstrap.labels[-1]
+        initial = bootstrap.labels[-1]
         count = 1
         yield bootstrap
-    else:
-        current = initial
-    while iterations is None or count < iterations:
-        rng = np.random.default_rng([seed, count, 0])
-        labels = [current] if count == 0 else [
-            markov.sample_next(truth_chain, current, rng)
-        ]
-        while len(labels) < length:
-            labels.append(markov.sample_next(truth_chain, labels[-1], rng))
-        current = labels[-1]
-        count += 1
-        yield StateSequence(labels=tuple(labels), n_states=truth_chain.n_states)
+    yield from _chain_chunks(
+        truth_chain, length, initial, count, iterations,
+        lambda i: np.random.default_rng([seed, i, 0]),
+    )
 
 
 def sequence_with_exact_counts(counts: np.ndarray) -> StateSequence:

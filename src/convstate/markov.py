@@ -9,6 +9,7 @@ batch re-estimation stay exactly equivalent.
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -208,17 +209,45 @@ def _query_row(model: TransitionModel, state: int) -> np.ndarray:
     return model.probs[state]
 
 
-def sample_next(model: TransitionModel, current: int, rng: np.random.Generator) -> int:
-    """Draw the successor of `current` by inverse-CDF over the row.
+def walk(
+    model: TransitionModel,
+    start: int,
+    steps: int,
+    rng: np.random.Generator | None = None,
+) -> list[int]:
+    """The `steps` states after `start`: row argmax, or inverse CDF with `rng`.
 
-    One uniform draw per call, so equal generators yield equal paths even
-    across models whose rows differ only slightly.
+    Argmax breaks ties toward the lowest state index. Sampling spends one
+    uniform per step, all drawn by a single ``rng.random(steps)`` call, which
+    advances the generator exactly as `steps` scalar draws would, so equal
+    generators yield equal paths even across models whose rows differ only
+    slightly. Each state's row is queried before the walk first leaves it,
+    so range and unseen-row errors fire at the step that reaches the state.
     """
-    row = _query_row(model, current)
-    cdf = np.cumsum(row)
-    u = rng.random()
-    idx = int(np.searchsorted(cdf, u, side="right"))
-    return min(idx, model.n_states - 1)
+    if rng is None:
+        table, draws = np.argmax(model.probs, axis=1).tolist(), None
+    else:
+        table = np.cumsum(model.probs, axis=1).tolist()
+        draws = rng.random(steps).tolist()
+    last = model.n_states - 1
+    queried: set[int] = set()
+    path: list[int] = []
+    state = start
+    for step in range(steps):
+        if state not in queried:
+            _query_row(model, state)
+            queried.add(state)
+        if draws is None:
+            state = table[state]
+        else:
+            state = min(bisect_right(table[state], draws[step]), last)
+        path.append(state)
+    return path
+
+
+def sample_next(model: TransitionModel, current: int, rng: np.random.Generator) -> int:
+    """Draw the successor of `current` by inverse-CDF over the row."""
+    return walk(model, current, 1, rng)[0]
 
 
 def predict_next(
@@ -229,16 +258,14 @@ def predict_next(
 ) -> int:
     """Emit the next state from `current` under the given mode.
 
-    Argmax breaks ties toward the lowest state index. Sampled draws from
-    the row distribution; pass `rng` to thread one generator across many
-    calls, otherwise a fresh generator is seeded from the mode.
+    Sampled mode draws from `rng` when given, otherwise from a fresh
+    generator seeded from the mode.
     """
     if isinstance(mode, Argmax):
-        row = _query_row(model, current)
-        return int(np.argmax(row))
+        return walk(model, current, 1)[0]
     if rng is None:
         rng = np.random.default_rng(mode.seed)
-    return sample_next(model, current, rng)
+    return walk(model, current, 1, rng)[0]
 
 
 def predict_sequence(
@@ -247,15 +274,13 @@ def predict_sequence(
     length: int,
     mode: PredictionMode = Argmax(),
 ) -> StateSequence:
-    """Roll the chain forward: output[0] = initial, then repeated predict_next."""
+    """Roll the chain forward: output[0] = initial, then `length - 1` steps."""
     if length < 1:
         raise ValidationError(f"length must be >= 1, got {length}")
     if not 0 <= initial < model.n_states:
         raise ValidationError(f"initial {initial} outside 0..{model.n_states - 1}")
     rng = None if isinstance(mode, Argmax) else np.random.default_rng(mode.seed)
-    labels = [initial]
-    for _ in range(length - 1):
-        labels.append(predict_next(model, labels[-1], mode, rng=rng))
+    labels = [initial, *walk(model, initial, length - 1, rng)]
     return StateSequence(labels=tuple(labels), n_states=model.n_states)
 
 

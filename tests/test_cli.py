@@ -264,6 +264,46 @@ class TestCliEdges:
         assert code == 1
         assert "k" in err
 
+    def test_diarize_k_above_distinct_spectral_rows(self, capsys, tmp_path, monkeypatch):
+        from convstate import clustering
+
+        # Real embeddings always gave distinct spectral rows, so a spectrum
+        # whose eigenvector rows all coincide stands in for the degenerate case.
+        def flat_spectrum(matrix):
+            n = len(matrix)
+            return np.arange(n, 0, -1.0), np.ones((n, n))
+
+        monkeypatch.setattr(clustering, "symmetric_eigh", flat_spectrum)
+        emb = str(tmp_path / "e.csv")
+        open(emb, "w").write("1.0,0.0\n1.0,0.0\n1.0,0.0\n1.0,0.0\n1.0,0.0\n")
+        code, _, err = run_cli(capsys, "diarize", emb, "--k", "3")
+        assert code == 1
+        assert err.startswith("error:") and "distinct" in err
+
+    @pytest.mark.parametrize(
+        "overrides, argv, field",
+        [
+            ({"oracle": {"kind": "chain"}}, [], "$.oracle.model"),
+            ({"candidate_count": "x"}, [], "$.candidate_count"),
+            ({}, ["--checker-interval", "bernoulli:abc"], "bernoulli:abc"),
+        ],
+        ids=["oracle-without-model", "candidate-count-not-int", "interval-not-a-number"],
+    )
+    def test_malformed_session_input_is_one_line_error(
+        self, capsys, tmp_path, truth_model_path, overrides, argv, field
+    ):
+        config = {
+            "seed": 0, "mode": "sampled", "iterations": 1,
+            "oracle": {"kind": "chain", "model": truth_model_path, "length": 30},
+        }
+        config.update(overrides)
+        path = str(tmp_path / "cfg.json")
+        open(path, "w").write(json.dumps(config))
+        code, _, err = run_cli(capsys, "session", path, *argv)
+        assert code == 1
+        assert err.startswith("error:") and field in err
+        assert err.count("\n") == 1
+
     def test_vad_trained_weights_file(self, capsys, wav_path, tmp_path):
         weights = str(tmp_path / "w.json")
         vector = [0.0] * 16

@@ -10,12 +10,12 @@ from convstate.clustering import (
     diffuse,
     eigen_gap_k,
     gaussian_blur,
-    jacobi_eigh,
     kmeans,
     refine,
     row_normalize,
     row_threshold,
     spectral_cluster,
+    symmetric_eigh,
     symmetrize,
 )
 from convstate.errors import ValidationError
@@ -178,14 +178,14 @@ class TestRowNormalize:
         assert out.max(axis=1) == pytest.approx(np.ones(5))
 
 
-class TestJacobiEigh:
+class TestSymmetricEigh:
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
     def test_matches_numpy_eigh(self, seed):
         rng = np.random.default_rng(seed)
         raw = rng.normal(0, 1, (8, 8))
         matrix = 0.5 * (raw + raw.T)
-        values, vectors = jacobi_eigh(matrix)
+        values, vectors = symmetric_eigh(matrix)
         expected = np.sort(np.linalg.eigvalsh(matrix))[::-1]
         assert np.abs(values - expected).max() < 1e-8
         reconstructed = vectors @ np.diag(values) @ vectors.T
@@ -193,10 +193,10 @@ class TestJacobiEigh:
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValidationError, match="symmetric"):
-            jacobi_eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            symmetric_eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_one_by_one(self):
-        values, vectors = jacobi_eigh(np.array([[4.0]]))
+        values, vectors = symmetric_eigh(np.array([[4.0]]))
         assert values.tolist() == [4.0]
         assert vectors.tolist() == [[1.0]]
 
@@ -245,6 +245,10 @@ class TestKmeans:
     def test_k_larger_than_points_rejected(self):
         with pytest.raises(ValidationError):
             kmeans(np.zeros((3, 2)), 4, seed=0)
+
+    def test_k_above_distinct_points_rejected(self):
+        with pytest.raises(ValidationError, match="distinct"):
+            kmeans(np.ones((5, 2)), 3, seed=0)
 
     def test_first_occurrence_label_order(self):
         points = np.array([[0.0, 0.0], [10.0, 0.0], [0.1, 0.0], [10.1, 0.0]])

@@ -16,7 +16,9 @@ from convstate.markov import (
     predict_next,
     predict_sequence,
     stationary_distribution,
+    _query_row,
     update_online,
+    walk,
     windowed_transition,
 )
 
@@ -188,6 +190,52 @@ class TestPredictSequence:
         model = normalize(np.array([[1, 1], [1, 1]]))
         with pytest.raises(ValidationError):
             predict_sequence(model, 0, 0)
+
+
+def per_step_walk(model, start, steps, rng):
+    """Reference: one row query and one scalar draw per step, as before walk."""
+    path, state = [], start
+    for _ in range(steps):
+        row = _query_row(model, state)
+        if rng is None:
+            state = int(np.argmax(row))
+        else:
+            u = rng.random()
+            idx = int(np.searchsorted(np.cumsum(row), u, side="right"))
+            state = min(idx, model.n_states - 1)
+        path.append(state)
+    return path
+
+
+class TestWalk:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_step_loop(self, data):
+        n = data.draw(st.integers(1, 5))
+        cells = data.draw(st.lists(st.integers(0, 4), min_size=n * n, max_size=n * n))
+        observed = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        counts = np.array(cells).reshape(n, n) * np.array(observed)[:, None]
+        policy = data.draw(st.sampled_from(UnseenRowPolicy))
+        model = normalize(counts, policy)
+        start = data.draw(st.integers(0, n - 1))
+        steps = data.draw(st.integers(0, 60))
+        seed = data.draw(st.none() | st.integers(0, 2**32 - 1))
+
+        def run(walker):
+            rng = None if seed is None else np.random.default_rng(seed)
+            try:
+                path = walker(model, start, steps, rng)
+            except UnseenStateError:
+                return "unseen"
+            return path, None if rng is None else rng.bit_generator.state
+
+        assert run(walk) == run(per_step_walk)
+
+    def test_out_of_range_start(self):
+        model = normalize(np.array([[1, 1], [1, 1]]))
+        with pytest.raises(ValidationError, match="state 2"):
+            walk(model, 2, 1)
+        assert walk(model, 2, 0) == []
 
 
 class TestWindowedTransition:
