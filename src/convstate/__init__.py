@@ -55,6 +55,7 @@ from .frontend import (
     FrameFeatures,
     SpeakerSegment,
     extract_features,
+    feature_matrix,
     frame,
     load_wav,
     log_energy,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import wave
 
@@ -79,26 +80,32 @@ def _policy(name: str) -> UnseenRowPolicy:
     return UnseenRowPolicy.UNIFORM if name == "uniform" else UnseenRowPolicy.ERROR_ON_QUERY
 
 
+def _load_vad_weights(path: str) -> np.ndarray:
+    with open(path) as handle:
+        try:
+            weights = np.asarray(json.load(handle), dtype=np.float64)
+        except (json.JSONDecodeError, TypeError, ValueError) as exc:
+            raise SchemaError(f"{path}: not a JSON list of numbers ({exc})") from None
+    if not np.isfinite(weights).all():
+        raise SchemaError(f"{path}: weights must be finite numbers, got NaN or Infinity")
+    return weights
+
+
 def _cmd_vad(args: argparse.Namespace) -> None:
     audio = frontend.load_wav(args.wav)
-    features = frontend.extract_features(audio, args.window_s, args.hop_s)
+    features = frontend.feature_matrix(audio, args.window_s, args.hop_s)
     if args.weights:
-        with open(args.weights) as handle:
-            try:
-                weights = np.asarray(json.load(handle), dtype=np.float64)
-            except (json.JSONDecodeError, ValueError) as exc:
-                raise SchemaError(f"{args.weights}: not a JSON list of numbers ({exc})")
+        weights = _load_vad_weights(args.weights)
     else:
-        dim = features[0].to_vector().size if features else 15
-        weights = _default_vad_weights(dim)
-    mask = [frontend.vad_classify(feat, weights)[0] for feat in features]
-    segments = frontend.segment(np.asarray(mask, dtype=bool), args.hop_s, args.seg_len_s)
+        weights = _default_vad_weights(features.shape[1])
+    mask, _ = frontend.vad_classify(features, weights)
+    segments = frontend.segment(mask, args.hop_s, args.seg_len_s)
     if args.out:
-        storage.atomic_write_text(args.out, storage.features_to_csv(features))
+        storage.atomic_write_text(args.out, storage.features_to_csv(features, args.hop_s))
     summary = {
         "frames": len(features),
-        "speech_frames": int(sum(mask)),
-        "speech_mask": [int(m) for m in mask],
+        "speech_frames": int(mask.sum()),
+        "speech_mask": mask.astype(int).tolist(),
         "segments": [
             {"start_s": seg.start_s, "end_s": seg.end_s} for seg in segments
         ],
@@ -172,12 +179,23 @@ def _load_session_file(path: str) -> dict:
     return doc
 
 
-def _int_field(doc: dict, key: str, default: int, path: str) -> int:
+def _number_field(doc: dict, key: str, default, path: str, kind: type = int):
+    """doc[key] (default when absent) converted by `kind`, int or float.
+
+    A None default makes the field optional: absent or null gives None.
+    A value `kind` rejects, or a non-finite number, is a SchemaError at `path`.
+    """
     value = doc.get(key, default)
+    if value is None and default is None:
+        return None
     try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise SchemaError(f"{path}: expected an integer, got {value!r}") from None
+        number = kind(value)
+        if math.isfinite(number):
+            return number
+    except (TypeError, ValueError, OverflowError):
+        pass
+    noun = "an integer" if kind is int else "a finite number"
+    raise SchemaError(f"{path}: expected {noun}, got {value!r}")
 
 
 def _build_oracle(doc: dict, iterations: int | None):
@@ -195,9 +213,9 @@ def _build_oracle(doc: dict, iterations: int | None):
         if not isinstance(model_path, str):
             raise SchemaError("$.oracle.model: expected a model file path")
         truth, _ = storage.load_model(model_path)
-        length = _int_field(spec, "length", 300, "$.oracle.length")
-        initial = _int_field(spec, "initial", 0, "$.oracle.initial")
-        seed = _int_field(spec, "seed", doc.get("seed", 0), "$.oracle.seed")
+        length = _number_field(spec, "length", 300, "$.oracle.length")
+        initial = _number_field(spec, "initial", 0, "$.oracle.initial")
+        seed = _number_field(spec, "seed", doc.get("seed", 0), "$.oracle.seed")
         total = None if iterations is None else iterations + 1
         bootstrap = None
         if spec.get("exact_bootstrap"):
@@ -213,41 +231,44 @@ def _build_oracle(doc: dict, iterations: int | None):
 def _cmd_session(args: argparse.Namespace) -> None:
     doc = _load_session_file(args.config)
     thresholds_doc = doc.get("thresholds", {})
+    if not isinstance(thresholds_doc, dict):
+        raise SchemaError("$.thresholds: expected an object")
+
+    def threshold(key: str, default: float | None, override: float | None = None):
+        if override is not None:
+            return override
+        return _number_field(thresholds_doc, key, default, f"$.thresholds.{key}", float)
+
     interval_spec = thresholds_doc.get("checker_interval", "every")
     if args.checker_interval is not None:
         interval_spec = args.checker_interval
+    if not isinstance(interval_spec, str):
+        raise SchemaError(
+            f"$.thresholds.checker_interval: expected a string, got {interval_spec!r}"
+        )
     thresholds = Thresholds(
-        tpe_threshold=(
-            args.tpe_threshold
-            if args.tpe_threshold is not None
-            else thresholds_doc.get("tpe_threshold", 20.0)
-        ),
-        epps_threshold=(
-            args.epps_threshold
-            if args.epps_threshold is not None
-            else thresholds_doc.get("epps_threshold", 30.0)
-        ),
-        matrix_diff_max=(
-            args.matrix_diff_max
-            if args.matrix_diff_max is not None
-            else thresholds_doc.get("matrix_diff_max", 0.15)
-        ),
-        row_diff_min=thresholds_doc.get("row_diff_min"),
+        tpe_threshold=threshold("tpe_threshold", 20.0, args.tpe_threshold),
+        epps_threshold=threshold("epps_threshold", 30.0, args.epps_threshold),
+        matrix_diff_max=threshold("matrix_diff_max", 0.15, args.matrix_diff_max),
+        row_diff_min=threshold("row_diff_min", None),
         checker_interval=_parse_interval(interval_spec),
     )
-    seed = args.seed if args.seed is not None else _int_field(doc, "seed", 0, "$.seed")
-    iterations = doc.get("iterations")
-    window = args.window if args.window is not None else doc.get("window")
+    seed = args.seed if args.seed is not None else _number_field(doc, "seed", 0, "$.seed")
+    iterations = _number_field(doc, "iterations", None, "$.iterations")
+    n_states = _number_field(doc, "states", None, "$.states")
+    window = args.window if args.window is not None else _number_field(
+        doc, "window", None, "$.window"
+    )
     config = SessionConfig(
         thresholds=thresholds,
         mode=_parse_mode(doc.get("mode", "argmax"), seed),
         seed=seed,
-        candidate_count=_int_field(doc, "candidate_count", 5, "$.candidate_count"),
+        candidate_count=_number_field(doc, "candidate_count", 5, "$.candidate_count"),
         window_len=window,
         iterations=iterations,
     )
     oracle = _build_oracle(doc, iterations)
-    report = run_session(oracle, config, n_states=doc.get("states"))
+    report = run_session(oracle, config, n_states=n_states)
 
     outputs = doc.get("outputs", {})
     report_path = args.report_out or outputs.get("report_json")

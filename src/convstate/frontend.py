@@ -21,6 +21,9 @@ from .errors import ValidationError
 ACCEPTED_RATES = (16000, 44100)
 ENERGY_FLOOR = 1e-10
 PREEMPHASIS = 0.97
+# Frames per feature_matrix block: bounds the block temporaries (about
+# 1 MB each at 16 kHz) while per-block overhead stays negligible.
+_BLOCK_FRAMES = 256
 
 
 @dataclass(frozen=True)
@@ -122,6 +125,19 @@ def save_wav(path: str, audio: AudioBuffer) -> None:
         handle.writeframes(scaled.tobytes())
 
 
+def _frames(audio: AudioBuffer, window_s: float, hop_s: float) -> np.ndarray:
+    """Strided (copy-free) view of the frames; see frame()."""
+    window = int(round(window_s * audio.sample_rate))
+    hop = int(round(hop_s * audio.sample_rate))
+    if window < 2:
+        raise ValidationError(f"window of {window} samples is too short (need >= 2)")
+    if hop < 1:
+        raise ValidationError(f"hop of {hop} samples is too short (need >= 1)")
+    if audio.samples.size < window:
+        return np.empty((0, window))
+    return np.lib.stride_tricks.sliding_window_view(audio.samples, window)[::hop]
+
+
 def frame(
     audio: AudioBuffer, window_s: float = 0.025, hop_s: float = 0.010
 ) -> np.ndarray:
@@ -130,18 +146,47 @@ def frame(
     Frame t covers samples [t * hop, t * hop + window). Audio shorter than
     one window yields an empty (0, window) array.
     """
-    window = int(round(window_s * audio.sample_rate))
-    hop = int(round(hop_s * audio.sample_rate))
-    if window < 2:
-        raise ValidationError(f"window of {window} samples is too short (need >= 2)")
-    if hop < 1:
-        raise ValidationError(f"hop of {hop} samples is too short (need >= 1)")
-    samples = audio.samples
-    if samples.size < window:
-        return np.empty((0, window))
-    count = (samples.size - window) // hop + 1
-    view = np.lib.stride_tricks.sliding_window_view(samples, window)[::hop]
-    return np.ascontiguousarray(view[:count])
+    return np.ascontiguousarray(_frames(audio, window_s, hop_s))
+
+
+# The row kernels below take an (n, width) block of frames and return one
+# value (or one cepstrum) per row. feature_matrix runs them block by block;
+# the per-frame functions are one-row calls, so both share one copy of the
+# numerics. Each reproduces the per-frame arithmetic bit for bit: the energy
+# is a per-row pairwise np.sum (einsum differs in the last bits at 44.1 kHz)
+# and the filterbank is np.matvec (a GEMM such as mag @ bank.T differs).
+
+
+def _log_energies(frames: np.ndarray) -> np.ndarray:
+    return np.log(np.maximum(np.sum(frames * frames, axis=1), ENERGY_FLOOR))
+
+
+def _zcrs(frames: np.ndarray) -> np.ndarray:
+    nonneg = frames >= 0.0
+    return np.count_nonzero(nonneg[:, 1:] != nonneg[:, :-1], axis=1) / (frames.shape[1] - 1)
+
+
+def _mfccs(
+    frames: np.ndarray, sample_rate: int, n_filters: int, n_coeffs: int
+) -> np.ndarray:
+    width = frames.shape[1]
+    emphasized = np.empty_like(frames)
+    emphasized[:, 0] = frames[:, 0]
+    np.subtract(frames[:, 1:], PREEMPHASIS * frames[:, :-1], out=emphasized[:, 1:])
+    emphasized *= np.hanning(width)
+    n_fft = 1 << (width - 1).bit_length()
+    magnitude = np.abs(np.fft.rfft(emphasized, n_fft, axis=1))
+    energies = np.matvec(_mel_filterbank(n_filters, n_fft, sample_rate), magnitude)
+    log_energies = np.log(np.maximum(energies, ENERGY_FLOOR))
+    return dct(log_energies, type=2, norm="ortho", axis=1)[:, :n_coeffs]
+
+
+def _check_cepstrum(n_filters: int, n_coeffs: int) -> None:
+    if not 1 <= n_coeffs <= n_filters:
+        raise ValidationError(
+            f"need 1 <= n_coeffs <= n_filters, got n_coeffs={n_coeffs}, "
+            f"n_filters={n_filters}"
+        )
 
 
 def log_energy(frame_samples: np.ndarray) -> float:
@@ -149,7 +194,7 @@ def log_energy(frame_samples: np.ndarray) -> float:
     x = np.asarray(frame_samples, dtype=np.float64)
     if x.size == 0:
         raise ValidationError("frame is empty")
-    return float(np.log(max(float(np.sum(x * x)), ENERGY_FLOOR)))
+    return float(_log_energies(x.reshape(1, -1))[0])
 
 
 def zcr(frame_samples: np.ndarray) -> float:
@@ -157,9 +202,7 @@ def zcr(frame_samples: np.ndarray) -> float:
     x = np.asarray(frame_samples, dtype=np.float64)
     if x.size < 2:
         raise ValidationError(f"zcr needs at least 2 samples, got {x.size}")
-    nonneg = x >= 0.0
-    crossings = int(np.count_nonzero(nonneg[1:] != nonneg[:-1]))
-    return crossings / (x.size - 1)
+    return float(_zcrs(x.reshape(1, -1))[0])
 
 
 @lru_cache(maxsize=8)
@@ -199,15 +242,35 @@ def mfcc(
     x = np.asarray(frame_samples, dtype=np.float64)
     if x.size < 2:
         raise ValidationError(f"mfcc needs at least 2 samples, got {x.size}")
-    emphasized = np.empty_like(x)
-    emphasized[0] = x[0]
-    emphasized[1:] = x[1:] - PREEMPHASIS * x[:-1]
-    windowed = emphasized * np.hanning(x.size)
-    n_fft = 1 << (x.size - 1).bit_length()
-    magnitude = np.abs(np.fft.rfft(windowed, n_fft))
-    energies = _mel_filterbank(n_filters, n_fft, sample_rate) @ magnitude
-    log_energies = np.log(np.maximum(energies, ENERGY_FLOOR))
-    return dct(log_energies, type=2, norm="ortho")[:n_coeffs]
+    _check_cepstrum(n_filters, n_coeffs)
+    return _mfccs(x.reshape(1, -1), sample_rate, n_filters, n_coeffs)[0]
+
+
+def feature_matrix(
+    audio: AudioBuffer,
+    window_s: float = 0.025,
+    hop_s: float = 0.010,
+    n_filters: int = 40,
+    n_coeffs: int = 13,
+) -> np.ndarray:
+    """Per-frame features as a (frames, 2 + n_coeffs) array.
+
+    Columns are [log_energy, zcr, mfcc_0 .. mfcc_{n_coeffs-1}]; row t is
+    frame t of frame(audio, window_s, hop_s) and equals the per-frame
+    log_energy, zcr and mfcc bit for bit. The frames are processed in
+    blocks of _BLOCK_FRAMES rows, one FFT per block, so the framed matrix
+    is never materialized.
+    """
+    _check_cepstrum(n_filters, n_coeffs)
+    frames = _frames(audio, window_s, hop_s)
+    features = np.empty((frames.shape[0], 2 + n_coeffs))
+    for start in range(0, frames.shape[0], _BLOCK_FRAMES):
+        block = frames[start : start + _BLOCK_FRAMES]
+        rows = features[start : start + _BLOCK_FRAMES]
+        rows[:, 0] = _log_energies(block)
+        rows[:, 1] = _zcrs(block)
+        rows[:, 2:] = _mfccs(block, audio.sample_rate, n_filters, n_coeffs)
+    return features
 
 
 def extract_features(
@@ -217,39 +280,44 @@ def extract_features(
     n_filters: int = 40,
     n_coeffs: int = 13,
 ) -> list[FrameFeatures]:
-    """Frame the audio and compute the full per-frame feature set."""
-    frames = frame(audio, window_s, hop_s)
-    features = []
-    for t, row in enumerate(frames):
-        features.append(
-            FrameFeatures(
-                frame_index=t,
-                time_s=t * hop_s,
-                log_energy=log_energy(row),
-                zcr=zcr(row),
-                mfcc=mfcc(row, audio.sample_rate, n_filters, n_coeffs),
-            )
+    """feature_matrix as one FrameFeatures per frame."""
+    matrix = feature_matrix(audio, window_s, hop_s, n_filters, n_coeffs)
+    return [
+        FrameFeatures(
+            frame_index=t,
+            time_s=t * hop_s,
+            log_energy=float(row[0]),
+            zcr=float(row[1]),
+            mfcc=row[2:],
         )
-    return features
+        for t, row in enumerate(matrix)
+    ]
 
 
 def vad_classify(
     features: FrameFeatures | np.ndarray, weights: np.ndarray
-) -> tuple[bool, float]:
+) -> tuple[bool, float] | tuple[np.ndarray, np.ndarray]:
     """Single logistic unit over [log_energy, zcr] ++ mfcc; last weight is bias.
 
-    A probability of exactly 0.5 classifies as non-speech.
+    One frame (a FrameFeatures or a 1-D vector) gives (is_speech,
+    probability); an (n, d) feature matrix gives a boolean mask and the
+    probabilities as arrays, each row equal bit for bit to its one-frame
+    call. A probability of exactly 0.5 classifies as non-speech.
     """
-    vector = (
-        features.to_vector() if isinstance(features, FrameFeatures) else np.asarray(features)
-    )
+    x = features.to_vector() if isinstance(features, FrameFeatures) else np.asarray(features)
+    if x.ndim not in (1, 2):
+        raise ValidationError(f"features must be one vector or an (n, d) matrix, got {x.ndim}-D")
     w = np.asarray(weights, dtype=np.float64)
-    if w.ndim != 1 or w.size != vector.size + 1:
+    if w.ndim != 1 or w.size != x.shape[-1] + 1:
         raise ValidationError(
-            f"weights must have dimension {vector.size + 1} (features + bias), "
+            f"weights must have dimension {x.shape[-1] + 1} (features + bias), "
             f"got {w.size}"
         )
-    probability = float(expit(np.dot(w[:-1], vector) + w[-1]))
+    if x.ndim == 2:
+        # vecdot, unlike X @ w or matvec, reproduces the per-row np.dot bits.
+        probabilities = expit(np.vecdot(x, w[:-1]) + w[-1])
+        return probabilities > 0.5, probabilities
+    probability = float(expit(np.dot(w[:-1], x) + w[-1]))
     return probability > 0.5, probability
 
 

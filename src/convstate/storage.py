@@ -20,7 +20,6 @@ import numpy as np
 from .clustering import EmbeddingSet
 from .controller import SessionReport
 from .errors import SchemaError
-from .frontend import FrameFeatures
 from .markov import (
     Argmax,
     PredictionMode,
@@ -141,27 +140,54 @@ def load_model(path: str) -> tuple[TransitionModel, PredictionMode | None]:
     return model_from_document(doc)
 
 
+def _float_list(value) -> list[float]:
+    if not isinstance(value, list):
+        raise TypeError("not a list")
+    return [float(v) for v in value]
+
+
+def _timed_jsonl(text: str, field: str, convert) -> tuple[list, list[tuple[float, float]]]:
+    """Parse JSONL records {start_s, end_s, <field>}, one per non-blank line.
+
+    Returns the field values passed through `convert` and the (start_s,
+    end_s) pairs as floats. A line that is not a JSON object, or a field
+    that is missing or that its conversion rejects, raises SchemaError
+    naming the line and the field.
+    """
+    values, times = [], []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"line {lineno}: not valid JSON ({exc})") from exc
+        if not isinstance(record, dict):
+            raise SchemaError(f"line {lineno}: expected a JSON object")
+        parsed = []
+        for key, parse in (("start_s", float), ("end_s", float), (field, convert)):
+            if key not in record:
+                raise SchemaError(f"line {lineno}: missing field {key!r}")
+            try:
+                parsed.append(parse(record[key]))
+            except (TypeError, ValueError, OverflowError):
+                raise SchemaError(
+                    f"line {lineno}: field {key!r} is malformed, got {record[key]!r}"
+                ) from None
+        start, end, value = parsed
+        values.append(value)
+        times.append((start, end))
+    return values, times
+
+
 def parse_labels_text(text: str, n_states: int | None = None) -> StateSequence:
     """Parse newline- or comma-separated integers, or timed JSONL labels."""
     stripped = text.strip()
     if not stripped:
         raise SchemaError("label input is empty")
     if stripped[0] == "{":
-        labels: list[int] = []
-        times: list[tuple[float, float]] = []
-        for lineno, line in enumerate(stripped.splitlines(), start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"line {lineno}: not valid JSON ({exc})") from exc
-            for key in ("start_s", "end_s", "state"):
-                if key not in record:
-                    raise SchemaError(f"line {lineno}: missing field {key!r}")
-            labels.append(int(record["state"]))
-            times.append((float(record["start_s"]), float(record["end_s"])))
+        labels, times = _timed_jsonl(stripped, "state", int)
         inferred = n_states if n_states is not None else max(labels) + 1
         return StateSequence(labels=tuple(labels), n_states=inferred, times=tuple(times))
     tokens = [tok for tok in stripped.replace(",", " ").split() if tok]
@@ -203,35 +229,23 @@ def read_embeddings(path: str) -> EmbeddingSet:
     if not stripped:
         raise SchemaError(f"{path}: embedding input is empty")
     if stripped[0] == "{":
-        vectors: list[list[float]] = []
-        times: list[tuple[float, float]] = []
+        rows, times = _timed_jsonl(stripped, "vector", _float_list)
+    else:
+        rows, times = [], None
         for lineno, line in enumerate(stripped.splitlines(), start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"line {lineno}: not valid JSON ({exc})") from exc
-            for key in ("start_s", "end_s", "vector"):
-                if key not in record:
-                    raise SchemaError(f"line {lineno}: missing field {key!r}")
-            vectors.append([float(v) for v in record["vector"]])
-            times.append((float(record["start_s"]), float(record["end_s"])))
-        return EmbeddingSet(vectors=np.asarray(vectors), times=tuple(times))
-    rows = []
-    for lineno, line in enumerate(stripped.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rows.append([float(tok) for tok in line.split(",")])
-        except ValueError as exc:
-            raise SchemaError(f"line {lineno}: non-numeric value ({exc})") from exc
+                rows.append([float(tok) for tok in line.split(",")])
+            except ValueError as exc:
+                raise SchemaError(f"line {lineno}: non-numeric value ({exc})") from exc
     widths = {len(row) for row in rows}
     if len(widths) != 1:
         raise SchemaError(f"embedding rows have mixed dimensions {sorted(widths)}")
-    return EmbeddingSet(vectors=np.asarray(rows))
+    return EmbeddingSet(
+        vectors=np.asarray(rows), times=None if times is None else tuple(times)
+    )
 
 
 def embeddings_to_csv(embeddings: EmbeddingSet) -> str:
@@ -243,21 +257,18 @@ def write_embeddings(embeddings: EmbeddingSet, path: str) -> None:
     atomic_write_text(path, embeddings_to_csv(embeddings))
 
 
-def features_to_csv(features: Sequence[FrameFeatures]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    n_coeffs = len(features[0].mfcc) if features else 13
-    header = ["frame_index", "time_s", "log_energy", "zcr"] + [
-        f"mfcc_{i}" for i in range(n_coeffs)
+def features_to_csv(rows: np.ndarray, hop_s: float) -> str:
+    """One CSV line per feature_matrix row, led by its frame index and time.
+
+    Floats are written with repr, so they read back bit for bit.
+    """
+    hop_s = float(hop_s)
+    names = ["log_energy", "zcr"] + [f"mfcc_{i}" for i in range(rows.shape[1] - 2)]
+    lines = [",".join(["frame_index", "time_s"] + names)]
+    lines += [
+        f"{t},{t * hop_s!r},{','.join(map(repr, row))}" for t, row in enumerate(rows.tolist())
     ]
-    writer.writerow(header)
-    for feat in features:
-        writer.writerow(
-            [feat.frame_index, repr(float(feat.time_s)), repr(feat.log_energy),
-             repr(feat.zcr)]
-            + [repr(float(c)) for c in feat.mfcc]
-        )
-    return buffer.getvalue()
+    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)

@@ -286,8 +286,21 @@ class TestCliEdges:
             ({"oracle": {"kind": "chain"}}, [], "$.oracle.model"),
             ({"candidate_count": "x"}, [], "$.candidate_count"),
             ({}, ["--checker-interval", "bernoulli:abc"], "bernoulli:abc"),
+            ({"states": "x"}, [], "$.states"),
+            ({"iterations": [2]}, [], "$.iterations"),
+            ({"window": "wide"}, [], "$.window"),
+            ({"thresholds": {"tpe_threshold": "x"}}, [], "$.thresholds.tpe_threshold"),
+            ({"thresholds": {"epps_threshold": float("nan")}}, [], "$.thresholds.epps_threshold"),
+            ({"thresholds": {"row_diff_min": "x"}}, [], "$.thresholds.row_diff_min"),
+            ({"thresholds": {"checker_interval": 5}}, [], "$.thresholds.checker_interval"),
+            ({"thresholds": 20}, [], "$.thresholds"),
         ],
-        ids=["oracle-without-model", "candidate-count-not-int", "interval-not-a-number"],
+        ids=[
+            "oracle-without-model", "candidate-count-not-int", "interval-not-a-number",
+            "states-not-int", "iterations-not-int", "window-not-int", "threshold-not-a-number",
+            "threshold-nan", "row-diff-min-not-a-number", "interval-not-a-string",
+            "thresholds-not-an-object",
+        ],
     )
     def test_malformed_session_input_is_one_line_error(
         self, capsys, tmp_path, truth_model_path, overrides, argv, field
@@ -302,6 +315,35 @@ class TestCliEdges:
         code, _, err = run_cli(capsys, "session", path, *argv)
         assert code == 1
         assert err.startswith("error:") and field in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [("[NaN, 0, 15]", "finite"), ("[1, Infinity]", "finite"), ("{}", "JSON list")],
+        ids=["nan", "infinity", "object"],
+    )
+    def test_vad_rejects_malformed_weights_file(self, capsys, wav_path, tmp_path, text, reason):
+        weights = tmp_path / "w.json"
+        weights.write_text(text)
+        code, out, err = run_cli(capsys, "vad", wav_path, "--weights", str(weights))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {weights}:") and reason in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, record, field",
+        [
+            (["estimate", "--states", "3"], {"start_s": 0, "end_s": 1, "state": "x"}, "state"),
+            (["diarize"], {"start_s": 0, "end_s": 1, "vector": ["a", 1]}, "vector"),
+        ],
+        ids=["estimate-state", "diarize-vector"],
+    )
+    def test_malformed_jsonl_field_is_one_line_error(self, capsys, tmp_path, argv, record, field):
+        path = tmp_path / "input.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        code, _, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+        assert code == 1
+        assert err.startswith(f"error: line 1: field '{field}'")
         assert err.count("\n") == 1
 
     def test_vad_trained_weights_file(self, capsys, wav_path, tmp_path):

@@ -4,12 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import dct
 
 from convstate.errors import ValidationError
 from convstate.frontend import (
+    _BLOCK_FRAMES,
+    ACCEPTED_RATES,
     AudioBuffer,
     FrameFeatures,
+    _mel_filterbank,
     extract_features,
+    feature_matrix,
     frame,
     load_wav,
     log_energy,
@@ -74,6 +79,38 @@ def reference_mfcc(samples, rate, n_filters=40, n_coeffs=13):
             )
         )
     return np.array(coeffs)
+
+
+def per_frame_features(audio, window_s=0.025, hop_s=0.010, n_filters=40, n_coeffs=13):
+    """The per-frame loop the frontend ran before feature_matrix, kept verbatim.
+
+    One log_energy, zcr and mfcc call (one FFT) per frame; the feature
+    matrix must reproduce its rows bit for bit.
+    """
+
+    def log_energy(x):
+        return float(np.log(max(float(np.sum(x * x)), 1e-10)))
+
+    def zcr(x):
+        nonneg = x >= 0.0
+        return int(np.count_nonzero(nonneg[1:] != nonneg[:-1])) / (x.size - 1)
+
+    def mfcc(x):
+        emphasized = np.empty_like(x)
+        emphasized[0] = x[0]
+        emphasized[1:] = x[1:] - 0.97 * x[:-1]
+        windowed = emphasized * np.hanning(x.size)
+        n_fft = 1 << (x.size - 1).bit_length()
+        magnitude = np.abs(np.fft.rfft(windowed, n_fft))
+        energies = _mel_filterbank(n_filters, n_fft, audio.sample_rate) @ magnitude
+        log_energies = np.log(np.maximum(energies, 1e-10))
+        return dct(log_energies, type=2, norm="ortho")[:n_coeffs]
+
+    rows = [
+        np.concatenate(([log_energy(x), zcr(x)], mfcc(x)))
+        for x in frame(audio, window_s, hop_s)
+    ]
+    return np.array(rows).reshape(len(rows), 2 + n_coeffs)
 
 
 def tone(freq_hz, duration_s=0.025, rate=16000, amplitude=0.5):
@@ -170,6 +207,70 @@ class TestMfcc:
             mfcc(np.array([0.5]), 16000)
 
 
+class TestFeatureMatrix:
+    @given(
+        data=st.data(),
+        rate=st.sampled_from(ACCEPTED_RATES),
+        params=st.one_of(
+            st.just((0.025, 0.010, 40, 13)),
+            st.tuples(
+                st.floats(0.002, 0.04),
+                st.floats(0.001, 0.02),
+                st.integers(2, 48),
+                st.integers(1, 48),
+            ).filter(lambda p: p[3] <= p[2]),
+        ),
+        frames=st.one_of(
+            st.sampled_from([0, 1, _BLOCK_FRAMES - 1, _BLOCK_FRAMES, _BLOCK_FRAMES + 1]),
+            st.integers(0, 2 * _BLOCK_FRAMES + 2),
+        ),
+        seed=st.integers(0, 2**32 - 1),
+        zeros=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_rows_equal_per_frame_reference(
+        self, data, rate, params, frames, seed, zeros
+    ):
+        window_s, hop_s, n_filters, n_coeffs = params
+        window = int(round(window_s * rate))
+        hop = int(round(hop_s * rate))
+        if frames == 0:
+            length = data.draw(st.integers(1, window - 1), label="length")
+        else:
+            extra = data.draw(st.integers(0, hop - 1), label="extra")
+            length = window + (frames - 1) * hop + extra
+        rng = np.random.default_rng(seed)
+        samples = rng.uniform(-1, 1, length) * rng.choice([1.0, 1e-3, 1e-7])
+        if zeros:
+            samples[rng.random(length) < 0.3] = 0.0
+        audio = AudioBuffer(samples, rate)
+        matrix = feature_matrix(audio, window_s, hop_s, n_filters, n_coeffs)
+        assert matrix.shape == (frames, 2 + n_coeffs)
+        reference = per_frame_features(audio, window_s, hop_s, n_filters, n_coeffs)
+        assert matrix.tobytes() == reference.tobytes()
+        listed = extract_features(audio, window_s, hop_s, n_filters, n_coeffs)
+        assert [f.frame_index for f in listed] == list(range(frames))
+        assert all(
+            f.to_vector().tobytes() == row.tobytes() for f, row in zip(listed, matrix)
+        )
+
+    def test_one_row_functions_share_the_kernel(self):
+        audio = AudioBuffer(np.random.default_rng(3).uniform(-1, 1, 2000), 16000)
+        matrix = feature_matrix(audio)
+        for t, x in enumerate(frame(audio)):
+            assert matrix[t, 0] == log_energy(x)
+            assert matrix[t, 1] == zcr(x)
+            assert matrix[t, 2:].tobytes() == mfcc(x, 16000).tobytes()
+
+    @pytest.mark.parametrize("n_filters, n_coeffs", [(40, 0), (10, 11)])
+    def test_coefficient_count_out_of_range(self, n_filters, n_coeffs):
+        audio = AudioBuffer(np.zeros(1000), 16000)
+        with pytest.raises(ValidationError, match="n_coeffs"):
+            feature_matrix(audio, n_filters=n_filters, n_coeffs=n_coeffs)
+        with pytest.raises(ValidationError, match="n_coeffs"):
+            mfcc(np.zeros(400), 16000, n_filters, n_coeffs)
+
+
 class TestVadClassify:
     def test_zero_weights_tie_is_non_speech(self):
         features = np.zeros(15)
@@ -187,6 +288,26 @@ class TestVadClassify:
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError, match="16"):
             vad_classify(np.zeros(15), np.zeros(4))
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(0, 3000),
+        dim=st.integers(1, 20),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_matrix_rows_equal_one_frame_calls(self, seed, rows, dim):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(0.0, 3.0, (rows, dim))
+        weights = rng.normal(0.0, 1.0, dim + 1)
+        mask, probabilities = vad_classify(x, weights)
+        assert mask.shape == probabilities.shape == (rows,)
+        single = [vad_classify(row, weights) for row in x]
+        assert mask.tolist() == [speech for speech, _ in single]
+        assert probabilities.tolist() == [p for _, p in single]
+
+    def test_matrix_dimension_mismatch(self):
+        with pytest.raises(ValidationError, match="16"):
+            vad_classify(np.zeros((3, 15)), np.zeros(17))
 
 
 def synthetic_vad_corpus(seed=2):

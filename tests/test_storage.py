@@ -1,13 +1,18 @@
+import csv
+import io
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convstate.clustering import EmbeddingSet
 from convstate.controller import SessionConfig, run_session
 from convstate.errors import SchemaError
+from convstate.frontend import AudioBuffer, extract_features, feature_matrix
 from convstate.harness import chain_oracle
-from convstate.frontend import FrameFeatures
 from convstate.markov import (
     Argmax,
     Sampled,
@@ -37,6 +42,21 @@ from convstate.storage import (
 @pytest.fixture
 def model():
     return normalize(np.array([[5, 2, 1], [0, 3, 3], [1, 1, 4]]))
+
+
+def csv_writer_features(features, n_coeffs):
+    """The feature CSV serializer from before features_to_csv took a matrix."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(
+        ["frame_index", "time_s", "log_energy", "zcr"] + [f"mfcc_{i}" for i in range(n_coeffs)]
+    )
+    for feat in features:
+        writer.writerow(
+            [feat.frame_index, repr(float(feat.time_s)), repr(feat.log_energy), repr(feat.zcr)]
+            + [repr(float(c)) for c in feat.mfcc]
+        )
+    return buffer.getvalue()
 
 
 class TestModelPersistence:
@@ -174,22 +194,59 @@ class TestEmbeddingIo:
             read_embeddings(path)
 
 
+@pytest.mark.parametrize(
+    "reader, lines, match",
+    [
+        ("labels", [{"start_s": 0, "end_s": 1, "state": "x"}], "line 1: field 'state'"),
+        ("labels", [{"start_s": 0, "end_s": 1, "state": None}], "line 1: field 'state'"),
+        ("labels", [{"start_s": 0, "end_s": 1, "state": 1e400}], "line 1: field 'state'"),
+        (
+            "labels",
+            [{"start_s": 0, "end_s": 1, "state": 0}, {"start_s": "a", "end_s": 2, "state": 1}],
+            "line 2: field 'start_s'",
+        ),
+        ("labels", [{"start_s": 0, "end_s": 1, "state": 0}, [0, 1, 0]], "line 2: expected a JSON"),
+        ("embeddings", [{"start_s": 0, "end_s": 1, "vector": ["a", 1]}], "line 1: field 'vector'"),
+        ("embeddings", [{"start_s": 0, "end_s": 1, "vector": "12"}], "line 1: field 'vector'"),
+        ("embeddings", [{"start_s": 0, "end_s": [1], "vector": [1]}], "line 1: field 'end_s'"),
+        (
+            "embeddings",
+            [{"start_s": 0, "end_s": 1, "vector": [1, 2]}, {"start_s": 1, "end_s": 2, "vector": [1]}],
+            "mixed dimensions",
+        ),
+    ],
+)
+def test_malformed_jsonl_record_names_line_and_field(tmp_path, reader, lines, match):
+    path = tmp_path / "input.jsonl"
+    path.write_text("\n".join(json.dumps(line) for line in lines) + "\n")
+    read = read_labels if reader == "labels" else read_embeddings
+    with pytest.raises(SchemaError, match=re.escape(match)):
+        read(str(path))
+
+
 class TestFeaturesCsv:
     def test_header_and_rows(self):
-        feats = [
-            FrameFeatures(
-                frame_index=0,
-                time_s=0.0,
-                log_energy=-1.5,
-                zcr=0.25,
-                mfcc=np.arange(13, dtype=float),
-            )
-        ]
-        text = features_to_csv(feats)
+        rows = np.concatenate(([-1.5, 0.25], np.arange(13, dtype=float)))[None, :]
+        text = features_to_csv(rows, 0.01)
         lines = text.splitlines()
         assert lines[0].startswith("frame_index,time_s,log_energy,zcr,mfcc_0")
         assert lines[0].endswith("mfcc_12")
         assert lines[1].split(",")[2] == "-1.5"
+
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        length=st.integers(0, 3000),
+        hop_s=st.sampled_from([0.010, 0.0125, 0.015, 0.02]),
+        n_coeffs=st.integers(1, 20),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_matches_the_csv_writer_serializer(self, seed, length, hop_s, n_coeffs):
+        samples = np.random.default_rng(seed).uniform(-1, 1, length + 1)
+        audio = AudioBuffer(samples, 16000)
+        rows = feature_matrix(audio, hop_s=hop_s, n_coeffs=n_coeffs)
+        features = extract_features(audio, hop_s=hop_s, n_coeffs=n_coeffs)
+        assert features_to_csv(rows, hop_s) == csv_writer_features(features, n_coeffs)
 
 
 class TestTable:
