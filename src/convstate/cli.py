@@ -180,20 +180,19 @@ def _load_session_file(path: str) -> dict:
 
 
 def _number_field(doc: dict, key: str, default, path: str, kind: type = int):
-    """doc[key] (default when absent) converted by `kind`, int or float.
+    """doc[key] (default when absent), which must be a `kind`, int or float.
 
     A None default makes the field optional: absent or null gives None.
-    A value `kind` rejects, or a non-finite number, is a SchemaError at `path`.
+    Values are checked, not converted: a bool, a string, a fractional
+    number where an int is wanted, or a non-finite float is a SchemaError
+    at `path`. A float field also takes an int.
     """
     value = doc.get(key, default)
     if value is None and default is None:
         return None
-    try:
-        number = kind(value)
-        if math.isfinite(number):
-            return number
-    except (TypeError, ValueError, OverflowError):
-        pass
+    allowed = (int,) if kind is int else (int, float)
+    if isinstance(value, allowed) and not isinstance(value, bool) and math.isfinite(value):
+        return value
     noun = "an integer" if kind is int else "a finite number"
     raise SchemaError(f"{path}: expected {noun}, got {value!r}")
 

@@ -313,12 +313,12 @@ def vad_classify(
             f"weights must have dimension {x.shape[-1] + 1} (features + bias), "
             f"got {w.size}"
         )
-    if x.ndim == 2:
-        # vecdot, unlike X @ w or matvec, reproduces the per-row np.dot bits.
-        probabilities = expit(np.vecdot(x, w[:-1]) + w[-1])
-        return probabilities > 0.5, probabilities
-    probability = float(expit(np.dot(w[:-1], x) + w[-1]))
-    return probability > 0.5, probability
+    # vecdot, unlike X @ w or matvec, reproduces the per-row np.dot bits.
+    probabilities = expit(np.vecdot(np.atleast_2d(x), w[:-1]) + w[-1])
+    mask = probabilities > 0.5
+    if x.ndim == 1:
+        return bool(mask[0]), float(probabilities[0])
+    return mask, probabilities
 
 
 def _binary_cross_entropy(probabilities: np.ndarray, targets: np.ndarray) -> float:

@@ -294,12 +294,17 @@ class TestCliEdges:
             ({"thresholds": {"row_diff_min": "x"}}, [], "$.thresholds.row_diff_min"),
             ({"thresholds": {"checker_interval": 5}}, [], "$.thresholds.checker_interval"),
             ({"thresholds": 20}, [], "$.thresholds"),
+            ({"states": 2.7}, [], "$.states"),
+            ({"states": True}, [], "$.states"),
+            ({"states": "3"}, [], "$.states"),
+            ({"thresholds": {"tpe_threshold": True}}, [], "$.thresholds.tpe_threshold"),
         ],
         ids=[
             "oracle-without-model", "candidate-count-not-int", "interval-not-a-number",
             "states-not-int", "iterations-not-int", "window-not-int", "threshold-not-a-number",
             "threshold-nan", "row-diff-min-not-a-number", "interval-not-a-string",
-            "thresholds-not-an-object",
+            "thresholds-not-an-object", "states-fractional", "states-bool",
+            "states-numeric-string", "threshold-bool",
         ],
     )
     def test_malformed_session_input_is_one_line_error(
