@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import wave
 
@@ -154,16 +153,7 @@ def _cmd_check(args: argparse.Namespace) -> None:
         tpe_threshold=args.tpe_threshold, epps_threshold=args.epps_threshold
     )
     verdict = check_iteration(predicted.labels, actual.labels, thresholds, n_states)
-    report = verdict.report
-    payload = {
-        "tpe": report.tpe,
-        "epps": {str(k): v for k, v in sorted(report.epps.items())},
-        "compared_length": report.compared_length,
-        "per_state_occurrences": {
-            str(k): v for k, v in sorted(report.per_state_occurrences.items())
-        },
-        "decision": verdict.decision.value,
-    }
+    payload = {**storage.report_to_document(verdict.report), "decision": verdict.decision.value}
     _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
 
 
@@ -183,15 +173,13 @@ def _number_field(doc: dict, key: str, default, path: str, kind: type = int):
     """doc[key] (default when absent), which must be a `kind`, int or float.
 
     A None default makes the field optional: absent or null gives None.
-    Values are checked, not converted: a bool, a string, a fractional
-    number where an int is wanted, or a non-finite float is a SchemaError
-    at `path`. A float field also takes an int.
+    Values are checked by `storage.is_number`, not converted; a rejected
+    value is a SchemaError at `path`. A float field also takes an int.
     """
     value = doc.get(key, default)
     if value is None and default is None:
         return None
-    allowed = (int,) if kind is int else (int, float)
-    if isinstance(value, allowed) and not isinstance(value, bool) and math.isfinite(value):
+    if storage.is_number(value, kind):
         return value
     noun = "an integer" if kind is int else "a finite number"
     raise SchemaError(f"{path}: expected {noun}, got {value!r}")

@@ -300,7 +300,7 @@ def run_session(
             n_states = first.n_states
         else:
             n_states = int(max(first)) + 1
-    bootstrap = StateSequence(labels=tuple(_as_labels(first)), n_states=n_states)
+    bootstrap = StateSequence(labels=_as_labels(first).tolist(), n_states=n_states)
 
     model = markov.estimate_transition(bootstrap, n_states, config.policy)
     history = list(bootstrap.labels)
@@ -359,7 +359,7 @@ def run_session(
                 history.extend(predicted_labels)
             else:
                 model = markov.estimate_transition(actual, n_states, config.policy)
-                history.extend(int(x) for x in actual)
+                history.extend(actual.tolist())
             # The checker ran the diarizer, so its last label is the freshest
             # anchor for the next iteration regardless of the verdict.
             anchor = int(actual[-1])

@@ -120,20 +120,17 @@ def sequence_with_exact_counts(counts: np.ndarray) -> StateSequence:
         )
     if matrix.sum() == 0:
         raise ValidationError("counts are all zero; nothing to traverse")
-    remaining = matrix.copy()
-    start = int(np.flatnonzero(out_deg)[0])
-    stack = [start]
+    # Each state's outgoing edges, smallest target last so pop() takes it first.
+    successors = [np.repeat(np.arange(row.size), row)[::-1].tolist() for row in matrix]
+    stack = [int(np.flatnonzero(out_deg)[0])]
     circuit: list[int] = []
     while stack:
-        node = stack[-1]
-        successors = np.flatnonzero(remaining[node])
-        if successors.size:
-            nxt = int(successors[0])
-            remaining[node, nxt] -= 1
-            stack.append(nxt)
+        edges = successors[stack[-1]]
+        if edges:
+            stack.append(edges.pop())
         else:
             circuit.append(stack.pop())
-    if remaining.sum() != 0:
+    if len(circuit) != matrix.sum() + 1:
         raise ValidationError("bigram graph is not connected; no single circuit")
     circuit.reverse()
     return StateSequence(labels=tuple(circuit), n_states=matrix.shape[0])

@@ -59,7 +59,7 @@ class StateSequence:
     def __post_init__(self):
         if self.n_states < 1:
             raise ValidationError(f"n_states must be >= 1, got {self.n_states}")
-        object.__setattr__(self, "labels", tuple(int(x) for x in self.labels))
+        object.__setattr__(self, "labels", tuple(map(int, self.labels)))
         _validate_labels(self.labels, self.n_states)
         if self.times is not None:
             times = tuple((float(a), float(b)) for a, b in self.times)
@@ -119,12 +119,16 @@ class TransitionModel:
 
 
 def _as_labels(seq: StateSequence | Sequence[int] | Iterable[int]) -> np.ndarray:
-    if isinstance(seq, StateSequence):
-        return np.asarray(seq.labels, dtype=np.int64)
-    return np.asarray(list(seq), dtype=np.int64)
+    if not isinstance(seq, (np.ndarray, list, tuple)):
+        seq = list(seq)  # a StateSequence iterates its labels
+    return np.asarray(seq, dtype=np.int64)
 
 
 def _validate_labels(labels: Sequence[int], n_states: int) -> None:
+    """Range-check with C-speed min/max; walk the labels only to name a bad one."""
+    low, high = (np.min, np.max) if isinstance(labels, np.ndarray) else (min, max)
+    if len(labels) == 0 or 0 <= low(labels) and high(labels) < n_states:
+        return
     for i, lab in enumerate(labels):
         if not 0 <= lab < n_states:
             raise ValidationError(
@@ -148,10 +152,8 @@ def count_transitions(seq: StateSequence | Sequence[int], n_states: int) -> np.n
     """
     labels = _as_labels(seq)
     _validate_labels(labels, n_states)
-    counts = np.zeros((n_states, n_states), dtype=np.int64)
-    if labels.size >= 2:
-        np.add.at(counts, (labels[:-1], labels[1:]), 1)
-    return counts
+    pairs = labels[:-1] * n_states + labels[1:]
+    return np.bincount(pairs, minlength=n_states * n_states).reshape(n_states, n_states)
 
 
 def normalize(
@@ -201,14 +203,6 @@ def update_online(model: TransitionModel, from_state: int, to_state: int) -> Tra
     return TransitionModel(n_states=n, counts=counts, probs=probs, policy=model.policy)
 
 
-def _query_row(model: TransitionModel, state: int) -> np.ndarray:
-    if not 0 <= state < model.n_states:
-        raise ValidationError(f"state {state} outside 0..{model.n_states - 1}")
-    if model.policy is UnseenRowPolicy.ERROR_ON_QUERY and not model.row_observed(state):
-        raise UnseenStateError(f"state {state} has no outgoing observations")
-    return model.probs[state]
-
-
 def walk(
     model: TransitionModel,
     start: int,
@@ -221,27 +215,26 @@ def walk(
     uniform per step, all drawn by a single ``rng.random(steps)`` call, which
     advances the generator exactly as `steps` scalar draws would, so equal
     generators yield equal paths even across models whose rows differ only
-    slightly. Each state's row is queried before the walk first leaves it,
-    so range and unseen-row errors fire at the step that reaches the state.
+    slightly. The sampling table holds each row's cumulative sum without its
+    last entry, so a draw above the row's rounded total lands on the last
+    state. Under ERROR_ON_QUERY the states the walk leaves are queried in
+    first-visit order, so an unseen-row error names the first such state
+    the walk reaches.
     """
+    if steps > 0 and not 0 <= start < model.n_states:
+        raise ValidationError(f"state {start} outside 0..{model.n_states - 1}")
     if rng is None:
-        table, draws = np.argmax(model.probs, axis=1).tolist(), None
+        # Argmax is the same walk over one-hot rows with every draw at 0.5.
+        rows, draws = np.eye(model.n_states)[np.argmax(model.probs, axis=1)], [0.5] * steps
     else:
-        table = np.cumsum(model.probs, axis=1).tolist()
-        draws = rng.random(steps).tolist()
-    last = model.n_states - 1
-    queried: set[int] = set()
-    path: list[int] = []
+        rows, draws = model.probs, rng.random(steps).tolist()
+    table = np.cumsum(rows, axis=1)[:, :-1].tolist()
     state = start
-    for step in range(steps):
-        if state not in queried:
-            _query_row(model, state)
-            queried.add(state)
-        if draws is None:
-            state = table[state]
-        else:
-            state = min(bisect_right(table[state], draws[step]), last)
-        path.append(state)
+    path = [state := bisect_right(table[state], u) for u in draws]
+    if path and model.policy is UnseenRowPolicy.ERROR_ON_QUERY:
+        for visited in dict.fromkeys([start, *path[:-1]]):
+            if not model.row_observed(visited):
+                raise UnseenStateError(f"state {visited} has no outgoing observations")
     return path
 
 

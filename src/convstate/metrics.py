@@ -89,21 +89,21 @@ def evaluate(
     actual: StateSequence | Sequence[int],
     n_states: int,
 ) -> EvaluationReport:
-    """Bundle TPE and per-state EPPS for all states ``0..n_states-1``."""
+    """Bundle TPE and per-state EPPS for all states ``0..n_states-1``.
+
+    Actual labels outside that range count in TPE but get no EPPS or
+    occurrence entry.
+    """
     pred, act = _paired_labels(predicted, actual)
-    per_state: dict[int, float] = {}
-    occurrences: dict[int, int] = {}
-    for state in range(n_states):
-        at_state = act == state
-        occ = int(np.count_nonzero(at_state))
-        occurrences[state] = occ
-        if occ > 0:
-            missed = int(np.count_nonzero(at_state & (pred != act)))
-            per_state[state] = 100.0 * missed / occ
-    total = 100.0 * float(np.count_nonzero(pred != act)) / pred.size
+    n = max(n_states, 0)
+    wrong = pred != act
+    # Out-of-range labels go to the spare bin n, which is dropped.
+    bins = np.where((act >= 0) & (act < n), act, n)
+    occurrences = np.bincount(bins, minlength=n + 1)[:n].tolist()
+    missed = np.bincount(bins[wrong], minlength=n + 1)[:n].tolist()
     return EvaluationReport(
-        tpe=total,
-        epps=per_state,
+        tpe=100.0 * float(np.count_nonzero(wrong)) / pred.size,
+        epps={s: 100.0 * m / occ for s, (m, occ) in enumerate(zip(missed, occurrences)) if occ},
         compared_length=int(pred.size),
-        per_state_occurrences=occurrences,
+        per_state_occurrences=dict(enumerate(occurrences)),
     )

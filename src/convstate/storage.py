@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -29,6 +30,7 @@ from .markov import (
     UnseenRowPolicy,
     normalize,
 )
+from .metrics import EvaluationReport
 
 MODEL_VERSION = 1
 
@@ -140,19 +142,35 @@ def load_model(path: str) -> tuple[TransitionModel, PredictionMode | None]:
     return model_from_document(doc)
 
 
+def is_number(value, kind: type) -> bool:
+    """True for a non-bool int, or, when `kind` is float, also a finite float."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, int) or (
+        kind is float and isinstance(value, float) and math.isfinite(value)
+    )
+
+
+def _number(value, kind: type = float):
+    """``kind(value)`` when is_number accepts `value`, else ValueError."""
+    if not is_number(value, kind):
+        raise ValueError(value)
+    return kind(value)
+
+
 def _float_list(value) -> list[float]:
     if not isinstance(value, list):
-        raise TypeError("not a list")
-    return [float(v) for v in value]
+        raise ValueError(value)
+    return [_number(v) for v in value]
 
 
-def _timed_jsonl(text: str, field: str, convert) -> tuple[list, list[tuple[float, float]]]:
+def _timed_jsonl(text: str, field: str, parse_field) -> tuple[list, list[tuple[float, float]]]:
     """Parse JSONL records {start_s, end_s, <field>}, one per non-blank line.
 
-    Returns the field values passed through `convert` and the (start_s,
-    end_s) pairs as floats. A line that is not a JSON object, or a field
-    that is missing or that its conversion rejects, raises SchemaError
-    naming the line and the field.
+    Returns the field values passed through `parse_field` and the (start_s,
+    end_s) pairs as floats. A line that is not a JSON object, a missing
+    field, a time that is not a finite number, or a field value that
+    `parse_field` rejects raises SchemaError naming the line and the field.
     """
     values, times = [], []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -166,12 +184,12 @@ def _timed_jsonl(text: str, field: str, convert) -> tuple[list, list[tuple[float
         if not isinstance(record, dict):
             raise SchemaError(f"line {lineno}: expected a JSON object")
         parsed = []
-        for key, parse in (("start_s", float), ("end_s", float), (field, convert)):
+        for key, parse in (("start_s", _number), ("end_s", _number), (field, parse_field)):
             if key not in record:
                 raise SchemaError(f"line {lineno}: missing field {key!r}")
             try:
                 parsed.append(parse(record[key]))
-            except (TypeError, ValueError, OverflowError):
+            except (ValueError, OverflowError):
                 raise SchemaError(
                     f"line {lineno}: field {key!r} is malformed, got {record[key]!r}"
                 ) from None
@@ -187,7 +205,7 @@ def parse_labels_text(text: str, n_states: int | None = None) -> StateSequence:
     if not stripped:
         raise SchemaError("label input is empty")
     if stripped[0] == "{":
-        labels, times = _timed_jsonl(stripped, "state", int)
+        labels, times = _timed_jsonl(stripped, "state", lambda v: _number(v, int))
         inferred = n_states if n_states is not None else max(labels) + 1
         return StateSequence(labels=tuple(labels), n_states=inferred, times=tuple(times))
     tokens = [tok for tok in stripped.replace(",", " ").split() if tok]
@@ -327,6 +345,18 @@ def table_to_json(rows: Sequence[TableRow], n_states: int) -> list[dict]:
     return out
 
 
+def report_to_document(report: EvaluationReport) -> dict:
+    """Full-precision report fields; state keys become strings."""
+    return {
+        "tpe": report.tpe,
+        "epps": {str(k): v for k, v in sorted(report.epps.items())},
+        "compared_length": report.compared_length,
+        "per_state_occurrences": {
+            str(k): v for k, v in sorted(report.per_state_occurrences.items())
+        },
+    }
+
+
 def session_to_document(session: SessionReport) -> dict:
     """Full-precision session trace for the report JSON."""
     iterations = []
@@ -337,16 +367,8 @@ def session_to_document(session: SessionReport) -> dict:
             "checked": record.checked,
         }
         if record.decision is not None:
-            report = record.decision.report
             entry["decision"] = record.decision.decision.value
-            entry["report"] = {
-                "tpe": report.tpe,
-                "epps": {str(k): v for k, v in sorted(report.epps.items())},
-                "compared_length": report.compared_length,
-                "per_state_occurrences": {
-                    str(k): v for k, v in sorted(report.per_state_occurrences.items())
-                },
-            }
+            entry["report"] = report_to_document(record.decision.report)
         else:
             entry["decision"] = None
             entry["report"] = None

@@ -340,8 +340,22 @@ class TestCliEdges:
         [
             (["estimate", "--states", "3"], {"start_s": 0, "end_s": 1, "state": "x"}, "state"),
             (["diarize"], {"start_s": 0, "end_s": 1, "vector": ["a", 1]}, "vector"),
+            (["estimate", "--states", "3"], {"start_s": 0, "end_s": 1, "state": 1.7}, "state"),
+            (["estimate", "--states", "3"], {"start_s": 0, "end_s": 1, "state": True}, "state"),
+            (["estimate", "--states", "3"], {"start_s": 0, "end_s": 1, "state": "1"}, "state"),
+            (
+                ["estimate", "--states", "3"],
+                {"start_s": float("nan"), "end_s": 1, "state": 1},
+                "start_s",
+            ),
+            (["diarize"], {"start_s": 0, "end_s": 1, "vector": [1.0, float("nan")]}, "vector"),
+            (["diarize"], {"start_s": 0, "end_s": True, "vector": [1.0, 2.0]}, "end_s"),
         ],
-        ids=["estimate-state", "diarize-vector"],
+        ids=[
+            "estimate-state", "diarize-vector", "estimate-state-fractional",
+            "estimate-state-bool", "estimate-state-string", "estimate-start-nan",
+            "diarize-vector-nan", "diarize-end-bool",
+        ],
     )
     def test_malformed_jsonl_field_is_one_line_error(self, capsys, tmp_path, argv, record, field):
         path = tmp_path / "input.jsonl"

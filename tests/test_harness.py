@@ -15,6 +15,7 @@ from convstate.harness import (
     sequence_with_exact_counts,
 )
 from convstate.markov import (
+    StateSequence,
     count_transitions,
     estimate_transition,
     normalize,
@@ -80,7 +81,52 @@ class TestChainOracles:
         assert len(pieces) == 3
 
 
+def flatnonzero_exact_counts(counts):
+    """Reference: the Hierholzer walk that searched each row with np.flatnonzero."""
+    matrix = np.asarray(counts, dtype=np.int64)
+    if (matrix.sum(axis=1) != matrix.sum(axis=0)).any() or matrix.sum() == 0:
+        raise ValidationError("unbalanced or empty")
+    remaining = matrix.copy()
+    stack = [int(np.flatnonzero(matrix.sum(axis=1))[0])]
+    circuit = []
+    while stack:
+        node = stack[-1]
+        successors = np.flatnonzero(remaining[node])
+        if successors.size:
+            nxt = int(successors[0])
+            remaining[node, nxt] -= 1
+            stack.append(nxt)
+        else:
+            circuit.append(stack.pop())
+    if remaining.sum() != 0:
+        raise ValidationError("bigram graph is not connected; no single circuit")
+    circuit.reverse()
+    return StateSequence(labels=tuple(circuit), n_states=matrix.shape[0])
+
+
+@st.composite
+def closed_walk_counts(draw):
+    """Bigram counts of one or more closed walks: balanced, maybe disconnected."""
+    n = draw(st.integers(1, 6))
+    counts = np.zeros((n, n), dtype=np.int64)
+    for _ in range(draw(st.integers(1, 3))):
+        walk = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=40))
+        counts += count_transitions([*walk, walk[0]], n)
+    return counts
+
+
 class TestSequenceWithExactCounts:
+    @given(closed_walk_counts())
+    @settings(max_examples=200)
+    def test_matches_flatnonzero_walk(self, counts):
+        def run(build):
+            try:
+                return build(counts)
+            except ValidationError as exc:
+                return str(exc)
+
+        assert run(sequence_with_exact_counts) == run(flatnonzero_exact_counts)
+
     def test_reproduces_counts(self):
         counts = np.array([[86, 7, 7], [7, 86, 7], [7, 7, 86]])
         seq = sequence_with_exact_counts(counts)

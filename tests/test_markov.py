@@ -16,7 +16,8 @@ from convstate.markov import (
     predict_next,
     predict_sequence,
     stationary_distribution,
-    _query_row,
+    _as_labels,
+    _validate_labels,
     update_online,
     walk,
     windowed_transition,
@@ -65,6 +66,74 @@ class TestCountTransitions:
         labels, n_states = case
         counts = count_transitions(labels, n_states)
         assert counts.sum() == max(len(labels) - 1, 0)
+
+    @given(label_sequences(min_len=0, max_len=200, max_states=8))
+    def test_matches_add_at_counter(self, case):
+        labels, n_states = case
+        counts = count_transitions(labels, n_states)
+        assert counts.dtype == np.int64
+        assert counts.tolist() == add_at_counts(labels, n_states).tolist()
+
+
+def add_at_counts(labels, n_states):
+    """Reference: the np.add.at counter count_transitions used before bincount."""
+    labels = np.asarray(list(labels), dtype=np.int64)
+    counts = np.zeros((n_states, n_states), dtype=np.int64)
+    if labels.size >= 2:
+        np.add.at(counts, (labels[:-1], labels[1:]), 1)
+    return counts
+
+
+def list_as_labels(seq):
+    """Reference: the _as_labels that boxed every input through list()."""
+    if isinstance(seq, StateSequence):
+        return np.asarray(seq.labels, dtype=np.int64)
+    return np.asarray(list(seq), dtype=np.int64)
+
+
+def loop_validate_labels(labels, n_states):
+    """Reference: the per-label range check, as before the min/max fast path."""
+    for i, lab in enumerate(labels):
+        if not 0 <= lab < n_states:
+            raise ValidationError(f"label {lab} at index {i} outside 0..{n_states - 1}")
+
+
+def outcome(check, *args):
+    try:
+        check(*args)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+class TestLabelIngestion:
+    @given(label_sequences(min_len=0, max_len=100), st.sampled_from(
+        ["ndarray", "list", "tuple", "generator", "sequence", "int32"]
+    ))
+    def test_as_labels_matches_list_conversion(self, case, kind):
+        labels, n_states = case
+        make = {
+            "ndarray": lambda: np.array(labels, dtype=np.int64),
+            "int32": lambda: np.array(labels, dtype=np.int32),
+            "list": lambda: list(labels),
+            "tuple": lambda: tuple(labels),
+            "generator": lambda: (x for x in labels),
+            "sequence": lambda: StateSequence(labels=tuple(labels), n_states=n_states),
+        }[kind]
+        got, expected = _as_labels(make()), list_as_labels(make())
+        assert got.dtype == expected.dtype == np.int64
+        assert got.shape == expected.shape
+        assert got.tolist() == expected.tolist()
+
+    @given(
+        st.lists(st.integers(-3, 8), max_size=40),
+        st.integers(-1, 6),
+        st.sampled_from([list, tuple, lambda x: np.array(x, dtype=np.int64)]),
+    )
+    def test_validate_labels_matches_per_label_loop(self, labels, n_states, container):
+        assert outcome(_validate_labels, container(labels), n_states) == outcome(
+            loop_validate_labels, container(labels), n_states
+        )
 
 
 class TestNormalize:
@@ -192,11 +261,20 @@ class TestPredictSequence:
             predict_sequence(model, 0, 0)
 
 
+def query_row(model, state):
+    """Reference: the per-state row query walk made before the comprehension kernel."""
+    if not 0 <= state < model.n_states:
+        raise ValidationError(f"state {state} outside 0..{model.n_states - 1}")
+    if model.policy is UnseenRowPolicy.ERROR_ON_QUERY and not model.row_observed(state):
+        raise UnseenStateError(f"state {state} has no outgoing observations")
+    return model.probs[state]
+
+
 def per_step_walk(model, start, steps, rng):
     """Reference: one row query and one scalar draw per step, as before walk."""
     path, state = [], start
     for _ in range(steps):
-        row = _query_row(model, state)
+        row = query_row(model, state)
         if rng is None:
             state = int(np.argmax(row))
         else:
@@ -205,6 +283,16 @@ def per_step_walk(model, start, steps, rng):
             state = min(idx, model.n_states - 1)
         path.append(state)
     return path
+
+
+def run_walker(walker, model, start, steps, seed):
+    """Path and final generator state, or the unseen-row error message."""
+    rng = None if seed is None else np.random.default_rng(seed)
+    try:
+        path = walker(model, start, steps, rng)
+    except UnseenStateError as exc:
+        return "unseen", str(exc)
+    return path, None if rng is None else rng.bit_generator.state
 
 
 class TestWalk:
@@ -221,15 +309,33 @@ class TestWalk:
         steps = data.draw(st.integers(0, 60))
         seed = data.draw(st.none() | st.integers(0, 2**32 - 1))
 
-        def run(walker):
-            rng = None if seed is None else np.random.default_rng(seed)
-            try:
-                path = walker(model, start, steps, rng)
-            except UnseenStateError:
-                return "unseen"
-            return path, None if rng is None else rng.bit_generator.state
+        assert run_walker(walk, model, start, steps, seed) == run_walker(
+            per_step_walk, model, start, steps, seed
+        )
 
-        assert run(walk) == run(per_step_walk)
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_sub_stochastic_rows_end_on_last_state(self, data):
+        """A draw above a row's cumulative total lands on the last state.
+
+        The rows are scaled below 1 so that draws regularly land above the
+        total, where the table without its last cumsum entry must agree
+        with the clamped bisect of the full cumsum.
+        """
+        n = data.draw(st.integers(1, 5))
+        cells = data.draw(st.lists(st.integers(1, 4), min_size=n * n, max_size=n * n))
+        scale = data.draw(st.floats(0.3, 0.999))
+        counts = np.array(cells).reshape(n, n)
+        probs = scale * counts / counts.sum(axis=1, keepdims=True)
+        model = TransitionModel(n_states=n, counts=counts, probs=probs)
+        start = data.draw(st.integers(0, n - 1))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        got = run_walker(walk, model, start, 80, seed)
+        assert got == run_walker(per_step_walk, model, start, 80, seed)
+        path = got[0]
+        draws = np.random.default_rng(seed).random(80)
+        totals = np.cumsum(probs, axis=1)[:, -1][[start, *path[:-1]]]
+        assert all(p == n - 1 for p, u, t in zip(path, draws, totals) if u >= t)
 
     def test_out_of_range_start(self):
         model = normalize(np.array([[1, 1], [1, 1]]))

@@ -1,3 +1,6 @@
+import json
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -37,6 +40,22 @@ def sequence_pairs(draw, max_states=5, max_len=200):
         st.lists(st.integers(0, n_states - 1), min_size=length, max_size=length)
     )
     return predicted, actual, n_states
+
+
+def per_state_loop_evaluate(predicted, actual, n_states):
+    """Reference: the per-state evaluate loop from before the bincount counters."""
+    pred = np.asarray(list(predicted), dtype=np.int64)
+    act = np.asarray(list(actual), dtype=np.int64)
+    per_state, occurrences = {}, {}
+    for state in range(n_states):
+        at_state = act == state
+        occ = int(np.count_nonzero(at_state))
+        occurrences[state] = occ
+        if occ > 0:
+            missed = int(np.count_nonzero(at_state & (pred != act)))
+            per_state[state] = 100.0 * missed / occ
+    total = 100.0 * float(np.count_nonzero(pred != act)) / pred.size
+    return EvaluationReport(total, per_state, int(pred.size), occurrences)
 
 
 class TestTpe:
@@ -86,6 +105,25 @@ class TestEvaluate:
         assert report.tpe == pytest.approx(100.0 / 3)
         assert report.epps == pytest.approx({1: 100.0 / 3})
         assert 0 not in report.epps
+
+    @given(
+        st.integers(1, 120).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.integers(-3, 9), min_size=n, max_size=n),
+                st.lists(st.integers(-3, 9), min_size=n, max_size=n),
+            )
+        ),
+        st.integers(-1, 7),
+    )
+    def test_matches_per_state_loop(self, pair, n_states):
+        """Labels outside 0..n_states-1, negative ones too, count only in TPE."""
+        predicted, actual = pair
+        got = evaluate(predicted, actual, n_states)
+        expected = per_state_loop_evaluate(predicted, actual, n_states)
+        assert got == expected
+        assert json.dumps(vars(got)) == json.dumps(vars(expected))
+        assert all(type(v) is int for v in got.per_state_occurrences.values())
+        assert all(type(v) is float for v in got.epps.values())
 
     def test_report_rejects_out_of_range_percent(self):
         with pytest.raises(ValidationError):

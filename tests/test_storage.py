@@ -24,6 +24,7 @@ from convstate.storage import (
     TableRow,
     embeddings_to_csv,
     features_to_csv,
+    is_number,
     load_model,
     model_from_document,
     model_to_document,
@@ -214,6 +215,29 @@ class TestEmbeddingIo:
             [{"start_s": 0, "end_s": 1, "vector": [1, 2]}, {"start_s": 1, "end_s": 2, "vector": [1]}],
             "mixed dimensions",
         ),
+        # Values are type-checked, not converted.
+        ("labels", [{"start_s": 0, "end_s": 1, "state": 1.7}], "line 1: field 'state'"),
+        ("labels", [{"start_s": 0, "end_s": 1, "state": 1.0}], "line 1: field 'state'"),
+        ("labels", [{"start_s": 0, "end_s": 1, "state": True}], "line 1: field 'state'"),
+        ("labels", [{"start_s": 0, "end_s": 1, "state": "1"}], "line 1: field 'state'"),
+        ("labels", [{"start_s": float("nan"), "end_s": 1, "state": 0}], "line 1: field 'start_s'"),
+        ("labels", [{"start_s": 0, "end_s": float("inf"), "state": 0}], "line 1: field 'end_s'"),
+        ("labels", [{"start_s": False, "end_s": 1, "state": 0}], "line 1: field 'start_s'"),
+        ("labels", [{"start_s": "0", "end_s": 1, "state": 0}], "line 1: field 'start_s'"),
+        ("labels", [{"start_s": 0, "end_s": 10**400, "state": 0}], "line 1: field 'end_s'"),
+        ("embeddings", [{"start_s": 0, "end_s": 1, "vector": [1, True]}], "line 1: field 'vector'"),
+        (
+            "embeddings",
+            [{"start_s": 0, "end_s": 1, "vector": [float("nan"), 1]}],
+            "line 1: field 'vector'",
+        ),
+        ("embeddings", [{"start_s": 0, "end_s": 1, "vector": ["1.5"]}], "line 1: field 'vector'"),
+        (
+            "embeddings",
+            [{"start_s": 0, "end_s": 1, "vector": [1]}, {"start_s": 1, "end_s": float("nan"),
+                                                        "vector": [1]}],
+            "line 2: field 'end_s'",
+        ),
     ],
 )
 def test_malformed_jsonl_record_names_line_and_field(tmp_path, reader, lines, match):
@@ -222,6 +246,38 @@ def test_malformed_jsonl_record_names_line_and_field(tmp_path, reader, lines, ma
     read = read_labels if reader == "labels" else read_embeddings
     with pytest.raises(SchemaError, match=re.escape(match)):
         read(str(path))
+
+
+def test_jsonl_numbers_keep_their_values(tmp_path):
+    """Ints are accepted for times and vector entries and become floats."""
+    labels = tmp_path / "labels.jsonl"
+    labels.write_text(
+        '{"start_s": 0, "end_s": 1, "state": 2}\n{"start_s": 1, "end_s": 2.5, "state": 0}\n'
+    )
+    seq = read_labels(str(labels))
+    assert seq.labels == (2, 0) and seq.times == ((0.0, 1.0), (1.0, 2.5))
+    assert all(type(t) is float for pair in seq.times for t in pair)
+    embeddings = tmp_path / "emb.jsonl"
+    embeddings.write_text(
+        '{"start_s": 0, "end_s": 1, "vector": [1, -2.5]}\n'
+        '{"start_s": 1, "end_s": 2, "vector": [0.5, 3]}\n'
+    )
+    loaded = read_embeddings(str(embeddings))
+    assert loaded.vectors.tolist() == [[1.0, -2.5], [0.5, 3.0]]
+    assert loaded.times == ((0.0, 1.0), (1.0, 2.0))
+
+
+@pytest.mark.parametrize(
+    "value, kind, accepted",
+    [
+        (3, int, True), (-2, int, True), (2**70, int, True), (3, float, True),
+        (2.5, float, True), (2.0, int, False), (True, int, False), (False, float, False),
+        ("3", int, False), (None, float, False), (float("nan"), float, False),
+        (float("inf"), float, False), (2**70, float, True), ([1], float, False),
+    ],
+)
+def test_is_number(value, kind, accepted):
+    assert is_number(value, kind) is accepted
 
 
 class TestFeaturesCsv:
