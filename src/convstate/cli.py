@@ -7,6 +7,7 @@ non-convergence. Every seeded command is byte-reproducible.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import wave
@@ -127,8 +128,7 @@ def _cmd_diarize(args: argparse.Namespace) -> None:
 def _cmd_estimate(args: argparse.Namespace) -> None:
     seq = storage.read_labels(args.labels, n_states=args.states)
     model = markov.estimate_transition(seq, args.states, _policy(args.policy))
-    text = json.dumps(storage.model_to_document(model), indent=2, sort_keys=True) + "\n"
-    _emit(text, args.out)
+    _emit(storage.json_text(storage.model_to_document(model)) + "\n", args.out)
 
 
 def _cmd_predict(args: argparse.Namespace) -> None:
@@ -149,12 +149,14 @@ def _cmd_check(args: argparse.Namespace) -> None:
     n_states = args.states
     if n_states is None:
         n_states = max(predicted.n_states, actual.n_states)
+    elif n_states < 1:
+        raise ValidationError(f"--states must be >= 1, got {n_states}")
     thresholds = Thresholds(
         tpe_threshold=args.tpe_threshold, epps_threshold=args.epps_threshold
     )
     verdict = check_iteration(predicted.labels, actual.labels, thresholds, n_states)
     payload = {**storage.report_to_document(verdict.report), "decision": verdict.decision.value}
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+    _emit(storage.json_text(payload) + "\n", args.out)
 
 
 def _load_session_file(path: str) -> dict:
@@ -264,9 +266,7 @@ def _cmd_session(args: argparse.Namespace) -> None:
     rows = storage.report_table(report)
     table_csv = storage.table_to_csv(rows, report.final_model.n_states)
     if report_path:
-        storage.atomic_write_text(
-            report_path, json.dumps(report_doc, indent=2, sort_keys=True) + "\n"
-        )
+        storage.atomic_write_text(report_path, storage.json_text(report_doc) + "\n")
     _emit(table_csv, table_path)
     if table_path or report_path:
         mean = report.mean_tpe()
@@ -305,7 +305,13 @@ def _cmd_simulate_embeddings(args: argparse.Namespace) -> None:
         storage.atomic_write_text(args.labels_out, storage.labels_to_text(truth))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `convstate` parser, built once per process.
+
+    `prog` is fixed and `parse_args` returns a fresh Namespace per call, so
+    every in-process call of `main` shares it; callers must not modify it.
+    """
     parser = argparse.ArgumentParser(
         prog="convstate",
         description="Speaker-state prediction: diarize, estimate, predict, check.",

@@ -119,12 +119,6 @@ def gaussian_blur(a: AffinityMatrix | np.ndarray, sigma: float = 1.0) -> Affinit
     return AffinityMatrix(values=blurred, stages=("blur",))
 
 
-def _nearest_rank(row: np.ndarray, percentile: float) -> float:
-    ordered = np.sort(row)
-    idx = min(int(row.size * percentile / 100.0 + 1e-9), row.size - 1)
-    return float(ordered[idx])
-
-
 def row_threshold(
     a: AffinityMatrix | np.ndarray,
     percentile: float = 95.0,
@@ -138,10 +132,10 @@ def row_threshold(
     if not 0.0 < percentile < 100.0:
         raise ValidationError(f"percentile must be in (0, 100), got {percentile}")
     values = _as_matrix(a).copy()
-    for i in range(values.shape[0]):
-        cutoff = _nearest_rank(values[i], percentile)
-        below = values[i] < cutoff
-        values[i, below] *= soft_multiplier
+    width = values.shape[1]
+    rank = min(int(width * percentile / 100.0 + 1e-9), width - 1)
+    cutoffs = np.sort(values, axis=1)[:, rank : rank + 1]
+    values[values < cutoffs] *= soft_multiplier
     if isinstance(a, AffinityMatrix):
         return a.with_stage(values, "row_threshold")
     return AffinityMatrix(values=values, stages=("row_threshold",))
@@ -292,25 +286,21 @@ def refine(
     soft_multiplier: float = 0.01,
 ) -> AffinityMatrix:
     """Run the full affinity refinement chain."""
-    a = affinity(embeddings)
-    a = gaussian_blur(a, sigma)
-    a = row_threshold(a, percentile, soft_multiplier)
+    blurred = gaussian_blur(affinity(embeddings), sigma)
+    return _refine_blurred(blurred, percentile, soft_multiplier)
+
+
+def _refine_blurred(
+    blurred: AffinityMatrix, percentile: float, soft_multiplier: float
+) -> AffinityMatrix:
+    """The refinement stages from the row threshold on, the ones `percentile` sets."""
+    a = row_threshold(blurred, percentile, soft_multiplier)
     a = symmetrize(a)
     a = diffuse(a)
-    a = row_normalize(a)
-    return a
+    return row_normalize(a)
 
 
 PERCENTILE_GRID = (50.0, 60.0, 70.0, 80.0, 90.0, 95.0)
-
-
-def _spectrum_at(
-    embeddings: EmbeddingSet, sigma: float, percentile: float, soft_multiplier: float
-) -> tuple[np.ndarray, np.ndarray]:
-    refined = refine(embeddings, sigma, percentile, soft_multiplier)
-    # Row scaling breaks symmetry; the spectral step uses the symmetric average.
-    sym = 0.5 * (refined.values + refined.values.T)
-    return symmetric_eigh(sym)
 
 
 def _sweep_percentiles(
@@ -325,11 +315,15 @@ def _sweep_percentiles(
     A fixed percentile keeps a fixed fraction of each row, which is too
     sparse for small segment counts and too dense for large ones; sweeping
     a grid and keeping the sharpest spectrum adapts to the data. Ties
-    break toward the sparsest (highest) percentile.
+    break toward the sparsest (highest) percentile. Affinity and blur do
+    not depend on the percentile, so they run once per sweep.
     """
+    blurred = gaussian_blur(affinity(embeddings), sigma)
     best: tuple[float, float, np.ndarray, np.ndarray] | None = None
     for p in grid:
-        eigenvalues, eigenvectors = _spectrum_at(embeddings, sigma, p, soft_multiplier)
+        refined = _refine_blurred(blurred, p, soft_multiplier).values
+        # Row scaling breaks symmetry; the spectral step uses the symmetric average.
+        eigenvalues, eigenvectors = symmetric_eigh(0.5 * (refined + refined.T))
         ratios = _gap_ratios(eigenvalues, max_k)
         score = ratios.max() if ratios.size else 0.0
         if best is None or score >= best[0]:
@@ -364,14 +358,10 @@ def spectral_cluster(
     `percentile` of None selects the thresholding percentile by eigengap
     sweep (auto_percentile); pass a value to pin it.
     """
-    if percentile is None:
-        _, eigenvalues, eigenvectors = _sweep_percentiles(
-            embeddings, sigma, soft_multiplier, max_k, PERCENTILE_GRID
-        )
-    else:
-        eigenvalues, eigenvectors = _spectrum_at(
-            embeddings, sigma, percentile, soft_multiplier
-        )
+    grid = PERCENTILE_GRID if percentile is None else (percentile,)
+    _, eigenvalues, eigenvectors = _sweep_percentiles(
+        embeddings, sigma, soft_multiplier, max_k, grid
+    )
     if k is None:
         k = _eigen_gap_from_values(eigenvalues, max_k)
     if not 1 <= k <= len(embeddings):

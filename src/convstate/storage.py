@@ -55,6 +55,49 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+_CONTAINERS = (dict, list, tuple)
+
+
+def json_text(doc) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte, at C speed.
+
+    ``indent`` turns CPython's C encoder off, so every element of a long
+    label list would go through the pure-Python encoder. Here a dict or list
+    that holds no dict, list or tuple is encoded by one C-encoder call whose
+    item separator is the comma, newline and indent of its depth; only
+    containers that hold containers are walked in Python. Dict keys must be
+    str.
+    """
+    return _indented(doc, "\n")
+
+
+def _indented(value, newline: str) -> str:
+    if not isinstance(value, _CONTAINERS):
+        return json.dumps(value)
+    is_dict = isinstance(value, dict)
+    if not value:
+        return "{}" if is_dict else "[]"
+    if is_dict:
+        if not all(isinstance(key, str) for key in value):
+            raise TypeError("json_text: dict keys must be str")
+        keys = sorted(value)
+        values = [value[key] for key in keys]
+    else:
+        values = value
+    inner = newline + "  "
+    separator = "," + inner
+    if not any(issubclass(kind, _CONTAINERS) for kind in set(map(type, values))):
+        body = json.dumps(value, separators=(separator, ": "), sort_keys=True)[1:-1]
+    elif is_dict:
+        body = separator.join(
+            f"{json.dumps(key)}: {_indented(item, inner)}" for key, item in zip(keys, values)
+        )
+    else:
+        body = separator.join(_indented(item, inner) for item in values)
+    opening, closing = "{}" if is_dict else "[]"
+    return f"{opening}{inner}{body}{newline}{closing}"
+
+
 def mode_to_document(mode: PredictionMode | None) -> dict | None:
     if mode is None:
         return None
@@ -127,9 +170,7 @@ def model_from_document(doc) -> tuple[TransitionModel, PredictionMode | None]:
 def save_model(
     model: TransitionModel, path: str, mode: PredictionMode | None = None
 ) -> None:
-    atomic_write_text(
-        path, json.dumps(model_to_document(model, mode), indent=2, sort_keys=True) + "\n"
-    )
+    atomic_write_text(path, json_text(model_to_document(model, mode)) + "\n")
 
 
 def load_model(path: str) -> tuple[TransitionModel, PredictionMode | None]:

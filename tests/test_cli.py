@@ -138,6 +138,14 @@ class TestEstimatePredictCheck:
         )
         assert json.loads(out)["decision"] == "accept"
 
+    @pytest.mark.parametrize("states", ["0", "-1"])
+    def test_check_rejects_state_count_below_one(self, capsys, tmp_path, states):
+        labels = tmp_path / "labels.txt"
+        labels.write_text("0\n1\n1\n0\n")
+        code, out, err = run_cli(capsys, "check", str(labels), str(labels), "--states", states)
+        assert (code, out) == (1, "")
+        assert err == f"error: --states must be >= 1, got {states}\n"
+
     def test_bad_labels_validation_error(self, capsys, tmp_path):
         bad = str(tmp_path / "bad.txt")
         open(bad, "w").write("0 1 oops")

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from convstate import clustering
 from convstate.clustering import (
+    PERCENTILE_GRID,
     EmbeddingSet,
     affinity,
     auto_percentile,
@@ -117,6 +119,27 @@ class TestRowThreshold:
     def test_rejects_bad_percentile(self):
         with pytest.raises(ValidationError):
             row_threshold(np.ones((2, 2)), percentile=0.0)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 12),
+        levels=st.integers(1, 6),
+        percentile=st.floats(0.01, 99.99),
+        soft_multiplier=st.sampled_from([0.0, 0.01, 0.5, 1.0]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_row_nearest_rank_loop(
+        self, seed, n, levels, percentile, soft_multiplier
+    ):
+        # Few distinct levels, so cutoffs often fall on ties.
+        values = np.random.default_rng(seed).integers(0, levels, (n, n)) / levels
+        expected = values.copy()
+        for row in expected:
+            ordered = np.sort(row)
+            cutoff = ordered[min(int(row.size * percentile / 100.0 + 1e-9), row.size - 1)]
+            row[row < cutoff] *= soft_multiplier
+        out = row_threshold(values, percentile, soft_multiplier).values
+        assert np.array_equal(out, expected)
 
 
 class TestSymmetrize:
@@ -315,6 +338,46 @@ class TestSpectralCluster:
         embeddings = EmbeddingSet(vectors, times=times)
         predicted = spectral_cluster(embeddings, k=2, seed=0)
         assert predicted.times == times
+
+
+class TestPercentileSweep:
+    def per_percentile_spectra(self, embeddings, sigma):
+        """The sweep's reference: the whole refinement chain per percentile."""
+        spectra = []
+        for percentile in PERCENTILE_GRID:
+            refined = refine(embeddings, sigma, percentile).values
+            spectra.append(symmetric_eigh(0.5 * (refined + refined.T)))
+        return spectra
+
+    @pytest.mark.parametrize("sigma", [0.0, 1.0, 2.5])
+    def test_spectra_equal_per_percentile_refinement(self, monkeypatch, sigma):
+        embeddings, _ = generate_synthetic_embeddings(3, 12, 6, 4.0, 1.5, 21)
+        expected = self.per_percentile_spectra(embeddings, sigma)
+        seen = []
+
+        def recording_eigh(matrix):
+            seen.append(symmetric_eigh(matrix))
+            return seen[-1]
+
+        monkeypatch.setattr(clustering, "symmetric_eigh", recording_eigh)
+        spectral_cluster(embeddings, seed=0, sigma=sigma)
+        assert len(seen) == len(expected)
+        for (values, vectors), (ref_values, ref_vectors) in zip(seen, expected):
+            assert np.array_equal(values, ref_values)
+            assert np.array_equal(vectors, ref_vectors)
+
+    @pytest.mark.parametrize("percentile", [None, 80.0])
+    def test_affinity_and_blur_run_once(self, monkeypatch, percentile):
+        embeddings, _ = FIXTURE
+        calls = []
+        for name in ("affinity", "gaussian_blur"):
+            original = getattr(clustering, name)
+            monkeypatch.setattr(
+                clustering, name,
+                lambda *args, _name=name, _fn=original: calls.append(_name) or _fn(*args),
+            )
+        spectral_cluster(embeddings, seed=7, percentile=percentile)
+        assert calls == ["affinity", "gaussian_blur"]
 
 
 class TestRefinePipeline:

@@ -1,5 +1,7 @@
 """Golden outputs: sha256 digests of seeded CLI runs, recorded before the
-session hot path was vectorized.
+session hot path was vectorized (session, simulate, predict) and before the
+indented JSON writer replaced ``json.dumps(..., indent=2)`` (estimate,
+check, saved model).
 
 Any change to the walk kernel, the label checks, the counters or the
 report writers that moves a single output byte fails here. Temp paths are
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 
 from convstate.cli import main
-from convstate.markov import UnseenRowPolicy, normalize
+from convstate.markov import Sampled, UnseenRowPolicy, normalize
 from convstate.storage import save_model
 
 TRUTH_COUNTS = [[86, 7, 7], [7, 86, 7], [7, 7, 86]]
@@ -47,6 +49,10 @@ GOLDEN = {
     "simulate-chain/stdout": "b8e3e5d4164a7ac9e66d2f69405644b7434e97de67f94e6263b2deafce5d7857",
     "predict-sample/stdout": "e52f58cba9ea4f0c55c894bc094b231033842a44e16505ef357f3bb17676b220",
     "predict-error-policy/stderr": "bf5bea4b100cb16ed821ab17ff501aedabadaa4c05f851251d061033a4da7e12",
+    "estimate/model": "b371cf8d7d83f37ef81964986668eb07afbcecd490fb69872bc6d42c1d2ebc55",
+    "check/stdout": "a394b1d23657a0dda31679fb07031a4bf8a5f92cc3ae81301cf1d9da38be184e",
+    "check/out": "173adc6b699c5db12d6c00bf3f1ad159f34f83779e1349d016cd7b43983772de",
+    "save-model/sampled-error-policy": "28fc42d7c93fc2ee1239bff3b178aaa9983d5aff31625c4d334af3a36e9913cc",
 }
 
 
@@ -120,5 +126,34 @@ def test_simulate_chain_and_predict(capsys, tmp_path):
         "simulate-chain/stdout": sha256(chain),
         "predict-sample/stdout": sha256(predicted),
         "predict-error-policy/stderr": sha256(err),
+    }
+    assert digests == {key: GOLDEN[key] for key in digests}
+
+
+def test_estimate_check_and_saved_model(capsys, tmp_path):
+    rng = np.random.default_rng(5)
+    actual = rng.integers(0, 4, 600)
+    predicted = np.where(rng.random(600) < 0.3, rng.integers(0, 4, 600), actual)
+    actual_path, predicted_path = tmp_path / "actual.txt", tmp_path / "predicted.txt"
+    actual_path.write_text("\n".join(map(str, actual)) + "\n")
+    predicted_path.write_text("\n".join(map(str, predicted)) + "\n")
+    model, check_out = tmp_path / "model.json", tmp_path / "check.json"
+    code, _, _ = run(capsys, tmp_path, "estimate", actual_path, "--states", 5,
+                     "--out", model)
+    assert code == 0
+    code, check_stdout, _ = run(capsys, tmp_path, "check", predicted_path, actual_path)
+    assert code == 0
+    # State 4 never occurs: no epps entry, a zero occurrence count.
+    code, _, _ = run(capsys, tmp_path, "check", predicted_path, actual_path,
+                     "--states", 5, "--tpe-threshold", 40, "--out", check_out)
+    assert code == 0
+    saved = tmp_path / "saved.json"
+    counts = np.array([[0, 4, 1], [0, 0, 0], [3, 2, 0]])
+    save_model(normalize(counts, UnseenRowPolicy.ERROR_ON_QUERY), str(saved), Sampled(7))
+    digests = {
+        "estimate/model": sha256(model.read_text()),
+        "check/stdout": sha256(check_stdout),
+        "check/out": sha256(check_out.read_text()),
+        "save-model/sampled-error-policy": sha256(saved.read_text()),
     }
     assert digests == {key: GOLDEN[key] for key in digests}

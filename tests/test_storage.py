@@ -25,6 +25,7 @@ from convstate.storage import (
     embeddings_to_csv,
     features_to_csv,
     is_number,
+    json_text,
     load_model,
     model_from_document,
     model_to_document,
@@ -303,6 +304,39 @@ class TestFeaturesCsv:
         rows = feature_matrix(audio, hop_s=hop_s, n_coeffs=n_coeffs)
         features = extract_features(audio, hop_s=hop_s, n_coeffs=n_coeffs)
         assert features_to_csv(rows, hop_s) == csv_writer_features(features, n_coeffs)
+
+
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**63),  # beyond int64
+    st.floats(),  # NaN, both infinities and -0.0 included
+    st.text(),
+    st.sampled_from(['", "', ", ", "[1, 2]", "{\"a\": 1}", '"', "\\", "é", "日本", "\n"]),
+)
+JSON_TREES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=6),
+        st.lists(children, max_size=6).map(tuple),
+        st.dictionaries(st.text(max_size=6), children, max_size=6),
+        st.lists(st.lists(st.integers() | st.floats(), max_size=4), max_size=4),
+    ),
+    max_leaves=40,
+)
+
+
+class TestJsonText:
+    @given(doc=JSON_TREES)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_indented_json_dumps(self, doc):
+        assert json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("doc", [{1: 2}, {"a": {0: [1]}}, [{None: 1}]])
+    def test_rejects_non_str_keys(self, doc):
+        with pytest.raises(TypeError, match="keys must be str"):
+            json_text(doc)
 
 
 class TestTable:
