@@ -24,7 +24,6 @@ from .controller import (
     CheckDecision,
     CheckerInterval,
     Decision,
-    EveryIteration,
     FixedEvery,
     RandomBernoulli,
     SessionConfig,

@@ -17,7 +17,6 @@ import numpy as np
 from . import clustering, frontend, harness, markov, storage
 from .controller import (
     CheckerInterval,
-    EveryIteration,
     FixedEvery,
     RandomBernoulli,
     SessionConfig,
@@ -50,7 +49,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def _parse_interval(spec: str) -> CheckerInterval:
     if spec == "every":
-        return EveryIteration()
+        return FixedEvery(1)
     try:
         if spec.startswith("fixed:"):
             return FixedEvery(int(spec.split(":", 1)[1]))
@@ -91,6 +90,11 @@ def _load_vad_weights(path: str) -> np.ndarray:
     return weights
 
 
+def _require_states(n_states: int) -> None:
+    if n_states < 1:
+        raise ValidationError(f"--states must be >= 1, got {n_states}")
+
+
 def _cmd_vad(args: argparse.Namespace) -> None:
     audio = frontend.load_wav(args.wav)
     features = frontend.feature_matrix(audio, args.window_s, args.hop_s)
@@ -126,6 +130,7 @@ def _cmd_diarize(args: argparse.Namespace) -> None:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> None:
+    _require_states(args.states)
     seq = storage.read_labels(args.labels, n_states=args.states)
     model = markov.estimate_transition(seq, args.states, _policy(args.policy))
     _emit(storage.json_text(storage.model_to_document(model)) + "\n", args.out)
@@ -149,26 +154,14 @@ def _cmd_check(args: argparse.Namespace) -> None:
     n_states = args.states
     if n_states is None:
         n_states = max(predicted.n_states, actual.n_states)
-    elif n_states < 1:
-        raise ValidationError(f"--states must be >= 1, got {n_states}")
+    else:
+        _require_states(n_states)
     thresholds = Thresholds(
         tpe_threshold=args.tpe_threshold, epps_threshold=args.epps_threshold
     )
     verdict = check_iteration(predicted.labels, actual.labels, thresholds, n_states)
     payload = {**storage.report_to_document(verdict.report), "decision": verdict.decision.value}
     _emit(storage.json_text(payload) + "\n", args.out)
-
-
-def _load_session_file(path: str) -> dict:
-    with open(path) as handle:
-        text = handle.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{path}: expected a JSON object")
-    return doc
 
 
 def _number_field(doc: dict, key: str, default, path: str, kind: type = int):
@@ -218,7 +211,9 @@ def _build_oracle(doc: dict, iterations: int | None):
 
 
 def _cmd_session(args: argparse.Namespace) -> None:
-    doc = _load_session_file(args.config)
+    doc = storage.read_json(args.config)
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{args.config}: expected a JSON object")
     thresholds_doc = doc.get("thresholds", {})
     if not isinstance(thresholds_doc, dict):
         raise SchemaError("$.thresholds: expected an object")

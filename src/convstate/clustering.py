@@ -53,10 +53,9 @@ class EmbeddingSet:
 
 @dataclass(frozen=True)
 class AffinityMatrix:
-    """Square pairwise-similarity matrix plus the refinement stages applied."""
+    """Square pairwise-similarity matrix with finite values."""
 
     values: np.ndarray
-    stages: tuple[str, ...] = ()
 
     def __post_init__(self):
         values = np.ascontiguousarray(self.values, dtype=np.float64)
@@ -66,9 +65,6 @@ class AffinityMatrix:
             raise ValidationError("affinity contains NaN or Inf")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-
-    def with_stage(self, values: np.ndarray, stage: str) -> "AffinityMatrix":
-        return AffinityMatrix(values=values, stages=self.stages + (stage,))
 
     @property
     def n(self) -> int:
@@ -90,7 +86,7 @@ def affinity(embeddings: EmbeddingSet) -> AffinityMatrix:
     a = (1.0 + cos) / 2.0
     np.fill_diagonal(a, 1.0)
     a = np.clip(a, 0.0, 1.0)
-    return AffinityMatrix(values=a, stages=("affinity",))
+    return AffinityMatrix(a)
 
 
 def gaussian_blur(a: AffinityMatrix | np.ndarray, sigma: float = 1.0) -> AffinityMatrix:
@@ -114,9 +110,7 @@ def gaussian_blur(a: AffinityMatrix | np.ndarray, sigma: float = 1.0) -> Affinit
         smoothed = convolve2d(values, kernel, mode="same", boundary="fill")
         coverage = convolve2d(np.ones_like(values), kernel, mode="same", boundary="fill")
         blurred = smoothed / coverage
-    if isinstance(a, AffinityMatrix):
-        return a.with_stage(blurred, "blur")
-    return AffinityMatrix(values=blurred, stages=("blur",))
+    return AffinityMatrix(blurred)
 
 
 def row_threshold(
@@ -136,27 +130,21 @@ def row_threshold(
     rank = min(int(width * percentile / 100.0 + 1e-9), width - 1)
     cutoffs = np.sort(values, axis=1)[:, rank : rank + 1]
     values[values < cutoffs] *= soft_multiplier
-    if isinstance(a, AffinityMatrix):
-        return a.with_stage(values, "row_threshold")
-    return AffinityMatrix(values=values, stages=("row_threshold",))
+    return AffinityMatrix(values)
 
 
 def symmetrize(a: AffinityMatrix | np.ndarray) -> AffinityMatrix:
     """Elementwise max of the matrix and its transpose."""
     values = _as_matrix(a)
     result = np.maximum(values, values.T)
-    if isinstance(a, AffinityMatrix):
-        return a.with_stage(result, "symmetrize")
-    return AffinityMatrix(values=result, stages=("symmetrize",))
+    return AffinityMatrix(result)
 
 
 def diffuse(a: AffinityMatrix | np.ndarray) -> AffinityMatrix:
     """Gram-matrix diffusion: A @ A.T."""
     values = _as_matrix(a)
     result = values @ values.T
-    if isinstance(a, AffinityMatrix):
-        return a.with_stage(result, "diffuse")
-    return AffinityMatrix(values=result, stages=("diffuse",))
+    return AffinityMatrix(result)
 
 
 def row_normalize(a: AffinityMatrix | np.ndarray) -> AffinityMatrix:
@@ -167,9 +155,7 @@ def row_normalize(a: AffinityMatrix | np.ndarray) -> AffinityMatrix:
         if m <= 0.0:
             raise ValidationError(f"row {i} has no positive entry to normalize by")
     result = values / maxes[:, None]
-    if isinstance(a, AffinityMatrix):
-        return a.with_stage(result, "row_normalize")
-    return AffinityMatrix(values=result, stages=("row_normalize",))
+    return AffinityMatrix(result)
 
 
 def symmetric_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -192,14 +178,18 @@ def symmetric_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 jacobi_eigh = symmetric_eigh
 
 
-def _gap_ratios(eigenvalues: np.ndarray, max_k: int) -> np.ndarray:
-    """Ratios of consecutive top-`max_k` eigenvalues; entry i scores k = i + 1."""
-    top = eigenvalues[: max(max_k, 1)]
+# Largest cluster count the eigengap may pick.
+MAX_K = 8
+
+
+def _gap_ratios(eigenvalues: np.ndarray) -> np.ndarray:
+    """Ratios of consecutive top-`MAX_K` eigenvalues; entry i scores k = i + 1."""
+    top = eigenvalues[:MAX_K]
     return top[:-1] / np.maximum(top[1:], 1e-12)
 
 
-def _eigen_gap_from_values(eigenvalues: np.ndarray, max_k: int) -> int:
-    ratios = _gap_ratios(eigenvalues, max_k)
+def _eigen_gap_from_values(eigenvalues: np.ndarray) -> int:
+    ratios = _gap_ratios(eigenvalues)
     if ratios.size == 0:
         return 1
     if ratios.max() <= 1.0 + 1e-9:
@@ -212,20 +202,14 @@ def _eigen_gap_from_values(eigenvalues: np.ndarray, max_k: int) -> int:
     return int(np.argmax(ratios)) + 1
 
 
-def eigen_gap_k(a: AffinityMatrix | np.ndarray, max_k: int = 8) -> int:
+def eigen_gap_k(a: AffinityMatrix | np.ndarray) -> int:
     """Cluster count at the largest ratio between consecutive eigenvalues."""
     values = _as_matrix(a)
     eigenvalues, _ = symmetric_eigh(values)
-    return _eigen_gap_from_values(eigenvalues, max_k)
+    return _eigen_gap_from_values(eigenvalues)
 
 
-def kmeans(
-    points: np.ndarray,
-    k: int,
-    seed: int,
-    max_iter: int = 100,
-    tol: float = 1e-6,
-) -> np.ndarray:
+def kmeans(points: np.ndarray, k: int, seed: int) -> np.ndarray:
     """Lloyd's k-means with k-means++ seeding and first-occurrence label ids.
 
     An empty cluster is re-seeded at the point farthest from its assigned
@@ -257,7 +241,7 @@ def kmeans(
         closest_sq = np.minimum(closest_sq, np.sum((pts - centroids[c]) ** 2, axis=1))
 
     labels = np.zeros(n, dtype=np.int64)
-    for _ in range(max_iter):
+    for _ in range(100):
         distances = np.linalg.norm(pts[:, None, :] - centroids[None, :, :], axis=2)
         labels = np.argmin(distances, axis=1)
         for c in range(k):
@@ -269,7 +253,7 @@ def kmeans(
         new_centroids = np.stack([pts[labels == c].mean(axis=0) for c in range(k)])
         shift = float(np.linalg.norm(new_centroids - centroids, axis=1).max())
         centroids = new_centroids
-        if shift < tol:
+        if shift < 1e-6:
             break
 
     remap: dict[int, int] = {}
@@ -280,21 +264,16 @@ def kmeans(
 
 
 def refine(
-    embeddings: EmbeddingSet,
-    sigma: float = 1.0,
-    percentile: float = 95.0,
-    soft_multiplier: float = 0.01,
+    embeddings: EmbeddingSet, sigma: float = 1.0, percentile: float = 95.0
 ) -> AffinityMatrix:
     """Run the full affinity refinement chain."""
     blurred = gaussian_blur(affinity(embeddings), sigma)
-    return _refine_blurred(blurred, percentile, soft_multiplier)
+    return _refine_blurred(blurred, percentile)
 
 
-def _refine_blurred(
-    blurred: AffinityMatrix, percentile: float, soft_multiplier: float
-) -> AffinityMatrix:
+def _refine_blurred(blurred: AffinityMatrix, percentile: float) -> AffinityMatrix:
     """The refinement stages from the row threshold on, the ones `percentile` sets."""
-    a = row_threshold(blurred, percentile, soft_multiplier)
+    a = row_threshold(blurred, percentile)
     a = symmetrize(a)
     a = diffuse(a)
     return row_normalize(a)
@@ -304,11 +283,7 @@ PERCENTILE_GRID = (50.0, 60.0, 70.0, 80.0, 90.0, 95.0)
 
 
 def _sweep_percentiles(
-    embeddings: EmbeddingSet,
-    sigma: float,
-    soft_multiplier: float,
-    max_k: int,
-    grid: tuple[float, ...],
+    embeddings: EmbeddingSet, sigma: float, grid: tuple[float, ...]
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Return (percentile, eigenvalues, eigenvectors) with the sharpest eigengap.
 
@@ -321,10 +296,10 @@ def _sweep_percentiles(
     blurred = gaussian_blur(affinity(embeddings), sigma)
     best: tuple[float, float, np.ndarray, np.ndarray] | None = None
     for p in grid:
-        refined = _refine_blurred(blurred, p, soft_multiplier).values
+        refined = _refine_blurred(blurred, p).values
         # Row scaling breaks symmetry; the spectral step uses the symmetric average.
         eigenvalues, eigenvectors = symmetric_eigh(0.5 * (refined + refined.T))
-        ratios = _gap_ratios(eigenvalues, max_k)
+        ratios = _gap_ratios(eigenvalues)
         score = ratios.max() if ratios.size else 0.0
         if best is None or score >= best[0]:
             best = (score, p, eigenvalues, eigenvectors)
@@ -332,15 +307,9 @@ def _sweep_percentiles(
     return best[1], best[2], best[3]
 
 
-def auto_percentile(
-    embeddings: EmbeddingSet,
-    sigma: float = 1.0,
-    soft_multiplier: float = 0.01,
-    max_k: int = 8,
-    grid: tuple[float, ...] = PERCENTILE_GRID,
-) -> float:
+def auto_percentile(embeddings: EmbeddingSet, sigma: float = 1.0) -> float:
     """Thresholding percentile that maximizes the top eigengap ratio."""
-    percentile, _, _ = _sweep_percentiles(embeddings, sigma, soft_multiplier, max_k, grid)
+    percentile, _, _ = _sweep_percentiles(embeddings, sigma, PERCENTILE_GRID)
     return percentile
 
 
@@ -350,8 +319,6 @@ def spectral_cluster(
     seed: int = 0,
     sigma: float = 1.0,
     percentile: float | None = None,
-    soft_multiplier: float = 0.01,
-    max_k: int = 8,
 ) -> StateSequence:
     """Refine, eigendecompose, pick k by eigengap, and k-means the rows.
 
@@ -359,11 +326,9 @@ def spectral_cluster(
     sweep (auto_percentile); pass a value to pin it.
     """
     grid = PERCENTILE_GRID if percentile is None else (percentile,)
-    _, eigenvalues, eigenvectors = _sweep_percentiles(
-        embeddings, sigma, soft_multiplier, max_k, grid
-    )
+    _, eigenvalues, eigenvectors = _sweep_percentiles(embeddings, sigma, grid)
     if k is None:
-        k = _eigen_gap_from_values(eigenvalues, max_k)
+        k = _eigen_gap_from_values(eigenvalues)
     if not 1 <= k <= len(embeddings):
         raise ValidationError(f"k must be in 1..{len(embeddings)}, got {k}")
     spectral = eigenvectors[:, :k]

@@ -22,16 +22,10 @@ from .markov import (
     PredictionMode,
     StateSequence,
     TransitionModel,
-    UnseenRowPolicy,
     _as_labels,
 )
 from .metrics import EvaluationReport, evaluate
 from .metrics import tpe  # noqa: F401  the benchmark's layer tracer wraps controller.tpe
-
-
-@dataclass(frozen=True)
-class EveryIteration:
-    """Run the checker on every iteration."""
 
 
 @dataclass(frozen=True)
@@ -57,7 +51,7 @@ class RandomBernoulli:
             raise ValidationError(f"checker probability must be in (0, 1], got {self.p}")
 
 
-CheckerInterval = EveryIteration | FixedEvery | RandomBernoulli
+CheckerInterval = FixedEvery | RandomBernoulli
 
 
 @dataclass(frozen=True)
@@ -72,7 +66,7 @@ class Thresholds:
     epps_threshold: float = 30.0
     matrix_diff_max: float = 0.15
     row_diff_min: float | None = None
-    checker_interval: CheckerInterval = EveryIteration()
+    checker_interval: CheckerInterval = FixedEvery(1)
 
     def __post_init__(self):
         for name in ("tpe_threshold", "epps_threshold", "matrix_diff_max"):
@@ -216,10 +210,6 @@ class SessionConfig:
     candidate_count: int = 5
     window_len: int | None = None
     iterations: int | None = None
-    policy: UnseenRowPolicy = UnseenRowPolicy.UNIFORM
-    seg_len_s: float = 0.4
-    input_paths: tuple[str, ...] = ()
-    output_path: str | None = None
 
     def __post_init__(self):
         if self.candidate_count < 1:
@@ -267,8 +257,6 @@ class SessionReport:
 def _should_check(
     interval: CheckerInterval, iteration: int, bernoulli_rng: np.random.Generator
 ) -> bool:
-    if isinstance(interval, EveryIteration):
-        return True
     if isinstance(interval, FixedEvery):
         return iteration % interval.every == 0
     return bool(bernoulli_rng.random() < interval.p)
@@ -303,7 +291,7 @@ def run_session(
             n_states = int(max(first)) + 1
     bootstrap = StateSequence(labels=_as_labels(first).tolist(), n_states=n_states)
 
-    model = markov.estimate_transition(bootstrap, n_states, config.policy)
+    model = markov.estimate_transition(bootstrap, n_states)
     history = list(bootstrap.labels)
     anchor = history[-1]
     bernoulli_rng = np.random.default_rng([config.seed, 0xB0])
@@ -359,7 +347,7 @@ def run_session(
                 model = update_from_labels(model, anchor, rows[best])
                 history.extend(predicted_labels)
             else:
-                model = markov.estimate_transition(actual, n_states, config.policy)
+                model = markov.estimate_transition(actual, n_states)
                 history.extend(actual.tolist())
             # The checker ran the diarizer, so its last label is the freshest
             # anchor for the next iteration regardless of the verdict.

@@ -20,7 +20,9 @@ class SchemaError(ValidationError):
 class ConvergenceError(RuntimeError):
     """An iterative numerical routine hit its iteration cap.
 
-    Carries the last residual so callers can report how far off it was.
+    No routine in the package raises it today; it stays exported, with the
+    CLI's exit code 3, for iterative code that needs it. Carries the last
+    residual so callers can report how far off it was.
     """
 
     def __init__(self, message: str, residual: float | None = None):

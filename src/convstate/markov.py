@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, UnseenStateError, ValidationError
+from .errors import UnseenStateError, ValidationError
 
 
 class UnseenRowPolicy(Enum):
@@ -136,15 +136,6 @@ def _validate_labels(labels: Sequence[int], n_states: int) -> None:
             )
 
 
-def _normalized_row(count_row: np.ndarray, policy: UnseenRowPolicy) -> np.ndarray:
-    total = count_row.sum()
-    if total > 0:
-        return count_row / total
-    if policy is UnseenRowPolicy.UNIFORM:
-        return np.full(count_row.shape, 1.0 / count_row.shape[0])
-    return np.zeros(count_row.shape, dtype=np.float64)
-
-
 def count_transitions(seq: StateSequence | Sequence[int], n_states: int) -> np.ndarray:
     """Count adjacent bigrams: result[i][j] = number of i -> j pairs.
 
@@ -171,9 +162,9 @@ def normalize(
         raise ValidationError("counts must be non-negative")
     counts = counts.astype(np.int64)
     n = counts.shape[0]
-    probs = np.empty((n, n), dtype=np.float64)
-    for i in range(n):
-        probs[i] = _normalized_row(counts[i], policy)
+    totals = counts.sum(axis=1, keepdims=True)
+    unseen = 1.0 / n if policy is UnseenRowPolicy.UNIFORM else 0.0
+    probs = np.divide(counts, totals, out=np.full((n, n), unseen), where=totals > 0)
     return TransitionModel(n_states=n, counts=counts, probs=probs, policy=policy)
 
 
@@ -187,7 +178,7 @@ def estimate_transition(
 
 
 def update_online(model: TransitionModel, from_state: int, to_state: int) -> TransitionModel:
-    """Record one observed transition and renormalize only the affected row.
+    """Record one observed transition and renormalize.
 
     Exactly equivalent to re-estimating from the raw sequence extended by
     one label.
@@ -198,9 +189,7 @@ def update_online(model: TransitionModel, from_state: int, to_state: int) -> Tra
             raise ValidationError(f"{name} {state} outside 0..{n - 1}")
     counts = model.counts.copy()
     counts[from_state, to_state] += 1
-    probs = model.probs.copy()
-    probs[from_state] = _normalized_row(counts[from_state], model.policy)
-    return TransitionModel(n_states=n, counts=counts, probs=probs, policy=model.policy)
+    return normalize(counts, model.policy)
 
 
 def walk(
@@ -236,11 +225,6 @@ def walk(
             if not model.row_observed(visited):
                 raise UnseenStateError(f"state {visited} has no outgoing observations")
     return path
-
-
-def sample_next(model: TransitionModel, current: int, rng: np.random.Generator) -> int:
-    """Draw the successor of `current` by inverse-CDF over the row."""
-    return walk(model, current, 1, rng)[0]
 
 
 def predict_next(
@@ -296,49 +280,27 @@ def windowed_transition(
     return estimate_transition(labels[offset : offset + window_len], n_states, policy)
 
 
-def stationary_distribution(
-    model: TransitionModel, tol: float = 1e-10, max_iter: int = 100_000
-) -> np.ndarray:
-    """Long-run state frequencies pi with pi @ probs = pi.
+def stationary_distribution(model: TransitionModel) -> np.ndarray:
+    """Long-run state frequencies pi with pi @ probs = pi and sum(pi) = 1.
 
-    Power iteration on the half-lazy chain (P + I)/2, which shares the
-    stationary set with P but converges even for periodic chains. When the
-    stationary distribution is not unique (detected by a second start
-    vector disagreeing), a RuntimeWarning is issued and the uniform vector
-    is returned.
+    One LAPACK solve of the balance equations ``(probs.T - I) pi = 0`` with
+    the last (redundant) equation replaced by ``sum(pi) = 1``. That system
+    is singular exactly when the chain has more than one closed class, i.e.
+    when the stationary distribution is not unique; then a RuntimeWarning
+    is issued and the uniform vector is returned.
     """
     probs = model.probs
     n = model.n_states
     row_sums = probs.sum(axis=1)
     if not np.allclose(row_sums, 1.0, atol=1e-9):
         raise ValidationError("model rows are not stochastic (unseen rows under error policy?)")
-    if n == 1:
-        return np.array([1.0])
-
-    lazy = 0.5 * (probs + np.eye(n))
-
-    def iterate(start: np.ndarray) -> np.ndarray:
-        x = start
-        for _ in range(max_iter):
-            x_next = x @ lazy
-            x_next = x_next / x_next.sum()
-            residual = float(np.abs(x_next @ probs - x_next).sum())
-            x = x_next
-            if residual <= tol:
-                return x
-        raise ConvergenceError(
-            f"power iteration did not converge in {max_iter} iterations "
-            f"(residual {residual:.3e})",
-            residual=residual,
-        )
-
-    pi = iterate(np.full(n, 1.0 / n))
-    probe = iterate(np.eye(n)[0])
-    if np.abs(pi - probe).max() > 1e-6:
+    system = probs.T - np.eye(n)
+    system[-1] = 1.0
+    if np.linalg.matrix_rank(system) < n:
         warnings.warn(
             "stationary distribution is not unique; returning uniform",
             RuntimeWarning,
             stacklevel=2,
         )
         return np.full(n, 1.0 / n)
-    return pi
+    return np.clip(np.linalg.solve(system, np.eye(n)[-1]), 0.0, None)

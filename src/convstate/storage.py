@@ -116,7 +116,7 @@ def mode_from_document(doc, where: str = "$.mode") -> PredictionMode | None:
         return Argmax()
     if kind == "sampled":
         seed = doc.get("seed")
-        if not isinstance(seed, int) or seed < 0:
+        if not is_number(seed, int) or seed < 0:
             raise SchemaError(f"{where}.seed: expected a non-negative integer")
         return Sampled(seed)
     raise SchemaError(f"{where}.kind: unknown mode {kind!r}")
@@ -138,27 +138,28 @@ def model_from_document(doc) -> tuple[TransitionModel, PredictionMode | None]:
     version = doc.get("version")
     if version is None:
         raise SchemaError("$.version: missing")
-    if version != MODEL_VERSION:
+    if not is_number(version, int) or version != MODEL_VERSION:
         raise SchemaError(
             f"$.version: unsupported model version {version!r}, expected {MODEL_VERSION}"
         )
     n_states = doc.get("s")
-    if not isinstance(n_states, int) or n_states < 1:
+    if not is_number(n_states, int) or n_states < 1:
         raise SchemaError("$.s: expected a positive integer state count")
     counts = doc.get("counts")
     if not isinstance(counts, list) or len(counts) != n_states * n_states:
         raise SchemaError(
             f"$.counts: expected a row-major list of {n_states * n_states} integers"
         )
+    limit = np.iinfo(np.int64).max // n_states  # every row total fits in int64
     for flat_index, value in enumerate(counts):
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        if not is_number(value, int) or not 0 <= value <= limit:
             row, col = divmod(flat_index, n_states)
             raise SchemaError(
                 f"$.counts[{flat_index}] (row {row}, col {col}): expected a "
-                f"non-negative integer, got {value!r}"
+                f"non-negative integer no larger than {limit}, got {value!r}"
             )
     policy_name = doc.get("policy")
-    if policy_name not in _POLICY_BY_NAME:
+    if not isinstance(policy_name, str) or policy_name not in _POLICY_BY_NAME:
         raise SchemaError(
             f"$.policy: expected one of {sorted(_POLICY_BY_NAME)}, got {policy_name!r}"
         )
@@ -173,14 +174,18 @@ def save_model(
     atomic_write_text(path, json_text(model_to_document(model, mode)) + "\n")
 
 
-def load_model(path: str) -> tuple[TransitionModel, PredictionMode | None]:
+def read_json(path: str):
+    """Parse one JSON document from `path`; invalid JSON is a SchemaError."""
     with open(path, "r") as handle:
         text = handle.read()
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
-    return model_from_document(doc)
+
+
+def load_model(path: str) -> tuple[TransitionModel, PredictionMode | None]:
+    return model_from_document(read_json(path))
 
 
 def is_number(value, kind: type) -> bool:
@@ -312,10 +317,6 @@ def embeddings_to_csv(embeddings: EmbeddingSet) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_embeddings(embeddings: EmbeddingSet, path: str) -> None:
-    atomic_write_text(path, embeddings_to_csv(embeddings))
-
-
 def features_to_csv(rows: np.ndarray, hop_s: float) -> str:
     """One CSV line per feature_matrix row, led by its frame index and time.
 
@@ -367,23 +368,6 @@ def table_to_csv(rows: Sequence[TableRow], n_states: int) -> str:
                 ]
             )
     return buffer.getvalue()
-
-
-def table_to_json(rows: Sequence[TableRow], n_states: int) -> list[dict]:
-    """Presentation form: 2-decimal percentages, null for absent states."""
-    out = []
-    for row in rows:
-        out.append(
-            {
-                "file_id": row.file_id,
-                "tpe": round(row.tpe, 2),
-                "epps": {
-                    str(state): (round(row.epps[state], 2) if state in row.epps else None)
-                    for state in range(n_states)
-                },
-            }
-        )
-    return out
 
 
 def report_to_document(report: EvaluationReport) -> dict:

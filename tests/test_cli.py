@@ -2,11 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from convstate.cli import main
 from convstate.frontend import AudioBuffer, save_wav
-from convstate.markov import normalize
-from convstate.storage import save_model
+from convstate.markov import Sampled, normalize
+from convstate.storage import model_to_document, save_model
 
 
 @pytest.fixture
@@ -138,11 +140,16 @@ class TestEstimatePredictCheck:
         )
         assert json.loads(out)["decision"] == "accept"
 
-    @pytest.mark.parametrize("states", ["0", "-1"])
-    def test_check_rejects_state_count_below_one(self, capsys, tmp_path, states):
+    @pytest.mark.parametrize(
+        "command, states",
+        [("check", "0"), ("check", "-1"), ("estimate", "0"), ("estimate", "-1")],
+        ids=["0", "-1", "estimate-0", "estimate-minus-1"],
+    )
+    def test_check_rejects_state_count_below_one(self, capsys, tmp_path, command, states):
         labels = tmp_path / "labels.txt"
         labels.write_text("0\n1\n1\n0\n")
-        code, out, err = run_cli(capsys, "check", str(labels), str(labels), "--states", states)
+        inputs = [str(labels)] * (2 if command == "check" else 1)
+        code, out, err = run_cli(capsys, command, *inputs, "--states", states)
         assert (code, out) == (1, "")
         assert err == f"error: --states must be >= 1, got {states}\n"
 
@@ -382,3 +389,50 @@ class TestCliEdges:
         code, out, _ = run_cli(capsys, "vad", wav_path, "--weights", weights)
         assert code == 0
         assert json.loads(out)["speech_frames"] > 0
+
+
+# Values a hand-edited model file might hold where the schema wants something else.
+ODD_JSON_VALUES = st.one_of(
+    st.booleans(),
+    st.floats(),
+    st.text(max_size=8),
+    st.none(),
+    st.lists(st.integers(-3, 3), max_size=3),
+    st.dictionaries(st.text(max_size=4), st.integers(-3, 3), max_size=2),
+    st.integers(max_value=-1),
+    st.integers(min_value=2**62, max_value=2**80),
+)
+
+MODEL_FIELDS = [
+    ("version",), ("s",), ("counts",), ("counts", 0), ("counts", -1),
+    ("policy",), ("mode",), ("mode", "kind"), ("mode", "seed"),
+]
+
+
+class TestModelFileFuzz:
+    @given(
+        st.integers(1, 3),
+        st.sampled_from(MODEL_FIELDS),
+        ODD_JSON_VALUES,
+        st.sampled_from(["argmax", "sample", None]),
+    )
+    @settings(
+        max_examples=300, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_predict_on_one_odd_field(self, capsys, tmp_path, n, field, value, mode):
+        counts = np.arange(1, n * n + 1).reshape(n, n)
+        doc = model_to_document(normalize(counts), Sampled(3))
+        *parents, last = field
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        argv = ["predict", str(path), "--initial", "0", "--length", "5"]
+        code, _, err = run_cli(capsys, *argv, *(["--mode", mode] if mode else []))
+        assert code in (0, 1)
+        assert "Traceback" not in err
+        assert err == "" or (err.startswith("error: ") and err.count("\n") == 1)
+        assert (code == 0) == (err == "")

@@ -381,18 +381,6 @@ class TestPercentileSweep:
 
 
 class TestRefinePipeline:
-    def test_stage_tags_accumulate(self):
-        embeddings, _ = generate_synthetic_embeddings(2, 5, 4, 5.0, 1.0, 0)
-        refined = refine(embeddings)
-        assert refined.stages == (
-            "affinity",
-            "blur",
-            "row_threshold",
-            "symmetrize",
-            "diffuse",
-            "row_normalize",
-        )
-
     def test_embedding_set_validations(self):
         with pytest.raises(ValidationError):
             EmbeddingSet(np.zeros((1, 4)))

@@ -20,6 +20,7 @@ from convstate.markov import (
     estimate_transition,
     normalize,
     stationary_distribution,
+    walk,
 )
 
 CYCLE = normalize(np.array([[0, 9, 0], [0, 0, 9], [9, 0, 0]]))
@@ -56,18 +57,12 @@ class TestChainOracles:
         assert joined == expected
 
     def test_matched_oracle_reuses_candidate_stream(self):
-        from convstate.markov import sample_next
-
         pieces = list(
             matched_chain_oracle(STICKY, length=10, initial=2, seed=5, iterations=3)
         )
         assert pieces[0].labels[0] == 2
         rng = np.random.default_rng([5, 1, 0])
-        current = pieces[0].labels[-1]
-        replayed = []
-        for _ in range(10):
-            current = sample_next(STICKY, current, rng)
-            replayed.append(current)
+        replayed = walk(STICKY, pieces[0].labels[-1], 10, rng)
         assert list(pieces[1].labels) == replayed
 
     def test_explicit_bootstrap_is_first(self):

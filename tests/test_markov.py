@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convstate.errors import ConvergenceError, UnseenStateError, ValidationError
+from convstate.errors import UnseenStateError, ValidationError
 from convstate.markov import (
     Argmax,
     Sampled,
@@ -202,6 +204,49 @@ class TestUpdateOnline:
         assert incremental.probs.tolist() == batch.probs.tolist()
 
 
+def per_row_normalized(count_row, policy):
+    """The per-row normalization loop body from before `normalize` was one division."""
+    total = count_row.sum()
+    if total > 0:
+        return count_row / total
+    if policy is UnseenRowPolicy.UNIFORM:
+        return np.full(count_row.shape, 1.0 / count_row.shape[0])
+    return np.zeros(count_row.shape, dtype=np.float64)
+
+
+@st.composite
+def count_matrices(draw):
+    """Square int64 counts, n in 1..8, with some rows forced to zero."""
+    n = draw(st.integers(1, 8))
+    cells = draw(st.lists(st.integers(0, 1000), min_size=n * n, max_size=n * n))
+    observed = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return np.array(cells, dtype=np.int64).reshape(n, n) * np.array(observed)[:, None]
+
+
+class TestNormalizeReference:
+    @given(count_matrices(), st.sampled_from(UnseenRowPolicy))
+    @settings(max_examples=300, deadline=None)
+    def test_normalize_matches_per_row_loop(self, counts, policy):
+        expected = np.stack([per_row_normalized(row, policy) for row in counts])
+        assert normalize(counts, policy).probs.tobytes() == expected.tobytes()
+
+    @given(count_matrices(), st.sampled_from(UnseenRowPolicy), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_update_online_matches_one_row_update(self, counts, policy, data):
+        n = counts.shape[0]
+        from_state = data.draw(st.integers(0, n - 1))
+        to_state = data.draw(st.integers(0, n - 1))
+        probs = np.stack([per_row_normalized(row, policy) for row in counts])
+        counts_after = counts.copy()
+        counts_after[from_state, to_state] += 1
+        probs[from_state] = per_row_normalized(counts_after[from_state], policy)
+
+        updated = update_online(normalize(counts, policy), from_state, to_state)
+        assert updated.counts.tolist() == counts_after.tolist()
+        assert updated.probs.tobytes() == probs.tobytes()
+        assert updated.policy is policy
+
+
 class TestPredictNext:
     def test_argmax_picks_row_maximum(self):
         model = TransitionModel(2, np.ones((2, 2), dtype=int), np.array([[0.9, 0.1], [0.2, 0.8]]))
@@ -385,11 +430,38 @@ class TestStationaryDistribution:
         model = normalize(np.array([[1, 1], [1, 1]]))
         assert stationary_distribution(model) == pytest.approx([0.5, 0.5])
 
-    def test_iteration_cap_raises_with_residual(self):
-        model = normalize(np.array([[999, 1], [1, 999]]))
-        with pytest.raises(ConvergenceError) as info:
-            stationary_distribution(model, tol=1e-14, max_iter=2)
-        assert info.value.residual is not None
+    def test_sticky_chain_solves_without_warning(self):
+        model = normalize(np.array([[999_999, 1], [1, 999_999]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pi = stationary_distribution(model)
+        # The system's condition number is about 1e6, so about 1e-10 error is expected.
+        assert pi == pytest.approx([0.5, 0.5], abs=1e-9)
+
+    def test_two_closed_classes_and_a_transient_state_warn(self):
+        model = normalize(np.array([[3, 0, 0], [0, 3, 0], [1, 1, 1]]))
+        with pytest.warns(RuntimeWarning, match="not unique"):
+            pi = stationary_distribution(model)
+        assert pi.tolist() == [1 / 3] * 3
+
+    def test_three_cycle_is_uniform_without_warning(self):
+        model = normalize(np.array([[0, 5, 0], [0, 0, 5], [5, 0, 0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pi = stationary_distribution(model)
+        assert pi == pytest.approx([1 / 3] * 3, abs=1e-12)
+
+    @given(count_matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_non_negative_and_sums_to_one(self, counts):
+        model = normalize(counts)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            pi = stationary_distribution(model)
+        assert (pi >= 0).all()
+        assert pi.sum() == pytest.approx(1.0, abs=1e-9)
+        if not caught:
+            assert np.abs(pi @ model.probs - pi).max() < 1e-8
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30)

@@ -36,7 +36,6 @@ from convstate.storage import (
     save_model,
     session_to_document,
     table_to_csv,
-    table_to_json,
     write_labels,
 )
 
@@ -103,6 +102,24 @@ class TestModelPersistence:
         doc = model_to_document(model)
         del doc["version"]
         with pytest.raises(SchemaError, match="version"):
+            model_from_document(doc)
+
+    @pytest.mark.parametrize(
+        "field, value, states, message",
+        [
+            ("s", True, 1, "$.s: expected a positive integer"),
+            ("version", True, 3, "$.version: unsupported model version True"),
+            ("version", 1.0, 3, "$.version: unsupported model version 1.0"),
+            ("mode", {"kind": "sampled", "seed": True}, 3, "$.mode.seed: expected"),
+            ("policy", ["uniform"], 3, "$.policy: expected one of"),
+            ("counts", [2**63], 1, "$.counts[0] (row 0, col 0): expected a non-negative"),
+        ],
+        ids=["s-bool", "version-bool", "version-float", "seed-bool", "policy-list", "count-huge"],
+    )
+    def test_mistyped_field_is_schema_error(self, field, value, states, message):
+        doc = model_to_document(normalize(np.ones((states, states), dtype=int)))
+        doc[field] = value
+        with pytest.raises(SchemaError, match=re.escape(message)):
             model_from_document(doc)
 
     def test_wrong_counts_length(self, model):
@@ -354,8 +371,6 @@ class TestTable:
         rows = [TableRow(file_id=2, tpe=10.0, epps={0: 10.0})]
         text = table_to_csv(rows, 2)
         assert text.splitlines()[2] == ",1,,"
-        payload = table_to_json(rows, 2)
-        assert payload[0]["epps"] == {"0": 10.0, "1": None}
 
     def test_rounding_only_at_emission(self):
         rows = [TableRow(file_id=1, tpe=100 / 3, epps={0: 200 / 3})]
