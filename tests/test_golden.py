@@ -1,11 +1,15 @@
 """Golden outputs: sha256 digests of seeded CLI runs, recorded before the
-session hot path was vectorized (session, simulate, predict) and before the
+session hot path was vectorized (session, simulate, predict), before the
 indented JSON writer replaced ``json.dumps(..., indent=2)`` (estimate,
-check, saved model).
+check, saved model) and before the feature blocks ran on a thread pool
+(vad).
 
-Any change to the walk kernel, the label checks, the counters or the
-report writers that moves a single output byte fails here. Temp paths are
-replaced by ``<tmp>`` before stdout is hashed.
+Any change to the walk kernel, the label checks, the counters, the report
+writers or the frontend kernels that moves a single output byte fails here.
+Temp paths are replaced by ``<tmp>`` before stdout is hashed. The vad
+digests cover full-precision floats from the FFT, log and DCT, so they were
+recorded with NumPy 2.4 and SciPy 1.17 on x86-64; another libm or SIMD
+path may move their last bits.
 """
 
 import hashlib
@@ -15,6 +19,7 @@ import numpy as np
 import pytest
 
 from convstate.cli import main
+from convstate.frontend import AudioBuffer, save_wav
 from convstate.markov import Sampled, UnseenRowPolicy, normalize
 from convstate.storage import save_model
 
@@ -53,6 +58,10 @@ GOLDEN = {
     "check/stdout": "a394b1d23657a0dda31679fb07031a4bf8a5f92cc3ae81301cf1d9da38be184e",
     "check/out": "173adc6b699c5db12d6c00bf3f1ad159f34f83779e1349d016cd7b43983772de",
     "save-model/sampled-error-policy": "28fc42d7c93fc2ee1239bff3b178aaa9983d5aff31625c4d334af3a36e9913cc",
+    "vad/16000/stdout": "0b111ac576ed181f1f5441f4639ac3a807378f00644ac9c154edf916b95035f2",
+    "vad/16000/csv": "56faf914f6e295fb86be36a403ede709df9bb1763c6b3bf877187149c8966094",
+    "vad/44100/stdout": "0b111ac576ed181f1f5441f4639ac3a807378f00644ac9c154edf916b95035f2",
+    "vad/44100/csv": "26c38e72b3b9a6893699f2f25037d36500f4b91fb030f1f6f49cf3065ab685a0",
 }
 
 
@@ -156,4 +165,30 @@ def test_estimate_check_and_saved_model(capsys, tmp_path):
         "check/out": sha256(check_out.read_text()),
         "save-model/sampled-error-policy": sha256(saved.read_text()),
     }
+    assert digests == {key: GOLDEN[key] for key in digests}
+
+
+def voiced_clip(rate: int, seconds: float, seed: int) -> AudioBuffer:
+    """0.9 s tone bursts at a random pitch every 1.5 s over a faint noise floor."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(int(rate * seconds)) / rate
+    turn = (t // 1.5).astype(int)
+    pitch = rng.uniform(120.0, 400.0, turn[-1] + 1)[turn]
+    samples = rng.normal(0.0, 2e-5, t.size)
+    voiced = t % 1.5 < 0.9
+    samples[voiced] += 0.3 * np.sin(2 * np.pi * pitch[voiced] * t[voiced])
+    return AudioBuffer(np.clip(samples, -1.0, 1.0), rate)
+
+
+@pytest.mark.parametrize("rate", [16000, 44100])
+def test_vad_outputs(capsys, tmp_path, rate):
+    # 8 s is 798 frames: four feature blocks, the last one partial.
+    wav, csv = tmp_path / "clip.wav", tmp_path / "features.csv"
+    save_wav(str(wav), voiced_clip(rate, 8.0, seed=rate))
+    code, out, err = run(capsys, tmp_path, "vad", wav, "--out", csv)
+    assert (code, err) == (0, "")
+    summary = json.loads(out)
+    assert summary["frames"] == 798
+    assert 0 < summary["speech_frames"] < 798 and len(summary["segments"]) > 1
+    digests = {f"vad/{rate}/stdout": sha256(out), f"vad/{rate}/csv": sha256(csv.read_text())}
     assert digests == {key: GOLDEN[key] for key in digests}
