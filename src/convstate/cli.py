@@ -189,6 +189,9 @@ def _build_oracle(doc: dict, iterations: int | None):
         paths = spec.get("paths")
         if not isinstance(paths, list) or not paths:
             raise SchemaError("$.oracle.paths: expected a non-empty list")
+        for i, path in enumerate(paths):
+            if not isinstance(path, str):
+                raise SchemaError(f"$.oracle.paths[{i}]: expected a label file path")
         return [storage.read_labels(p) for p in paths]
     if kind == "chain":
         model_path = spec.get("model")

@@ -8,7 +8,10 @@ fixed-length non-overlapping segments.
 
 from __future__ import annotations
 
+import math
+import os
 import wave
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -37,9 +40,11 @@ class AudioBuffer:
         samples = np.ascontiguousarray(self.samples, dtype=np.float64)
         if samples.ndim != 1 or samples.size == 0:
             raise ValidationError("samples must be a non-empty 1-D array")
-        if not np.isfinite(samples).all():
+        # NaN propagates through min and max, and an infinity is one of them.
+        lowest, highest = float(samples.min()), float(samples.max())
+        if not (math.isfinite(lowest) and math.isfinite(highest)):
             raise ValidationError("samples contain NaN or Inf")
-        if np.abs(samples).max() > 1.0 + 1e-9:
+        if max(-lowest, highest) > 1.0 + 1e-9:
             raise ValidationError("samples must lie in [-1, 1]")
         if self.sample_rate not in ACCEPTED_RATES:
             raise ValidationError(
@@ -109,7 +114,8 @@ def load_wav(path: str) -> AudioBuffer:
         rate = handle.getframerate()
         channels = handle.getnchannels()
         raw = handle.readframes(handle.getnframes())
-    data = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
+    data = np.frombuffer(raw, dtype="<i2").astype(np.float64)
+    data /= 32768.0
     if channels > 1:
         data = data.reshape(-1, channels).mean(axis=1)
     return AudioBuffer(samples=data, sample_rate=rate)
@@ -246,6 +252,14 @@ def mfcc(
     return _mfccs(x.reshape(1, -1), sample_rate, n_filters, n_coeffs)[0]
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on; os.cpu_count() where affinity is unknown."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def feature_matrix(
     audio: AudioBuffer,
     window_s: float = 0.025,
@@ -259,17 +273,30 @@ def feature_matrix(
     frame t of frame(audio, window_s, hop_s) and equals the per-frame
     log_energy, zcr and mfcc bit for bit. The frames are processed in
     blocks of _BLOCK_FRAMES rows, one FFT per block, so the framed matrix
-    is never materialized.
+    is never materialized. The blocks run on a thread pool of at most one
+    worker per usable CPU (NumPy and SciPy release the GIL in the FFT,
+    matvec, DCT and ufuncs); each block writes only its own rows, so the
+    bytes do not depend on the thread count.
     """
     _check_cepstrum(n_filters, n_coeffs)
     frames = _frames(audio, window_s, hop_s)
     features = np.empty((frames.shape[0], 2 + n_coeffs))
-    for start in range(0, frames.shape[0], _BLOCK_FRAMES):
+
+    def fill(start: int) -> None:
         block = frames[start : start + _BLOCK_FRAMES]
         rows = features[start : start + _BLOCK_FRAMES]
         rows[:, 0] = _log_energies(block)
         rows[:, 1] = _zcrs(block)
         rows[:, 2:] = _mfccs(block, audio.sample_rate, n_filters, n_coeffs)
+
+    starts = range(0, frames.shape[0], _BLOCK_FRAMES)
+    workers = min(_usable_cpus(), len(starts))
+    if workers <= 1:
+        for start in starts:
+            fill(start)
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(fill, starts))
     return features
 
 
@@ -280,17 +307,16 @@ def extract_features(
     n_filters: int = 40,
     n_coeffs: int = 13,
 ) -> list[FrameFeatures]:
-    """feature_matrix as one FrameFeatures per frame."""
+    """feature_matrix as one FrameFeatures per frame.
+
+    The mfcc fields are read-only row views of one matrix.
+    """
     matrix = feature_matrix(audio, window_s, hop_s, n_filters, n_coeffs)
+    matrix.setflags(write=False)
+    mfccs = matrix[:, 2:]
     return [
-        FrameFeatures(
-            frame_index=t,
-            time_s=t * hop_s,
-            log_energy=float(row[0]),
-            zcr=float(row[1]),
-            mfcc=row[2:],
-        )
-        for t, row in enumerate(matrix)
+        FrameFeatures(frame_index=t, time_s=t * hop_s, log_energy=e, zcr=z, mfcc=mfccs[t])
+        for t, (e, z) in enumerate(zip(matrix[:, 0].tolist(), matrix[:, 1].tolist()))
     ]
 
 
@@ -314,11 +340,10 @@ def vad_classify(
             f"got {w.size}"
         )
     # vecdot, unlike X @ w or matvec, reproduces the per-row np.dot bits.
-    probabilities = expit(np.vecdot(np.atleast_2d(x), w[:-1]) + w[-1])
-    mask = probabilities > 0.5
+    probabilities = expit(np.vecdot(x, w[:-1]) + w[-1])
     if x.ndim == 1:
-        return bool(mask[0]), float(probabilities[0])
-    return mask, probabilities
+        return bool(probabilities > 0.5), float(probabilities)
+    return probabilities > 0.5, probabilities
 
 
 def _binary_cross_entropy(probabilities: np.ndarray, targets: np.ndarray) -> float:

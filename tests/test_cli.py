@@ -227,6 +227,21 @@ class TestSessionCommand:
         assert code == 0
         assert "0.00" in out
 
+    @pytest.mark.parametrize(
+        "entry", [True, 3, ["x"]], ids=["bool", "int", "list"]
+    )
+    def test_files_oracle_rejects_non_string_path(self, capsys, tmp_path, entry):
+        label_path, config_path = tmp_path / "labels.txt", tmp_path / "session.json"
+        label_path.write_text("0\n1\n")
+        config_path.write_text(json.dumps({
+            "seed": 0, "mode": "argmax", "iterations": 1, "states": 2,
+            "oracle": {"kind": "files", "paths": [str(label_path), entry]},
+        }))
+        code, out, err = run_cli(capsys, "session", str(config_path))
+        assert code == 1
+        assert err == "error: $.oracle.paths[1]: expected a label file path\n"
+        assert out == ""
+
     def test_byte_identical_runs(self, capsys, tmp_path, truth_model_path):
         config = self.write_config(tmp_path, truth_model_path, iterations=3)
         outputs = []

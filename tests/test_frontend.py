@@ -1,4 +1,7 @@
 import math
+import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.fft import dct
 
+from convstate import frontend
 from convstate.errors import ValidationError
 from convstate.frontend import (
     _BLOCK_FRAMES,
@@ -262,6 +266,12 @@ class TestFeatureMatrix:
             assert matrix[t, 1] == zcr(x)
             assert matrix[t, 2:].tobytes() == mfcc(x, 16000).tobytes()
 
+    def test_extract_features_fields(self):
+        audio = AudioBuffer(np.random.default_rng(5).uniform(-1, 1, 8000), 16000)
+        listed = extract_features(audio)
+        assert all(type(f.log_energy) is float and type(f.zcr) is float for f in listed)
+        assert not any(f.mfcc.flags.writeable for f in listed)
+
     @pytest.mark.parametrize("n_filters, n_coeffs", [(40, 0), (10, 11)])
     def test_coefficient_count_out_of_range(self, n_filters, n_coeffs):
         audio = AudioBuffer(np.zeros(1000), 16000)
@@ -269,6 +279,67 @@ class TestFeatureMatrix:
             feature_matrix(audio, n_filters=n_filters, n_coeffs=n_coeffs)
         with pytest.raises(ValidationError, match="n_coeffs"):
             mfcc(np.zeros(400), 16000, n_filters, n_coeffs)
+
+
+def clip_of(frames: int, rate: int = 16000) -> AudioBuffer:
+    """Seeded noise that frames into exactly `frames` default 25 ms frames."""
+    window, hop = int(round(0.025 * rate)), int(round(0.010 * rate))
+    length = window + (frames - 1) * hop if frames else window - 1
+    return AudioBuffer(np.random.default_rng(frames).uniform(-1, 1, length), rate)
+
+
+class TestFeatureBlockThreads:
+    @staticmethod
+    def record_pools(monkeypatch, cpus):
+        sizes = []
+
+        def recording_pool(workers):
+            sizes.append(workers)
+            return ThreadPoolExecutor(workers)
+
+        monkeypatch.setattr(frontend, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(frontend, "ThreadPoolExecutor", recording_pool)
+        return sizes
+
+    @pytest.mark.parametrize("rate", ACCEPTED_RATES)
+    def test_bytes_do_not_depend_on_thread_count(self, monkeypatch, rate):
+        audio = clip_of(2 * _BLOCK_FRAMES + 7, rate)
+        outputs, pools = {}, {}
+        for cpus in (1, 4):
+            pools[cpus] = self.record_pools(monkeypatch, cpus)
+            outputs[cpus] = feature_matrix(audio).tobytes()
+        assert pools == {1: [], 4: [3]}
+        assert outputs[1] == outputs[4]
+
+    @pytest.mark.parametrize(
+        "cpus, blocks, pools",
+        [(2, 5, [2]), (4, 3, [3]), (8, 2, [2]), (4, 1, []), (4, 0, []), (1, 3, [])],
+    )
+    def test_pool_bounded_by_blocks_and_cpus(self, monkeypatch, cpus, blocks, pools):
+        sizes = self.record_pools(monkeypatch, cpus)
+        assert feature_matrix(clip_of(blocks * _BLOCK_FRAMES)).shape[0] == blocks * _BLOCK_FRAMES
+        assert sizes == pools
+
+    def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
+        audio = clip_of(12 * _BLOCK_FRAMES - 5)
+        self.record_pools(monkeypatch, 1)
+        serial = feature_matrix(audio).tobytes()
+        pools = self.record_pools(monkeypatch, 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _mel_filterbank.cache_clear()
+            threaded = feature_matrix(audio).tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+        assert pools == [8]
+        assert threaded == serial
+
+    @pytest.mark.parametrize("count, expected", [(6, 6), (None, 1)])
+    def test_cpu_count_fallback_without_affinity(self, monkeypatch, count, expected):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert frontend._usable_cpus() == expected
 
 
 class TestVadClassify:
@@ -288,6 +359,17 @@ class TestVadClassify:
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError, match="16"):
             vad_classify(np.zeros(15), np.zeros(4))
+
+    @pytest.mark.parametrize("as_frame", [False, True], ids=["vector", "frame-features"])
+    def test_one_vector_returns_python_scalars(self, as_frame):
+        vector = np.linspace(-2.0, 2.0, 15)
+        vector[1] = 0.25
+        weights = np.linspace(0.5, -0.5, 16)
+        features = FrameFeatures(0, 0.0, vector[0], vector[1], vector[2:]) if as_frame else vector
+        speech, probability = vad_classify(features, weights)
+        assert type(speech) is bool and type(probability) is float
+        mask, probabilities = vad_classify(vector.reshape(1, -1), weights)
+        assert (speech, probability) == (mask[0], probabilities[0])
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -444,6 +526,39 @@ class TestWavIo:
     def test_rejects_samples_out_of_range(self):
         with pytest.raises(ValidationError):
             AudioBuffer(np.array([0.0, 1.5]), 16000)
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestAudioBufferChecks:
+    @given(
+        values=st.lists(st.floats(), max_size=40),
+        bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+        where=st.integers(0, 40),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_non_finite_is_named_whatever_else(self, values, bad, where):
+        values.insert(where % (len(values) + 1), bad)
+        with pytest.raises(ValidationError, match="^samples contain NaN or Inf$"):
+            AudioBuffer(np.array(values), 16000)
+
+    @given(
+        values=st.lists(finite_floats, max_size=40),
+        big=finite_floats.filter(lambda v: abs(v) > 1.0 + 1e-9),
+        where=st.integers(0, 40),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_finite_out_of_range_is_named(self, values, big, where):
+        values.insert(where % (len(values) + 1), big)
+        with pytest.raises(ValidationError, match=r"^samples must lie in \[-1, 1\]$"):
+            AudioBuffer(np.array(values), 16000)
+
+    @given(values=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_in_range_passes(self, values):
+        audio = AudioBuffer(np.array(values), 16000)
+        assert audio.samples.tolist() == values
 
 
 class TestWavValidation:

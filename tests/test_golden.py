@@ -6,10 +6,7 @@ check, saved model) and before the feature blocks ran on a thread pool
 
 Any change to the walk kernel, the label checks, the counters, the report
 writers or the frontend kernels that moves a single output byte fails here.
-Temp paths are replaced by ``<tmp>`` before stdout is hashed. The vad
-digests cover full-precision floats from the FFT, log and DCT, so they were
-recorded with NumPy 2.4 and SciPy 1.17 on x86-64; another libm or SIMD
-path may move their last bits.
+Temp paths are replaced by ``<tmp>`` before stdout is hashed.
 """
 
 import hashlib
@@ -17,6 +14,7 @@ import json
 
 import numpy as np
 import pytest
+from numpy.lib.introspect import opt_func_info
 
 from convstate.cli import main
 from convstate.frontend import AudioBuffer, save_wav
@@ -59,9 +57,23 @@ GOLDEN = {
     "check/out": "173adc6b699c5db12d6c00bf3f1ad159f34f83779e1349d016cd7b43983772de",
     "save-model/sampled-error-policy": "28fc42d7c93fc2ee1239bff3b178aaa9983d5aff31625c4d334af3a36e9913cc",
     "vad/16000/stdout": "0b111ac576ed181f1f5441f4639ac3a807378f00644ac9c154edf916b95035f2",
-    "vad/16000/csv": "56faf914f6e295fb86be36a403ede709df9bb1763c6b3bf877187149c8966094",
     "vad/44100/stdout": "0b111ac576ed181f1f5441f4639ac3a807378f00644ac9c154edf916b95035f2",
-    "vad/44100/csv": "26c38e72b3b9a6893699f2f25037d36500f4b91fb030f1f6f49cf3065ab685a0",
+}
+
+# The feature CSV holds full-precision floats from NumPy's SIMD-dispatched
+# log, cos, log10 and power and from OpenBLAS, so its bytes depend on the
+# host's vector extensions (the speech mask in stdout does not). Its digests
+# are recorded per dispatch target of float64 np.log, with NumPy 2.4 and
+# OpenBLAS 0.3.31: X86_V4 is an AVX-512 host, X86_V3 an AVX2 + FMA host.
+VAD_CSV_GOLDEN = {
+    "X86_V4": {
+        16000: "56faf914f6e295fb86be36a403ede709df9bb1763c6b3bf877187149c8966094",
+        44100: "26c38e72b3b9a6893699f2f25037d36500f4b91fb030f1f6f49cf3065ab685a0",
+    },
+    "X86_V3": {
+        16000: "5a162dd7feb24589b0afaba4dcd572966cfe3240e15e3f9d1a72f654e9101c71",
+        44100: "933dcb6bd487598ba952040949a36219b839e0e5481ec3f71a3bafc583fa481b",
+    },
 }
 
 
@@ -190,5 +202,8 @@ def test_vad_outputs(capsys, tmp_path, rate):
     summary = json.loads(out)
     assert summary["frames"] == 798
     assert 0 < summary["speech_frames"] < 798 and len(summary["segments"]) > 1
-    digests = {f"vad/{rate}/stdout": sha256(out), f"vad/{rate}/csv": sha256(csv.read_text())}
-    assert digests == {key: GOLDEN[key] for key in digests}
+    assert sha256(out) == GOLDEN[f"vad/{rate}/stdout"]
+    target = opt_func_info(func_name="^log$", signature="float64")["log"]["dd"]["current"]
+    if target not in VAD_CSV_GOLDEN:
+        pytest.skip(f"no feature-CSV digest recorded for NumPy dispatch target {target}")
+    assert sha256(csv.read_text()) == VAD_CSV_GOLDEN[target][rate]
