@@ -96,8 +96,8 @@ def gaussian_blur(a: AffinityMatrix | np.ndarray, sigma: float = 1.0) -> Affinit
     neighbouring segment indices (adjacent segments tend to share a
     speaker). ``sigma=0`` degenerates to the identity.
     """
-    if sigma < 0:
-        raise ValidationError(f"sigma must be non-negative, got {sigma}")
+    if not 0 <= sigma < math.inf:
+        raise ValidationError(f"sigma must be non-negative and finite, got {sigma}")
     values = _as_matrix(a)
     radius = math.ceil(2.0 * sigma)
     if radius == 0:

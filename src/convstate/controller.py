@@ -9,6 +9,7 @@ winner before the windowed model is trusted as a prediction basis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
@@ -71,10 +72,12 @@ class Thresholds:
     def __post_init__(self):
         for name in ("tpe_threshold", "epps_threshold", "matrix_diff_max"):
             value = getattr(self, name)
-            if value <= 0:
-                raise ValidationError(f"{name} must be positive, got {value}")
-        if self.row_diff_min is not None and self.row_diff_min <= 0:
-            raise ValidationError(f"row_diff_min must be positive, got {self.row_diff_min}")
+            if not 0 < value < math.inf:
+                raise ValidationError(f"{name} must be positive and finite, got {value}")
+        if self.row_diff_min is not None and not 0 < self.row_diff_min < math.inf:
+            raise ValidationError(
+                f"row_diff_min must be positive and finite, got {self.row_diff_min}"
+            )
 
 
 class Decision(Enum):

@@ -13,7 +13,9 @@ import os
 import wave
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import repeat
+from operator import itemgetter, mul
 
 import numpy as np
 from scipy.fft import dct
@@ -59,27 +61,48 @@ class AudioBuffer:
         return self.samples.size / self.sample_rate
 
 
-@dataclass(frozen=True)
-class FrameFeatures:
-    """Per-frame feature bundle; the classifier consumes to_vector()."""
+class FrameFeatures(tuple):
+    """One frame's features as an immutable record; vad_classify reads its row.
 
-    frame_index: int
-    time_s: float
-    log_energy: float
-    zcr: float
-    mfcc: np.ndarray
+    A tuple of (frame_index, time_s, log_energy, zcr, mfcc, row), where row
+    is the read-only feature vector [log_energy, zcr, *mfcc] and mfcc is a
+    view of it. extract_features builds these with tuple.__new__ over rows
+    of one read-only matrix, so it neither copies nor re-validates them;
+    the constructor validates its arguments and builds its own row.
+    """
 
-    def __post_init__(self):
-        coeffs = np.ascontiguousarray(self.mfcc, dtype=np.float64)
+    __slots__ = ()
+
+    def __new__(cls, frame_index: int, time_s: float, log_energy: float, zcr: float,
+                mfcc: np.ndarray):
+        coeffs = np.asarray(mfcc, dtype=np.float64)
         if coeffs.ndim != 1:
             raise ValidationError("mfcc must be 1-D")
-        if not 0.0 <= self.zcr <= 1.0:
-            raise ValidationError(f"zcr {self.zcr} outside [0, 1]")
-        coeffs.setflags(write=False)
-        object.__setattr__(self, "mfcc", coeffs)
+        if not 0.0 <= zcr <= 1.0:
+            raise ValidationError(f"zcr {zcr} outside [0, 1]")
+        row = np.concatenate(([log_energy, zcr], coeffs))
+        if not np.isfinite(row).all():
+            raise ValidationError("log_energy and mfcc must be finite")
+        row.setflags(write=False)
+        return tuple.__new__(cls, (frame_index, time_s, float(log_energy), float(zcr),
+                                   row[2:], row))
+
+    frame_index = property(itemgetter(0))
+    time_s = property(itemgetter(1))
+    log_energy = property(itemgetter(2))
+    zcr = property(itemgetter(3))
+    mfcc = property(itemgetter(4))
+
+    def __getnewargs__(self):
+        return self[:5]
+
+    def __repr__(self) -> str:
+        return (f"FrameFeatures(frame_index={self[0]!r}, time_s={self[1]!r}, "
+                f"log_energy={self[2]!r}, zcr={self[3]!r}, mfcc={self[4]!r})")
 
     def to_vector(self) -> np.ndarray:
-        return np.concatenate(([self.log_energy, self.zcr], self.mfcc))
+        """A writable copy of [log_energy, zcr, *mfcc]."""
+        return self[5].copy()
 
 
 @dataclass(frozen=True)
@@ -133,6 +156,10 @@ def save_wav(path: str, audio: AudioBuffer) -> None:
 
 def _frames(audio: AudioBuffer, window_s: float, hop_s: float) -> np.ndarray:
     """Strided (copy-free) view of the frames; see frame()."""
+    for name, seconds in (("window_s", window_s), ("hop_s", hop_s)):
+        # NaN fails the comparison; an array dimension must fit in int64.
+        if not abs(seconds * audio.sample_rate) < 2**63:
+            raise ValidationError(f"{name} must be finite and under 2**63 samples, got {seconds}")
     window = int(round(window_s * audio.sample_rate))
     hop = int(round(hop_s * audio.sample_rate))
     if window < 2:
@@ -309,15 +336,16 @@ def extract_features(
 ) -> list[FrameFeatures]:
     """feature_matrix as one FrameFeatures per frame.
 
-    The mfcc fields are read-only row views of one matrix.
+    Each record's row and mfcc are read-only views of one matrix; the
+    records are built in C (tuple.__new__ over zipped columns), so no
+    Python frame runs per frame.
     """
     matrix = feature_matrix(audio, window_s, hop_s, n_filters, n_coeffs)
     matrix.setflags(write=False)
-    mfccs = matrix[:, 2:]
-    return [
-        FrameFeatures(frame_index=t, time_s=t * hop_s, log_energy=e, zcr=z, mfcc=mfccs[t])
-        for t, (e, z) in enumerate(zip(matrix[:, 0].tolist(), matrix[:, 1].tolist()))
-    ]
+    times = map(mul, range(len(matrix)), repeat(hop_s))
+    columns = zip(range(len(matrix)), times, matrix[:, 0].tolist(), matrix[:, 1].tolist(),
+                  matrix[:, 2:], matrix)
+    return list(map(partial(tuple.__new__, FrameFeatures), columns))
 
 
 def vad_classify(
@@ -330,7 +358,7 @@ def vad_classify(
     probabilities as arrays, each row equal bit for bit to its one-frame
     call. A probability of exactly 0.5 classifies as non-speech.
     """
-    x = features.to_vector() if isinstance(features, FrameFeatures) else np.asarray(features)
+    x = features[5] if isinstance(features, FrameFeatures) else np.asarray(features)
     if x.ndim not in (1, 2):
         raise ValidationError(f"features must be one vector or an (n, d) matrix, got {x.ndim}-D")
     w = np.asarray(weights, dtype=np.float64)
@@ -403,8 +431,10 @@ def segment(
     A trailing remainder of at most half a segment merges into its
     predecessor; a lone run shorter than half a segment is dropped.
     """
-    if seg_len_s <= 0 or hop_s <= 0:
-        raise ValidationError("hop_s and seg_len_s must be positive")
+    if not (0 < seg_len_s < math.inf and 0 < hop_s < math.inf):
+        raise ValidationError(
+            f"hop_s and seg_len_s must be positive and finite, got {hop_s} and {seg_len_s}"
+        )
     mask = np.asarray(speech_mask, dtype=bool)
     segments: list[SpeakerSegment] = []
     eps = 1e-9

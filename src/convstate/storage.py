@@ -12,8 +12,10 @@ import io
 import json
 import math
 import os
+import re
 import tempfile
 from dataclasses import dataclass
+from itertools import filterfalse
 from typing import Sequence
 
 import numpy as np
@@ -33,6 +35,9 @@ from .markov import (
 from .metrics import EvaluationReport
 
 MODEL_VERSION = 1
+# A plain-text label token; int() alone would also take "1_0" and
+# non-ASCII digits such as "\u0663".
+_LABEL_TOKEN = re.compile(r"[+-]?[0-9]+")
 
 _POLICY_NAMES = {
     UnseenRowPolicy.UNIFORM: "uniform",
@@ -248,19 +253,25 @@ def _timed_jsonl(text: str, field: str, parse_field) -> tuple[list, list[tuple[f
 def parse_labels_text(text: str, n_states: int | None = None) -> StateSequence:
     """Parse newline- or comma-separated integers, or timed JSONL labels."""
     stripped = text.strip()
-    if not stripped:
-        raise SchemaError("label input is empty")
-    if stripped[0] == "{":
+    times = None
+    if stripped.startswith("{"):
         labels, times = _timed_jsonl(stripped, "state", lambda v: _number(v, int))
-        inferred = n_states if n_states is not None else max(labels) + 1
-        return StateSequence(labels=tuple(labels), n_states=inferred, times=tuple(times))
-    tokens = [tok for tok in stripped.replace(",", " ").split() if tok]
-    try:
-        labels = [int(tok) for tok in tokens]
-    except ValueError as exc:
-        raise SchemaError(f"label input contains a non-integer token: {exc}") from exc
-    inferred = n_states if n_states is not None else max(labels) + 1
-    return StateSequence(labels=tuple(labels), n_states=inferred)
+    else:
+        tokens = stripped.replace(",", " ").split()
+        bad = next(filterfalse(_LABEL_TOKEN.fullmatch, tokens), None)
+        if bad is not None:
+            raise SchemaError(f"label input contains a non-integer token {bad!r}")
+        try:
+            labels = [int(tok) for tok in tokens]
+        except ValueError as exc:  # more digits than int() converts
+            raise SchemaError(f"label input contains a non-integer token: {exc}") from exc
+    if not labels:
+        raise SchemaError("label input is empty")
+    low, high = min(labels), max(labels)
+    if low < -(2**63) or high >= 2**63:
+        raise SchemaError(f"label {low if low < -(2**63) else high} is outside the int64 range")
+    inferred = n_states if n_states is not None else high + 1
+    return StateSequence(labels=tuple(labels), n_states=inferred, times=times)
 
 
 def read_labels(path: str, n_states: int | None = None) -> StateSequence:

@@ -395,6 +395,34 @@ class TestCliEdges:
         assert err.startswith(f"error: line 1: field '{field}'")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["vad", "{wav}", "--hop-s", "nan"], "hop_s"),
+            (["vad", "{wav}", "--window-s", "inf"], "window_s"),
+            (["vad", "{wav}", "--hop-s", "1e308"], "hop_s"),
+            (["vad", "{wav}", "--seg-len-s", "nan"], "seg_len_s"),
+            (["diarize", "{emb}", "--sigma", "nan"], "sigma"),
+            (["diarize", "{emb}", "--sigma", "inf"], "sigma"),
+            (["check", "{labels}", "{labels}", "--tpe-threshold", "nan"], "tpe_threshold"),
+        ],
+        ids=[
+            "vad-hop-nan", "vad-window-inf", "vad-hop-overflow", "vad-seg-len-nan",
+            "diarize-sigma-nan", "diarize-sigma-inf", "check-threshold-nan",
+        ],
+    )
+    def test_non_finite_number_flag_is_one_line_error(
+        self, capsys, tmp_path, wav_path, argv, field
+    ):
+        emb, labels = tmp_path / "e.csv", tmp_path / "l.txt"
+        emb.write_text("1.0,0.0\n0.0,1.0\n1.0,0.1\n0.1,1.0\n")
+        labels.write_text("0 1 1 0\n")
+        paths = {"wav": wav_path, "emb": str(emb), "labels": str(labels)}
+        code, out, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and field in err
+        assert err.count("\n") == 1
+
     def test_vad_trained_weights_file(self, capsys, wav_path, tmp_path):
         weights = str(tmp_path / "w.json")
         vector = [0.0] * 16

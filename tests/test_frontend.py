@@ -1,5 +1,6 @@
 import math
 import os
+import pickle
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -279,6 +280,94 @@ class TestFeatureMatrix:
             feature_matrix(audio, n_filters=n_filters, n_coeffs=n_coeffs)
         with pytest.raises(ValidationError, match="n_coeffs"):
             mfcc(np.zeros(400), 16000, n_filters, n_coeffs)
+
+
+class TestFrameFeatures:
+    @given(
+        rate=st.sampled_from(ACCEPTED_RATES),
+        frames=st.integers(1, 2 * _BLOCK_FRAMES + 2),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1.0, 1e-3, 1e-7]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_per_frame_path_equals_matrix_path(self, rate, frames, seed, scale):
+        rng = np.random.default_rng(seed)
+        window, hop = int(round(0.025 * rate)), int(round(0.010 * rate))
+        audio = AudioBuffer(rng.uniform(-1, 1, window + (frames - 1) * hop) * scale, rate)
+        matrix = feature_matrix(audio)
+        listed = extract_features(audio)
+        assert [f.frame_index for f in listed] == list(range(frames))
+        assert [f.time_s for f in listed] == [t * 0.010 for t in range(frames)]
+        assert np.array([f.log_energy for f in listed]).tobytes() == matrix[:, 0].tobytes()
+        assert np.array([f.zcr for f in listed]).tobytes() == matrix[:, 1].tobytes()
+        assert np.stack([f.mfcc for f in listed]).tobytes() == matrix[:, 2:].tobytes()
+        weights = rng.normal(0.0, 1.0, matrix.shape[1] + 1)
+        mask, probabilities = vad_classify(matrix, weights)
+        single = [vad_classify(f, weights) for f in listed]
+        assert mask.tolist() == [speech for speech, _ in single]
+        assert probabilities.tolist() == [p for _, p in single]
+
+    @staticmethod
+    def first_frame():
+        samples = np.random.default_rng(4).uniform(-1, 1, 800)
+        return extract_features(AudioBuffer(samples, 16000))[0]
+
+    @pytest.mark.parametrize("name", ["frame_index", "time_s", "log_energy", "zcr", "mfcc", "x"])
+    def test_fields_cannot_be_assigned(self, name):
+        features = self.first_frame()
+        with pytest.raises(AttributeError):
+            setattr(features, name, 1.0)
+
+    def test_repr_names_the_fields(self):
+        text = repr(FrameFeatures(3, 0.03, log_energy=-2, zcr=0.5, mfcc=[1.5, 2.5]))
+        assert text == (
+            "FrameFeatures(frame_index=3, time_s=0.03, log_energy=-2.0, zcr=0.5, "
+            "mfcc=array([1.5, 2.5]))"
+        )
+
+    def test_to_vector_is_a_writable_copy(self):
+        features = self.first_frame()
+        vector = features.to_vector()
+        assert vector.flags.writeable and not np.shares_memory(vector, features.mfcc)
+        vector[:] = 0.0
+        assert features.mfcc.any()
+        assert features.to_vector().tobytes() == np.concatenate(
+            ([features.log_energy, features.zcr], features.mfcc)
+        ).tobytes()
+
+    def test_constructor_copies_and_converts(self):
+        coeffs = np.arange(13)
+        features = FrameFeatures(0, 0.0, log_energy=3, zcr=0, mfcc=coeffs)
+        assert type(features.log_energy) is float and type(features.zcr) is float
+        assert features.mfcc.dtype == np.float64 and not features.mfcc.flags.writeable
+        assert coeffs.flags.writeable and not np.shares_memory(coeffs, features.mfcc)
+
+    def test_pickle_round_trip(self):
+        features = self.first_frame()
+        again = pickle.loads(pickle.dumps(features))
+        assert type(again) is FrameFeatures
+        assert again[:4] == features[:4]
+        assert again.to_vector().tobytes() == features.to_vector().tobytes()
+
+    @pytest.mark.parametrize(
+        "fields, match",
+        [
+            ({"log_energy": math.nan}, "finite"),
+            ({"log_energy": -math.inf}, "finite"),
+            ({"mfcc": [0.0, math.nan]}, "finite"),
+            ({"mfcc": [math.inf, 0.0]}, "finite"),
+            ({"zcr": math.nan}, "zcr"),
+            ({"zcr": 1.5}, "zcr"),
+            ({"mfcc": np.zeros((2, 2))}, "1-D"),
+        ],
+        ids=[
+            "energy-nan", "energy-inf", "mfcc-nan", "mfcc-inf", "zcr-nan", "zcr-range", "mfcc-2d",
+        ],
+    )
+    def test_constructor_rejects(self, fields, match):
+        with pytest.raises(ValidationError, match=match):
+            FrameFeatures(**{"frame_index": 0, "time_s": 0.0, "log_energy": 0.0, "zcr": 0.5,
+                             "mfcc": np.zeros(13), **fields})
 
 
 def clip_of(frames: int, rate: int = 16000) -> AudioBuffer:

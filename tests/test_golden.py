@@ -1,8 +1,9 @@
 """Golden outputs: sha256 digests of seeded CLI runs, recorded before the
 session hot path was vectorized (session, simulate, predict), before the
 indented JSON writer replaced ``json.dumps(..., indent=2)`` (estimate,
-check, saved model) and before the feature blocks ran on a thread pool
-(vad).
+check, saved model), before the feature blocks ran on a thread pool
+(vad) and before ``FrameFeatures`` became views of one feature matrix
+(the per-frame VAD path).
 
 Any change to the walk kernel, the label checks, the counters, the report
 writers or the frontend kernels that moves a single output byte fails here.
@@ -17,7 +18,7 @@ import pytest
 from numpy.lib.introspect import opt_func_info
 
 from convstate.cli import main
-from convstate.frontend import AudioBuffer, save_wav
+from convstate.frontend import AudioBuffer, extract_features, save_wav, segment, vad_classify
 from convstate.markov import Sampled, UnseenRowPolicy, normalize
 from convstate.storage import save_model
 
@@ -58,6 +59,8 @@ GOLDEN = {
     "save-model/sampled-error-policy": "28fc42d7c93fc2ee1239bff3b178aaa9983d5aff31625c4d334af3a36e9913cc",
     "vad/16000/stdout": "0b111ac576ed181f1f5441f4639ac3a807378f00644ac9c154edf916b95035f2",
     "vad/44100/stdout": "0b111ac576ed181f1f5441f4639ac3a807378f00644ac9c154edf916b95035f2",
+    "per-frame/16000": "ca9970d87ac55d7b7d758da2767451fbd863ccebb921afa6cc5691d576e88151",
+    "per-frame/44100": "ca9970d87ac55d7b7d758da2767451fbd863ccebb921afa6cc5691d576e88151",
 }
 
 # The feature CSV holds full-precision floats from NumPy's SIMD-dispatched
@@ -207,3 +210,19 @@ def test_vad_outputs(capsys, tmp_path, rate):
     if target not in VAD_CSV_GOLDEN:
         pytest.skip(f"no feature-CSV digest recorded for NumPy dispatch target {target}")
     assert sha256(csv.read_text()) == VAD_CSV_GOLDEN[target][rate]
+
+
+@pytest.mark.parametrize("rate", [16000, 44100])
+def test_per_frame_vad_outputs(rate):
+    # The one-frame vad_classify over extract_features, as the benchmark's
+    # pipeline runs it. Only the mask and segment bounds are hashed: the
+    # MFCC bytes follow the host's SIMD level (see VAD_CSV_GOLDEN), a
+    # boolean decision away from 0.5 does not.
+    rng = np.random.default_rng(rate + 1)
+    weights = np.concatenate(([1.0, -2.0], rng.normal(0.0, 0.05, 13), [10.0]))
+    frames = extract_features(voiced_clip(rate, 8.0, seed=rate + 2))
+    mask = np.array([vad_classify(f, weights)[0] for f in frames])
+    spans = [(s.start_s, s.end_s) for s in segment(mask)]
+    assert 0 < mask.sum() < mask.size == 798 and len(spans) > 1
+    digest = hashlib.sha256(mask.tobytes() + repr(spans).encode()).hexdigest()
+    assert digest == GOLDEN[f"per-frame/{rate}"]

@@ -172,6 +172,35 @@ class TestLabelIo:
         with pytest.raises(SchemaError, match="non-integer"):
             parse_labels_text("0 1 x 2")
 
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("0 1_0", "non-integer token '1_0'"),
+            ("0 \u0663", "non-integer token '\u0663'"),
+            ("0 1.0", "non-integer token '1.0'"),
+            ("0 --1", "non-integer token '--1'"),
+            (f"0 {10**30}", "int64"),
+            (f"{-(2**63) - 1} 0", "int64"),
+            (f"0 {2**63}", "int64"),
+            ("0 " + "9" * 5000, "non-integer token"),
+            (json.dumps({"start_s": 0, "end_s": 1, "state": 10**30}), "int64"),
+            (", ,", "empty"),
+        ],
+        ids=[
+            "underscore", "arabic-indic-digit", "decimal", "double-sign", "10**30",
+            "below-int64", "above-int64", "over-int-digit-limit", "jsonl-10**30",
+            "separators-only",
+        ],
+    )
+    def test_labels_are_ascii_int64(self, text, match):
+        with pytest.raises(SchemaError, match=match):
+            parse_labels_text(text)
+
+    def test_signed_and_zero_padded_tokens(self):
+        assert parse_labels_text(f"+1,007 -0\n{2**63 - 1}", n_states=2**63).labels == (
+            1, 7, 0, 2**63 - 1,
+        )
+
     def test_empty_input(self):
         with pytest.raises(SchemaError, match="empty"):
             parse_labels_text("   \n ")
