@@ -15,17 +15,9 @@ import wave
 import numpy as np
 
 from . import clustering, frontend, harness, markov, storage
-from .controller import (
-    CheckerInterval,
-    FixedEvery,
-    RandomBernoulli,
-    SessionConfig,
-    Thresholds,
-    check_iteration,
-    run_session,
-)
-from .errors import ConvergenceError, SchemaError, ValidationError
-from .markov import Argmax, PredictionMode, Sampled, StateSequence, UnseenRowPolicy
+from .controller import Thresholds, check_iteration, run_session
+from .errors import ConvergenceError, ValidationError
+from .markov import Argmax, Sampled, StateSequence, UnseenRowPolicy
 
 # Energy gate used when no trained weights are supplied: speech iff the
 # frame's log-energy clears -15, which sits between the silence floor
@@ -47,59 +39,21 @@ def _emit(text: str, out_path: str | None) -> None:
         storage.atomic_write_text(out_path, text)
 
 
-def _parse_interval(spec: str) -> CheckerInterval:
-    if spec == "every":
-        return FixedEvery(1)
-    try:
-        if spec.startswith("fixed:"):
-            return FixedEvery(int(spec.split(":", 1)[1]))
-        if spec.startswith("bernoulli:"):
-            parts = spec.split(":")
-            probability = float(parts[1])
-            seed = int(parts[2]) if len(parts) > 2 else 0
-            return RandomBernoulli(probability, seed)
-    except ValidationError:
-        raise
-    except ValueError:
-        pass  # an unparsable number gets the same message as an unknown kind
-    raise ValidationError(
-        f"invalid checker interval {spec!r}; expected every, fixed:m, or bernoulli:p[:seed]"
-    )
-
-
-def _parse_mode(name: str, seed: int) -> PredictionMode:
-    if name == "argmax":
-        return Argmax()
-    if name in ("sample", "sampled"):
-        return Sampled(seed)
-    raise ValidationError(f"unknown prediction mode {name!r}")
-
-
-def _policy(name: str) -> UnseenRowPolicy:
-    return UnseenRowPolicy.UNIFORM if name == "uniform" else UnseenRowPolicy.ERROR_ON_QUERY
-
-
-def _load_vad_weights(path: str) -> np.ndarray:
-    with open(path) as handle:
-        try:
-            weights = np.asarray(json.load(handle), dtype=np.float64)
-        except (json.JSONDecodeError, TypeError, ValueError) as exc:
-            raise SchemaError(f"{path}: not a JSON list of numbers ({exc})") from None
-    if not np.isfinite(weights).all():
-        raise SchemaError(f"{path}: weights must be finite numbers, got NaN or Infinity")
-    return weights
-
-
 def _require_states(n_states: int) -> None:
     if n_states < 1:
         raise ValidationError(f"--states must be >= 1, got {n_states}")
+
+
+def _require_seed(seed: int | None) -> None:
+    if seed is not None and seed < 0:
+        raise ValidationError(f"--seed must be >= 0, got {seed}")
 
 
 def _cmd_vad(args: argparse.Namespace) -> None:
     audio = frontend.load_wav(args.wav)
     features = frontend.feature_matrix(audio, args.window_s, args.hop_s)
     if args.weights:
-        weights = _load_vad_weights(args.weights)
+        weights = storage.read_vad_weights(args.weights)
     else:
         weights = _default_vad_weights(features.shape[1])
     mask, _ = frontend.vad_classify(features, weights)
@@ -110,9 +64,7 @@ def _cmd_vad(args: argparse.Namespace) -> None:
         "frames": len(features),
         "speech_frames": int(mask.sum()),
         "speech_mask": mask.astype(int).tolist(),
-        "segments": [
-            {"start_s": seg.start_s, "end_s": seg.end_s} for seg in segments
-        ],
+        "segments": [{"start_s": seg.start_s, "end_s": seg.end_s} for seg in segments],
     }
     sys.stdout.write(json.dumps(summary, sort_keys=True) + "\n")
 
@@ -120,11 +72,7 @@ def _cmd_vad(args: argparse.Namespace) -> None:
 def _cmd_diarize(args: argparse.Namespace) -> None:
     embeddings = storage.read_embeddings(args.embeddings)
     labels = clustering.spectral_cluster(
-        embeddings,
-        k=args.k,
-        seed=args.seed,
-        sigma=args.sigma,
-        percentile=args.percentile,
+        embeddings, k=args.k, seed=args.seed, sigma=args.sigma, percentile=args.percentile
     )
     _emit(storage.labels_to_text(labels), args.out)
 
@@ -132,18 +80,16 @@ def _cmd_diarize(args: argparse.Namespace) -> None:
 def _cmd_estimate(args: argparse.Namespace) -> None:
     _require_states(args.states)
     seq = storage.read_labels(args.labels, n_states=args.states)
-    model = markov.estimate_transition(seq, args.states, _policy(args.policy))
+    model = markov.estimate_transition(seq, args.states, UnseenRowPolicy(args.policy))
     _emit(storage.json_text(storage.model_to_document(model)) + "\n", args.out)
 
 
 def _cmd_predict(args: argparse.Namespace) -> None:
     model, saved_mode = storage.load_model(args.model)
-    if args.mode is not None:
-        mode = _parse_mode(args.mode, args.seed)
-    elif saved_mode is not None:
-        mode = saved_mode
+    if args.mode is None:
+        mode = Argmax() if saved_mode is None else saved_mode
     else:
-        mode = Argmax()
+        mode = Argmax() if args.mode == "argmax" else Sampled(args.seed)
     seq = markov.predict_sequence(model, args.initial, args.length, mode)
     _emit(storage.labels_to_text(seq), args.out)
 
@@ -164,122 +110,19 @@ def _cmd_check(args: argparse.Namespace) -> None:
     _emit(storage.json_text(payload) + "\n", args.out)
 
 
-def _number_field(doc: dict, key: str, default, path: str, kind: type = int):
-    """doc[key] (default when absent), which must be a `kind`, int or float.
-
-    A None default makes the field optional: absent or null gives None.
-    Values are checked by `storage.is_number`, not converted; a rejected
-    value is a SchemaError at `path`. A float field also takes an int.
-    """
-    value = doc.get(key, default)
-    if value is None and default is None:
-        return None
-    if storage.is_number(value, kind):
-        return value
-    noun = "an integer" if kind is int else "a finite number"
-    raise SchemaError(f"{path}: expected {noun}, got {value!r}")
-
-
-def _build_oracle(doc: dict, iterations: int | None):
-    spec = doc.get("oracle")
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise SchemaError("$.oracle: expected an object with 'kind'")
-    kind = spec["kind"]
-    if kind == "files":
-        paths = spec.get("paths")
-        if not isinstance(paths, list) or not paths:
-            raise SchemaError("$.oracle.paths: expected a non-empty list")
-        for i, path in enumerate(paths):
-            if not isinstance(path, str):
-                raise SchemaError(f"$.oracle.paths[{i}]: expected a label file path")
-        return [storage.read_labels(p) for p in paths]
-    if kind == "chain":
-        model_path = spec.get("model")
-        if not isinstance(model_path, str):
-            raise SchemaError("$.oracle.model: expected a model file path")
-        truth, _ = storage.load_model(model_path)
-        length = _number_field(spec, "length", 300, "$.oracle.length")
-        initial = _number_field(spec, "initial", 0, "$.oracle.initial")
-        seed = _number_field(spec, "seed", doc.get("seed", 0), "$.oracle.seed")
-        total = None if iterations is None else iterations + 1
-        bootstrap = None
-        if spec.get("exact_bootstrap"):
-            bootstrap = harness.sequence_with_exact_counts(truth.counts)
-        if spec.get("matched", True):
-            return harness.matched_chain_oracle(
-                truth, length, initial, seed, total, bootstrap=bootstrap
-            )
-        return harness.chain_oracle(truth, length, initial, seed, total)
-    raise SchemaError(f"$.oracle.kind: unknown oracle kind {kind!r}")
-
-
 def _cmd_session(args: argparse.Namespace) -> None:
-    doc = storage.read_json(args.config)
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{args.config}: expected a JSON object")
-    thresholds_doc = doc.get("thresholds", {})
-    if not isinstance(thresholds_doc, dict):
-        raise SchemaError("$.thresholds: expected an object")
-
-    def threshold(key: str, default: float | None, override: float | None = None):
-        if override is not None:
-            return override
-        return _number_field(thresholds_doc, key, default, f"$.thresholds.{key}", float)
-
-    interval_spec = thresholds_doc.get("checker_interval", "every")
-    if args.checker_interval is not None:
-        interval_spec = args.checker_interval
-    if not isinstance(interval_spec, str):
-        raise SchemaError(
-            f"$.thresholds.checker_interval: expected a string, got {interval_spec!r}"
-        )
-    thresholds = Thresholds(
-        tpe_threshold=threshold("tpe_threshold", 20.0, args.tpe_threshold),
-        epps_threshold=threshold("epps_threshold", 30.0, args.epps_threshold),
-        matrix_diff_max=threshold("matrix_diff_max", 0.15, args.matrix_diff_max),
-        row_diff_min=threshold("row_diff_min", None),
-        checker_interval=_parse_interval(interval_spec),
-    )
-    seed = args.seed if args.seed is not None else _number_field(doc, "seed", 0, "$.seed")
-    iterations = _number_field(doc, "iterations", None, "$.iterations")
-    n_states = _number_field(doc, "states", None, "$.states")
-    window = args.window if args.window is not None else _number_field(
-        doc, "window", None, "$.window"
-    )
-    config = SessionConfig(
-        thresholds=thresholds,
-        mode=_parse_mode(doc.get("mode", "argmax"), seed),
-        seed=seed,
-        candidate_count=_number_field(doc, "candidate_count", 5, "$.candidate_count"),
-        window_len=window,
-        iterations=iterations,
-    )
-    oracle = _build_oracle(doc, iterations)
+    config, n_states, oracle = storage.read_session_config(args.config, vars(args))
     report = run_session(oracle, config, n_states=n_states)
-
-    outputs = doc.get("outputs", {})
-    report_path = args.report_out or outputs.get("report_json")
-    table_path = args.table_out or outputs.get("table_csv")
-    report_doc = storage.session_to_document(report)
-    rows = storage.report_table(report)
-    table_csv = storage.table_to_csv(rows, report.final_model.n_states)
+    report_path, table_path = args.report_out or None, args.table_out or None
     if report_path:
+        report_doc = storage.session_to_document(report)
         storage.atomic_write_text(report_path, storage.json_text(report_doc) + "\n")
-    _emit(table_csv, table_path)
+    rows = storage.report_table(report)
+    _emit(storage.table_to_csv(rows, report.final_model.n_states), table_path)
     if table_path or report_path:
-        mean = report.mean_tpe()
-        sys.stdout.write(
-            json.dumps(
-                {
-                    "iterations": len(report.iterations),
-                    "mean_tpe": mean,
-                    "report_json": report_path,
-                    "table_csv": table_path,
-                },
-                sort_keys=True,
-            )
-            + "\n"
-        )
+        summary = {"iterations": len(report.iterations), "mean_tpe": report.mean_tpe(),
+                   "report_json": report_path, "table_csv": table_path}
+        sys.stdout.write(json.dumps(summary, sort_keys=True) + "\n")
 
 
 def _cmd_simulate_chain(args: argparse.Namespace) -> None:
@@ -290,12 +133,7 @@ def _cmd_simulate_chain(args: argparse.Namespace) -> None:
 
 def _cmd_simulate_embeddings(args: argparse.Namespace) -> None:
     embeddings, labels = harness.generate_synthetic_embeddings(
-        args.clusters,
-        args.per_cluster,
-        args.dim,
-        args.separation,
-        args.noise_sigma,
-        args.seed,
+        args.clusters, args.per_cluster, args.dim, args.separation, args.noise_sigma, args.seed
     )
     _emit(storage.embeddings_to_csv(embeddings), args.out)
     if args.labels_out:
@@ -362,18 +200,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_chk.add_argument("--out")
     p_chk.set_defaults(func=_cmd_check)
 
-    p_ses = sub.add_parser("session", help="run the full checker loop from a config")
-    p_ses.add_argument("config")
+    p_ses = sub.add_parser(
+        "session", help="run the full checker loop from a config",
+        description="Run the checker loop from a JSON session config (format in the README). "
+        "A key outside the format is an error. Each flag overrides the field it is named for.",
+    )
+    p_ses.add_argument("config", help="JSON session config")
     p_ses.add_argument("--tpe-threshold", type=float, default=None, dest="tpe_threshold")
     p_ses.add_argument("--epps-threshold", type=float, default=None, dest="epps_threshold")
-    p_ses.add_argument(
-        "--matrix-diff-max", type=float, default=None, dest="matrix_diff_max"
-    )
+    p_ses.add_argument("--matrix-diff-max", type=float, default=None, dest="matrix_diff_max")
     p_ses.add_argument("--window", type=int, default=None)
-    p_ses.add_argument("--seed", type=int, default=None)
+    p_ses.add_argument(
+        "--seed", type=int, default=None, help=">= 0; overrides $.seed but not $.oracle.seed"
+    )
     p_ses.add_argument(
         "--checker-interval", default=None, dest="checker_interval",
-        help="every, fixed:m, or bernoulli:p[:seed]",
+        help="every, fixed:m, or bernoulli:p; overrides $.thresholds.checker_interval",
     )
     p_ses.add_argument("--report-out", dest="report_out")
     p_ses.add_argument("--table-out", dest="table_out")
@@ -408,6 +250,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _require_seed(getattr(args, "seed", None))
         args.func(args)
     except (ValidationError, wave.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -43,10 +43,6 @@ class EmbeddingSet:
         if self.times is not None and len(self.times) != vectors.shape[0]:
             raise ValidationError("times length does not match vector count")
 
-    @property
-    def dim(self) -> int:
-        return int(self.vectors.shape[1])
-
     def __len__(self) -> int:
         return int(self.vectors.shape[0])
 
@@ -65,10 +61,6 @@ class AffinityMatrix:
             raise ValidationError("affinity contains NaN or Inf")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-
-    @property
-    def n(self) -> int:
-        return int(self.values.shape[0])
 
 
 def _as_matrix(a: AffinityMatrix | np.ndarray) -> np.ndarray:

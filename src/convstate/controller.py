@@ -42,10 +42,13 @@ class FixedEvery:
 
 @dataclass(frozen=True)
 class RandomBernoulli:
-    """Run the checker with probability `p` per iteration, seeded."""
+    """Run the checker with probability `p` per iteration.
+
+    The coin flips come from ``numpy.random.default_rng([seed, 0xB0])``,
+    where `seed` is the session's ``SessionConfig.seed``.
+    """
 
     p: float
-    seed: int
 
     def __post_init__(self):
         if not 0.0 < self.p <= 1.0:
@@ -244,25 +247,10 @@ class SessionReport:
     iterations: tuple[IterationRecord, ...]
     final_model: TransitionModel
 
-    def checked_reports(self) -> list[EvaluationReport]:
-        return [
-            rec.decision.report for rec in self.iterations if rec.decision is not None
-        ]
-
     def mean_tpe(self) -> float | None:
         """Mean TPE over checked iterations, None when nothing was checked."""
-        reports = self.checked_reports()
-        if not reports:
-            return None
-        return float(np.mean([r.tpe for r in reports]))
-
-
-def _should_check(
-    interval: CheckerInterval, iteration: int, bernoulli_rng: np.random.Generator
-) -> bool:
-    if isinstance(interval, FixedEvery):
-        return iteration % interval.every == 0
-    return bool(bernoulli_rng.random() < interval.p)
+        tpes = [rec.decision.report.tpe for rec in self.iterations if rec.decision is not None]
+        return float(np.mean(tpes)) if tpes else None
 
 
 def run_session(
@@ -297,6 +285,7 @@ def run_session(
     model = markov.estimate_transition(bootstrap, n_states)
     history = list(bootstrap.labels)
     anchor = history[-1]
+    interval = config.thresholds.checker_interval
     bernoulli_rng = np.random.default_rng([config.seed, 0xB0])
     records: list[IterationRecord] = []
 
@@ -330,7 +319,10 @@ def run_session(
             )
             basis = outcome.model
 
-        checked = _should_check(config.thresholds.checker_interval, iteration, bernoulli_rng)
+        if isinstance(interval, FixedEvery):
+            checked = iteration % interval.every == 0
+        else:
+            checked = bool(bernoulli_rng.random() < interval.p)
 
         if isinstance(config.mode, Argmax):
             candidates = [markov.walk(basis, anchor, length)]
@@ -339,28 +331,23 @@ def run_session(
             rngs = (np.random.default_rng([config.seed, iteration, j]) for j in range(count))
             candidates = [markov.walk(basis, anchor, length, rng) for rng in rngs]
 
+        rows = _as_labels(candidates)
+        best, verdict = 0, None
         if checked:
             # Candidates share the oracle's length, so the fewest mismatches
             # is the lowest TPE; argmin keeps the lowest index among ties.
-            rows = _as_labels(candidates)
             best = int(np.count_nonzero(rows != actual, axis=1).argmin())
-            predicted_labels = candidates[best]
             verdict = check_iteration(rows[best], actual, config.thresholds, n_states)
-            if verdict.decision is Decision.ACCEPT:
-                model = update_from_labels(model, anchor, rows[best])
-                history.extend(predicted_labels)
-            else:
-                model = markov.estimate_transition(actual, n_states)
-                history.extend(actual.tolist())
-            # The checker ran the diarizer, so its last label is the freshest
-            # anchor for the next iteration regardless of the verdict.
-            anchor = int(actual[-1])
-        else:
-            predicted_labels = candidates[0]
-            verdict = None
-            model = update_from_labels(model, anchor, predicted_labels)
+        predicted_labels = candidates[best]
+        if verdict is None or verdict.decision is Decision.ACCEPT:
+            model = update_from_labels(model, anchor, rows[best])
             history.extend(predicted_labels)
-            anchor = predicted_labels[-1]
+        else:
+            model = markov.estimate_transition(actual, n_states)
+            history.extend(actual.tolist())
+        # A check ran the diarizer, so its last label is the freshest anchor
+        # for the next iteration regardless of the verdict.
+        anchor = int(actual[-1]) if checked else predicted_labels[-1]
 
         records.append(
             IterationRecord(

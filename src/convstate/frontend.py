@@ -56,10 +56,6 @@ class AudioBuffer:
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
 
-    @property
-    def duration_s(self) -> float:
-        return self.samples.size / self.sample_rate
-
 
 class FrameFeatures(tuple):
     """One frame's features as an immutable record; vad_classify reads its row.
@@ -107,11 +103,10 @@ class FrameFeatures(tuple):
 
 @dataclass(frozen=True)
 class SpeakerSegment:
-    """Half-open time span [start_s, end_s) with an optional state label."""
+    """Half-open time span [start_s, end_s)."""
 
     start_s: float
     end_s: float
-    label: int | None = None
 
     def __post_init__(self):
         if self.end_s <= self.start_s:

@@ -1,4 +1,5 @@
-"""File formats: model JSON, label files, embeddings, feature CSV, tables.
+"""File formats: model JSON, session configs, VAD weights, label files,
+embeddings, feature CSV, tables.
 
 Probabilities are never trusted from disk; a loaded model recomputes them
 from its counts. All writes go through a temp-file-and-rename so readers
@@ -20,9 +21,17 @@ from typing import Sequence
 
 import numpy as np
 
+from . import harness
 from .clustering import EmbeddingSet
-from .controller import SessionReport
-from .errors import SchemaError
+from .controller import (
+    CheckerInterval,
+    FixedEvery,
+    RandomBernoulli,
+    SessionConfig,
+    SessionReport,
+    Thresholds,
+)
+from .errors import SchemaError, ValidationError
 from .markov import (
     Argmax,
     PredictionMode,
@@ -200,6 +209,184 @@ def is_number(value, kind: type) -> bool:
     return isinstance(value, int) or (
         kind is float and isinstance(value, float) and math.isfinite(value)
     )
+
+
+def read_vad_weights(path: str) -> np.ndarray:
+    """A JSON list of finite numbers: VAD weights per feature, then the bias."""
+    with open(path) as handle:
+        try:
+            weights = np.asarray(json.load(handle), dtype=np.float64)
+        except (json.JSONDecodeError, TypeError, ValueError) as exc:
+            raise SchemaError(f"{path}: not a JSON list of numbers ({exc})") from None
+    if not np.isfinite(weights).all():
+        raise SchemaError(f"{path}: weights must be finite numbers, got NaN or Infinity")
+    return weights
+
+
+# The keys each object of a session config may hold; any other is an error.
+_SESSION_KEYS = {"seed", "mode", "candidate_count", "iterations", "states", "window", "thresholds",
+                 "oracle"}
+_THRESHOLD_KEYS = {"tpe_threshold", "epps_threshold", "matrix_diff_max", "row_diff_min",
+                   "checker_interval"}
+_ORACLE_KEYS = {"files": {"kind", "paths"},
+                "chain": {"kind", "model", "length", "initial", "seed", "matched", "exact_bootstrap"}}
+
+
+def _object(value, path: str, known: set) -> dict:
+    if not isinstance(value, dict):
+        raise SchemaError(f"{path}: expected a JSON object")
+    for key in value:
+        if key not in known:
+            raise SchemaError(f"{path}.{json.dumps(key)[1:-1]}: unknown field")
+    return value
+
+
+def _number_field(doc: dict, key: str, default, path: str, kind: type = int):
+    """doc[key] (default when absent), which must be a `kind`, int or float.
+
+    A None default makes the field optional: absent or null gives None.
+    Values are checked by `is_number`, not converted; a rejected value is a
+    SchemaError at `path`. A float field also takes an int.
+    """
+    value = doc.get(key, default)
+    if value is None and default is None:
+        return None
+    if is_number(value, kind):
+        return value
+    noun = "an integer" if kind is int else "a finite number"
+    raise SchemaError(f"{path}: expected {noun}, got {value!r}")
+
+
+def _seed_field(doc: dict, default: int, path: str) -> int:
+    if (seed := _number_field(doc, "seed", default, path)) < 0:
+        raise SchemaError(f"{path}: expected a non-negative integer, got {seed}")
+    return seed
+
+
+def _bool_field(doc: dict, key: str, default: bool, path: str) -> bool:
+    value = doc.get(key, default)
+    if not isinstance(value, bool):
+        raise SchemaError(f"{path}: expected true or false, got {value!r}")
+    return value
+
+
+def _path_field(value, path: str, noun: str) -> str:
+    """`value` when the OS can open it as a path: a string without NUL."""
+    try:
+        if b"\0" not in os.fsencode(value):
+            return value
+    except (TypeError, UnicodeError):  # not a string, or a lone surrogate
+        pass
+    raise SchemaError(f"{path}: expected a {noun} file path")
+
+
+def parse_interval(spec: str) -> CheckerInterval:
+    """`every`, `fixed:m` or `bernoulli:p` as a checker interval."""
+    if spec == "every":
+        return FixedEvery(1)
+    kind, _, value = spec.partition(":")
+    try:
+        if kind == "fixed":
+            return FixedEvery(int(value))
+        if kind == "bernoulli":
+            return RandomBernoulli(float(value))
+    except ValidationError:
+        raise
+    except ValueError:
+        pass  # an unparsable number gets the same message as an unknown kind
+    raise ValidationError(
+        f"invalid checker interval {spec!r}; expected every, fixed:m, or bernoulli:p"
+    )
+
+
+def _mode_from_name(name, seed: int) -> PredictionMode:
+    if name == "argmax":
+        return Argmax()
+    if name in ("sample", "sampled"):
+        return Sampled(seed)
+    raise SchemaError(f"$.mode: unknown prediction mode {name!r}")
+
+
+def _oracle_from_document(spec, iterations: int | None, seed: int):
+    if not isinstance(spec, dict) or "kind" not in spec:
+        raise SchemaError("$.oracle: expected an object with 'kind'")
+    kind = spec["kind"]
+    if kind not in ("files", "chain"):
+        raise SchemaError(f"$.oracle.kind: unknown oracle kind {kind!r}")
+    _object(spec, "$.oracle", _ORACLE_KEYS[kind])
+    if kind == "files":
+        paths = spec.get("paths")
+        if not isinstance(paths, list) or not paths:
+            raise SchemaError("$.oracle.paths: expected a non-empty list")
+        paths = [_path_field(p, f"$.oracle.paths[{i}]", "label") for i, p in enumerate(paths)]
+        return [read_labels(p) for p in paths]
+    if iterations is None:
+        raise SchemaError("$.iterations: required with a chain oracle, which never runs dry")
+    truth, _ = load_model(_path_field(spec.get("model"), "$.oracle.model", "model"))
+    length = _number_field(spec, "length", 300, "$.oracle.length")
+    initial = _number_field(spec, "initial", 0, "$.oracle.initial")
+    seed = _seed_field(spec, seed, "$.oracle.seed")
+    bootstrap = None
+    if _bool_field(spec, "exact_bootstrap", False, "$.oracle.exact_bootstrap"):
+        bootstrap = harness.sequence_with_exact_counts(truth.counts)
+    if _bool_field(spec, "matched", True, "$.oracle.matched"):
+        return harness.matched_chain_oracle(
+            truth, length, initial, seed, iterations + 1, bootstrap=bootstrap
+        )
+    return harness.chain_oracle(truth, length, initial, seed, iterations + 1)
+
+
+def session_config_from_document(doc, overrides: dict | None = None):
+    """The SessionConfig, state count and oracle a session config describes.
+
+    `overrides` maps a field of ``$`` or ``$.thresholds`` (`seed`,
+    `window`, `tpe_threshold`, `epps_threshold`, `matrix_diff_max`,
+    `checker_interval`) to a value that replaces the document's; None
+    overrides nothing and other keys are ignored. The state count is None
+    when the config leaves it to the bootstrap sequence. `oracle.seed`
+    defaults to the document's `seed`, not to an overriding one. A key
+    outside the format is an error.
+    """
+    given = {key: value for key, value in (overrides or {}).items() if value is not None}
+    doc = _object(doc, "$", _SESSION_KEYS)
+    thresholds_doc = _object(doc.get("thresholds", {}), "$.thresholds", _THRESHOLD_KEYS)
+
+    def field(fields: dict, key: str, default, path: str, kind: type = int):
+        if key in given:
+            return given[key]
+        return _number_field(fields, key, default, path, kind)
+
+    def threshold(key: str, default: float | None):
+        return field(thresholds_doc, key, default, f"$.thresholds.{key}", float)
+
+    interval = given.get("checker_interval", thresholds_doc.get("checker_interval", "every"))
+    if not isinstance(interval, str):
+        raise SchemaError(f"$.thresholds.checker_interval: expected a string, got {interval!r}")
+    thresholds = Thresholds(
+        tpe_threshold=threshold("tpe_threshold", 20.0),
+        epps_threshold=threshold("epps_threshold", 30.0),
+        matrix_diff_max=threshold("matrix_diff_max", 0.15),
+        row_diff_min=threshold("row_diff_min", None),
+        checker_interval=parse_interval(interval),
+    )
+    doc_seed = _seed_field(doc, 0, "$.seed")
+    seed = given.get("seed", doc_seed)
+    iterations = _number_field(doc, "iterations", None, "$.iterations")
+    n_states = _number_field(doc, "states", None, "$.states")
+    config = SessionConfig(
+        thresholds=thresholds,
+        mode=_mode_from_name(doc.get("mode", "argmax"), seed),
+        seed=seed,
+        candidate_count=_number_field(doc, "candidate_count", 5, "$.candidate_count"),
+        window_len=field(doc, "window", None, "$.window"),
+        iterations=iterations,
+    )
+    return config, n_states, _oracle_from_document(doc.get("oracle"), iterations, doc_seed)
+
+
+def read_session_config(path: str, overrides: dict | None = None):
+    """session_config_from_document of the JSON document at `path`."""
+    return session_config_from_document(read_json(path), overrides)
 
 
 def _number(value, kind: type = float):
@@ -397,25 +584,17 @@ def session_to_document(session: SessionReport) -> dict:
     """Full-precision session trace for the report JSON."""
     iterations = []
     for record in session.iterations:
-        entry: dict = {
+        verdict, evaluator = record.decision, record.evaluator
+        iterations.append({
             "index": record.index,
             "predicted": list(record.predicted.labels),
             "checked": record.checked,
-        }
-        if record.decision is not None:
-            entry["decision"] = record.decision.decision.value
-            entry["report"] = report_to_document(record.decision.report)
-        else:
-            entry["decision"] = None
-            entry["report"] = None
-        if record.evaluator is not None:
-            entry["evaluator"] = {
-                "outcome": type(record.evaluator).__name__,
-                "max_abs_diff": record.evaluator.max_abs_diff,
-            }
-        else:
-            entry["evaluator"] = None
-        iterations.append(entry)
+            "decision": None if verdict is None else verdict.decision.value,
+            "report": None if verdict is None else report_to_document(verdict.report),
+            "evaluator": None if evaluator is None else {
+                "outcome": type(evaluator).__name__, "max_abs_diff": evaluator.max_abs_diff
+            },
+        })
     return {
         "bootstrap": list(session.bootstrap.labels),
         "iterations": iterations,

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -251,6 +252,18 @@ class TestSessionCommand:
             outputs.append(out)
         assert outputs[0] == outputs[1]
 
+    def test_readme_session_config(self, capsys, tmp_path, truth_model_path, monkeypatch):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme[readme.index("### Session configs"):]
+        block = section.split("```json\n", 1)[1].split("\n```", 1)[0]
+        assert json.loads(block)["oracle"]["model"] == "truth.json"
+        assert truth_model_path == str(tmp_path / "truth.json")
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "session.json").write_text(block)
+        code, out, err = run_cli(capsys, "session", "session.json")
+        assert (code, err) == (0, "")
+        assert out.startswith("Audio File,Speaker State")
+
     def test_invalid_config_schema(self, capsys, tmp_path):
         path = str(tmp_path / "broken.json")
         open(path, "w").write("{\"oracle\": 5}")
@@ -328,13 +341,18 @@ class TestCliEdges:
             ({"states": True}, [], "$.states"),
             ({"states": "3"}, [], "$.states"),
             ({"thresholds": {"tpe_threshold": True}}, [], "$.thresholds.tpe_threshold"),
+            ({"outputs": []}, [], "$.outputs"),
+            ({"outputs": {"report_json": True}}, [], "$.outputs"),
+            ({"thresholds": {"tpe_treshold": 5}}, [], "$.thresholds.tpe_treshold"),
+            ({}, ["--checker-interval", "bernoulli:0.5:3"], "bernoulli:0.5:3"),
         ],
         ids=[
             "oracle-without-model", "candidate-count-not-int", "interval-not-a-number",
             "states-not-int", "iterations-not-int", "window-not-int", "threshold-not-a-number",
             "threshold-nan", "row-diff-min-not-a-number", "interval-not-a-string",
             "thresholds-not-an-object", "states-fractional", "states-bool",
-            "states-numeric-string", "threshold-bool",
+            "states-numeric-string", "threshold-bool", "outputs-list", "outputs-bool",
+            "threshold-typo", "interval-seed-suffix",
         ],
     )
     def test_malformed_session_input_is_one_line_error(
@@ -423,6 +441,42 @@ class TestCliEdges:
         assert err.startswith("error:") and field in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["predict", "{model}", "--initial", "0", "--length", "5", "--mode", "sample",
+              "--seed", "-1"], None),
+            (["simulate", "chain", "--model", "{model}", "--length", "5", "--seed", "-1"], None),
+            (["simulate", "embeddings", "--clusters", "2", "--per-cluster", "3", "--dim", "2",
+              "--seed", "-1"], None),
+            (["diarize", "{emb}", "--seed", "-1"], None),
+            (["session", "{config}", "--seed", "-2"], {}),
+            (["session", "{config}"], {"seed": -1}),
+            (["session", "{config}"], {"oracle_seed": -1}),
+        ],
+        ids=[
+            "predict", "simulate-chain", "simulate-embeddings", "diarize", "session-flag",
+            "session-config-seed", "session-config-oracle-seed",
+        ],
+    )
+    def test_negative_seed_is_one_line_error(
+        self, capsys, tmp_path, truth_model_path, argv, config
+    ):
+        emb, config_path = tmp_path / "e.csv", tmp_path / "session.json"
+        emb.write_text("1.0,0.0\n0.0,1.0\n1.0,0.1\n0.1,1.0\n")
+        if config is not None:
+            oracle = {"kind": "chain", "model": truth_model_path, "length": 30}
+            if "oracle_seed" in config:
+                oracle["seed"] = config.pop("oracle_seed")
+            config_path.write_text(json.dumps(
+                {"seed": 0, "mode": "sampled", "iterations": 1, "oracle": oracle, **config}
+            ))
+        paths = {"model": truth_model_path, "emb": str(emb), "config": str(config_path)}
+        code, out, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "seed" in err
+        assert err.count("\n") == 1
+
     def test_vad_trained_weights_file(self, capsys, wav_path, tmp_path):
         weights = str(tmp_path / "w.json")
         vector = [0.0] * 16
@@ -478,4 +532,90 @@ class TestModelFileFuzz:
         assert code in (0, 1)
         assert "Traceback" not in err
         assert err == "" or (err.startswith("error: ") and err.count("\n") == 1)
+        assert (code == 0) == (err == "")
+
+
+SESSION_BASES = {
+    "chain": {
+        "seed": 11, "mode": "sampled", "candidate_count": 3, "iterations": 3, "states": 3,
+        "window": 20,
+        "thresholds": {
+            "tpe_threshold": 20, "epps_threshold": 30, "matrix_diff_max": 0.5,
+            "row_diff_min": None, "checker_interval": "every",
+        },
+        "oracle": {
+            "kind": "chain", "model": "truth.json", "length": 30, "initial": 0, "seed": 3,
+            "matched": True, "exact_bootstrap": True,
+        },
+    },
+    "files": {
+        "seed": 0, "mode": "argmax", "iterations": 2, "states": 3,
+        "oracle": {"kind": "files", "paths": ["labels.txt", "labels.txt", "labels.txt"]},
+    },
+}
+SESSION_FIELDS = [
+    ("seed",), ("mode",), ("candidate_count",), ("iterations",), ("states",), ("window",),
+    ("thresholds",), ("thresholds", "tpe_threshold"), ("thresholds", "epps_threshold"),
+    ("thresholds", "matrix_diff_max"), ("thresholds", "row_diff_min"),
+    ("thresholds", "checker_interval"), ("oracle",), ("oracle", "kind"),
+]
+ORACLE_FIELDS = {
+    "chain": [
+        ("oracle", "model"), ("oracle", "length"), ("oracle", "initial"), ("oracle", "seed"),
+        ("oracle", "matched"), ("oracle", "exact_bootstrap"),
+    ],
+    "files": [("oracle", "paths"), ("oracle", "paths", 0), ("oracle", "paths", -1)],
+}
+# Values a hand-edited session config might hold. Integers stay small or
+# negative: the run time of length, iterations, candidate_count and states
+# grows with their value.
+ODD_CONFIG_VALUES = st.one_of(
+    st.booleans(),
+    st.floats(),
+    st.text(max_size=8),
+    st.none(),
+    st.lists(st.integers(-3, 3), max_size=3),
+    st.dictionaries(st.text(max_size=4), st.integers(-3, 3), max_size=2),
+    st.integers(max_value=-1),
+    st.integers(0, 40),
+)
+# One existing field of a base config, or one key added to $, $.thresholds or $.oracle.
+CONFIG_EDITS = st.one_of(
+    *(
+        st.tuples(st.just(kind), st.sampled_from(SESSION_FIELDS + ORACLE_FIELDS[kind]))
+        for kind in SESSION_BASES
+    ),
+    st.tuples(
+        st.sampled_from(sorted(SESSION_BASES)),
+        st.tuples(st.sampled_from([(), ("thresholds",), ("oracle",)]), st.text(max_size=6))
+        .map(lambda parent_key: (*parent_key[0], parent_key[1])),
+    ),
+)
+
+
+class TestSessionConfigFuzz:
+    @given(CONFIG_EDITS, ODD_CONFIG_VALUES)
+    @settings(
+        max_examples=300, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_session_on_one_odd_field(
+        self, capsys, tmp_path, truth_model_path, monkeypatch, edit, value
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "labels.txt").write_text("0 1 2 " * 10)
+        kind, field = edit
+        doc = json.loads(json.dumps(SESSION_BASES[kind]))
+        *parents, last = field
+        target = doc
+        for key in parents:
+            target = target.setdefault(key, {})
+        target[last] = value
+        (tmp_path / "session.json").write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "session", "session.json")
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        assert err == "" or (
+            err.startswith(("error: ", "i/o error: ")) and err.count("\n") == 1
+        )
         assert (code == 0) == (err == "")

@@ -199,7 +199,7 @@ class TestRunSession:
             assert (record.decision is not None) == record.checked
 
     def test_bernoulli_interval_is_seeded(self):
-        thresholds = Thresholds(checker_interval=RandomBernoulli(0.5, seed=9))
+        thresholds = Thresholds(checker_interval=RandomBernoulli(0.5))
         runs = []
         for _ in range(2):
             oracle = chain_oracle(CYCLE, length=30, initial=0, seed=5, iterations=7)
@@ -248,7 +248,7 @@ class TestThresholdsValidation:
 
     def test_rejects_bad_probability(self):
         with pytest.raises(ValidationError):
-            RandomBernoulli(0.0, seed=1)
+            RandomBernoulli(0.0)
 
     def test_rejects_bad_interval(self):
         with pytest.raises(ValidationError):

@@ -35,7 +35,7 @@ SESSIONS = {
     ),
     "sampled-bernoulli-unmatched": (
         {"mode": "sampled", "oracle": {"matched": False, "length": 200}},
-        ["--checker-interval", "bernoulli:0.5:3", "--tpe-threshold", "66",
+        ["--checker-interval", "bernoulli:0.5", "--tpe-threshold", "66",
          "--epps-threshold", "95"],
     ),
 }

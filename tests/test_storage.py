@@ -9,10 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convstate.clustering import EmbeddingSet
-from convstate.controller import SessionConfig, run_session
-from convstate.errors import SchemaError
+from convstate.controller import (
+    FixedEvery,
+    RandomBernoulli,
+    SessionConfig,
+    Thresholds,
+    run_session,
+)
+from convstate.errors import SchemaError, ValidationError
 from convstate.frontend import AudioBuffer, extract_features, feature_matrix
-from convstate.harness import chain_oracle
+from convstate.harness import chain_oracle, matched_chain_oracle
 from convstate.markov import (
     Argmax,
     Sampled,
@@ -29,11 +35,13 @@ from convstate.storage import (
     load_model,
     model_from_document,
     model_to_document,
+    parse_interval,
     parse_labels_text,
     read_embeddings,
     read_labels,
     report_table,
     save_model,
+    session_config_from_document,
     session_to_document,
     table_to_csv,
     write_labels,
@@ -434,3 +442,109 @@ class TestModeDocument:
         doc["mode"] = {"kind": "sampled"}
         with pytest.raises(SchemaError, match="seed"):
             model_from_document(doc)
+
+
+class TestSessionConfigDocument:
+    @pytest.fixture
+    def truth_path(self, tmp_path):
+        path = str(tmp_path / "truth.json")
+        save_model(normalize(np.array([[8, 1, 1], [1, 8, 1], [1, 1, 8]])), path)
+        return path
+
+    def test_defaults(self, tmp_path):
+        path = tmp_path / "labels.txt"
+        path.write_text("0 1 0\n")
+        doc = {"oracle": {"kind": "files", "paths": [str(path)]}}
+        config, n_states, oracle = session_config_from_document(doc)
+        assert config == SessionConfig()
+        assert n_states is None
+        assert [seq.labels for seq in oracle] == [(0, 1, 0)]
+
+    def test_override_beats_document_beats_default(self, truth_path):
+        doc = {
+            "seed": 4, "mode": "sampled", "window": 10, "states": 3, "iterations": 2,
+            "thresholds": {"tpe_threshold": 10, "checker_interval": "fixed:2"},
+            "oracle": {"kind": "chain", "model": truth_path},
+        }
+        config, n_states, _ = session_config_from_document(doc)
+        assert (config.seed, config.mode, config.window_len, n_states) == (4, Sampled(4), 10, 3)
+        assert config.thresholds == Thresholds(tpe_threshold=10, checker_interval=FixedEvery(2))
+        overrides = {
+            "seed": 5, "window": 12, "tpe_threshold": 15.0, "epps_threshold": None,
+            "checker_interval": "bernoulli:0.5", "config": "not a field",
+        }
+        config, _, _ = session_config_from_document(doc, overrides)
+        assert (config.seed, config.mode, config.window_len) == (5, Sampled(5), 12)
+        assert config.thresholds == Thresholds(
+            tpe_threshold=15.0, checker_interval=RandomBernoulli(0.5)
+        )
+
+    def test_oracle_seed_follows_the_document_not_the_override(self, truth_path):
+        doc = {"seed": 4, "iterations": 2,
+               "oracle": {"kind": "chain", "model": truth_path, "length": 20}}
+        _, _, oracle = session_config_from_document(doc, {"seed": 5})
+        truth, _ = load_model(truth_path)
+        expected = matched_chain_oracle(truth, 20, 0, 4, 3)
+        assert [seq.labels for seq in oracle] == [seq.labels for seq in expected]
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"outputs": {"report_json": "r.json"}}, "$.outputs: unknown field"),
+            ({"thresholds": {"tpe_treshold": 5}}, "$.thresholds.tpe_treshold: unknown field"),
+            ({"oracle": {"lenght": 30}}, "$.oracle.lenght: unknown field"),
+            ({"oracle": {"kind": "files", "paths": ["l.txt"]}}, "$.oracle.model: unknown field"),
+            ({"oracle": {"a\nb": 1}}, "$.oracle.a\\nb: unknown field"),
+            ({"oracle": {"matched": "no"}}, "$.oracle.matched: expected true or false, got 'no'"),
+            (
+                {"oracle": {"exact_bootstrap": 1}},
+                "$.oracle.exact_bootstrap: expected true or false, got 1",
+            ),
+            ({"seed": -1}, "$.seed: expected a non-negative integer, got -1"),
+            ({"oracle": {"seed": -1}}, "$.oracle.seed: expected a non-negative integer, got -1"),
+            ({"oracle": {"model": "a\0b"}}, "$.oracle.model: expected a model file path"),
+            ({"mode": "roulette"}, "$.mode: unknown prediction mode 'roulette'"),
+            ([], "$: expected a JSON object"),
+            (
+                {"iterations": None},
+                "$.iterations: required with a chain oracle, which never runs dry",
+            ),
+        ],
+        ids=[
+            "outputs", "threshold-typo", "oracle-typo", "chain-key-in-files-oracle",
+            "key-with-newline", "matched-string", "exact-bootstrap-int", "seed-negative",
+            "oracle-seed-negative", "model-path-nul", "mode-unknown", "not-an-object",
+            "chain-without-iterations",
+        ],
+    )
+    def test_rejected_field(self, truth_path, edit, message):
+        doc = {"iterations": 1, "oracle": {"kind": "chain", "model": truth_path}}
+        if isinstance(edit, dict):
+            for key, value in edit.items():
+                if isinstance(value, dict) and key in doc:
+                    doc[key].update(value)
+                else:
+                    doc[key] = value
+        else:
+            doc = edit
+        with pytest.raises(SchemaError) as excinfo:
+            session_config_from_document(doc)
+        assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize(
+    "spec, interval",
+    [
+        ("every", FixedEvery(1)),
+        ("fixed:3", FixedEvery(3)),
+        ("bernoulli:0.25", RandomBernoulli(0.25)),
+    ],
+)
+def test_parse_interval(spec, interval):
+    assert parse_interval(spec) == interval
+
+
+@pytest.mark.parametrize("spec", ["bernoulli:0.5:3", "bernoulli:", "fixed:x", "sometimes"])
+def test_parse_interval_rejects(spec):
+    with pytest.raises(ValidationError, match="invalid checker interval"):
+        parse_interval(spec)
