@@ -37,7 +37,6 @@ from .controller import (
     run_session,
 )
 from .clustering import (
-    AffinityMatrix,
     EmbeddingSet,
     affinity,
     diffuse,

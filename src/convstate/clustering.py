@@ -47,27 +47,17 @@ class EmbeddingSet:
         return int(self.vectors.shape[0])
 
 
-@dataclass(frozen=True)
-class AffinityMatrix:
-    """Square pairwise-similarity matrix with finite values."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.ascontiguousarray(self.values, dtype=np.float64)
-        if values.ndim != 2 or values.shape[0] != values.shape[1]:
-            raise ValidationError(f"affinity must be square, got shape {values.shape}")
-        if not np.isfinite(values).all():
-            raise ValidationError("affinity contains NaN or Inf")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+def _checked(a: np.ndarray) -> np.ndarray:
+    """`a` as float64; anything but a square matrix of finite values is rejected."""
+    values = np.asarray(a, dtype=np.float64)
+    if values.ndim != 2 or values.shape[0] != values.shape[1]:
+        raise ValidationError(f"affinity must be square, got shape {values.shape}")
+    if not np.isfinite(values).all():
+        raise ValidationError("affinity contains NaN or Inf")
+    return values
 
 
-def _as_matrix(a: AffinityMatrix | np.ndarray) -> np.ndarray:
-    return a.values if isinstance(a, AffinityMatrix) else np.asarray(a, dtype=np.float64)
-
-
-def affinity(embeddings: EmbeddingSet) -> AffinityMatrix:
+def affinity(embeddings: EmbeddingSet) -> np.ndarray:
     """Cosine similarity mapped to [0, 1], diagonal pinned to 1."""
     v = embeddings.vectors
     norms = np.linalg.norm(v, axis=1)
@@ -77,11 +67,11 @@ def affinity(embeddings: EmbeddingSet) -> AffinityMatrix:
     cos = (v @ v.T) / np.outer(norms, norms)
     a = (1.0 + cos) / 2.0
     np.fill_diagonal(a, 1.0)
-    a = np.clip(a, 0.0, 1.0)
-    return AffinityMatrix(a)
+    # A vector whose squared norm overflows turns its cosines into NaN.
+    return _checked(np.clip(a, 0.0, 1.0))
 
 
-def gaussian_blur(a: AffinityMatrix | np.ndarray, sigma: float = 1.0) -> AffinityMatrix:
+def gaussian_blur(a: np.ndarray, sigma: float = 1.0) -> np.ndarray:
     """2-D Gaussian smoothing, kernel renormalized over in-bounds taps.
 
     The matrix is smoothed as an image, which deliberately couples
@@ -90,64 +80,63 @@ def gaussian_blur(a: AffinityMatrix | np.ndarray, sigma: float = 1.0) -> Affinit
     """
     if not 0 <= sigma < math.inf:
         raise ValidationError(f"sigma must be non-negative and finite, got {sigma}")
-    values = _as_matrix(a)
+    values = _checked(a)
     radius = math.ceil(2.0 * sigma)
     if radius == 0:
-        blurred = values.copy()
-    else:
-        offsets = np.arange(-radius, radius + 1)
-        line = np.exp(-(offsets**2) / (2.0 * sigma**2))
-        kernel = np.outer(line, line)
-        kernel /= kernel.sum()
-        smoothed = convolve2d(values, kernel, mode="same", boundary="fill")
-        coverage = convolve2d(np.ones_like(values), kernel, mode="same", boundary="fill")
-        blurred = smoothed / coverage
-    return AffinityMatrix(blurred)
+        return values.copy()
+    offsets = np.arange(-radius, radius + 1)
+    line = np.exp(-(offsets**2) / (2.0 * sigma**2))
+    kernel = np.outer(line, line)
+    kernel /= kernel.sum()
+    smoothed = convolve2d(values, kernel, mode="same", boundary="fill")
+    coverage = convolve2d(np.ones_like(values), kernel, mode="same", boundary="fill")
+    return smoothed / coverage
 
 
-def row_threshold(
-    a: AffinityMatrix | np.ndarray,
-    percentile: float = 95.0,
-    soft_multiplier: float = 0.01,
-) -> AffinityMatrix:
-    """Attenuate each row's entries below its nearest-rank percentile.
+# Scale of the entries below a row's percentile: attenuated, not zeroed,
+# so no row gets disconnected.
+SOFT_MULTIPLIER = 0.01
 
-    Entries at or above the percentile value are kept; the rest are scaled
-    by `soft_multiplier` rather than zeroed, so no row gets disconnected.
+
+def row_threshold(a: np.ndarray, percentile: float = 95.0) -> np.ndarray:
+    """Scale each row's entries below its nearest-rank percentile by SOFT_MULTIPLIER.
+
+    Entries at or above the percentile value are kept.
     """
     if not 0.0 < percentile < 100.0:
         raise ValidationError(f"percentile must be in (0, 100), got {percentile}")
-    values = _as_matrix(a).copy()
+    values = _checked(a).copy()
     width = values.shape[1]
     rank = min(int(width * percentile / 100.0 + 1e-9), width - 1)
     cutoffs = np.sort(values, axis=1)[:, rank : rank + 1]
-    values[values < cutoffs] *= soft_multiplier
-    return AffinityMatrix(values)
+    values[values < cutoffs] *= SOFT_MULTIPLIER
+    return values
 
 
-def symmetrize(a: AffinityMatrix | np.ndarray) -> AffinityMatrix:
+def symmetrize(a: np.ndarray) -> np.ndarray:
     """Elementwise max of the matrix and its transpose."""
-    values = _as_matrix(a)
-    result = np.maximum(values, values.T)
-    return AffinityMatrix(result)
+    values = _checked(a)
+    return np.maximum(values, values.T)
 
 
-def diffuse(a: AffinityMatrix | np.ndarray) -> AffinityMatrix:
-    """Gram-matrix diffusion: A @ A.T."""
-    values = _as_matrix(a)
-    result = values @ values.T
-    return AffinityMatrix(result)
+def diffuse(a: np.ndarray) -> np.ndarray:
+    """Gram-matrix diffusion: A @ A.T; a product that overflows is rejected."""
+    values = _checked(a)
+    return _checked(values @ values.T)
 
 
-def row_normalize(a: AffinityMatrix | np.ndarray) -> AffinityMatrix:
-    """Divide each row by its maximum so every row max becomes 1."""
-    values = _as_matrix(a)
+def row_normalize(a: np.ndarray) -> np.ndarray:
+    """Divide each row by its maximum so every row max becomes 1.
+
+    A quotient that overflows (a tiny positive max beside a large negative
+    entry) is rejected.
+    """
+    values = _checked(a)
     maxes = values.max(axis=1)
     for i, m in enumerate(maxes):
         if m <= 0.0:
             raise ValidationError(f"row {i} has no positive entry to normalize by")
-    result = values / maxes[:, None]
-    return AffinityMatrix(result)
+    return _checked(values / maxes[:, None])
 
 
 def symmetric_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -194,10 +183,9 @@ def _eigen_gap_from_values(eigenvalues: np.ndarray) -> int:
     return int(np.argmax(ratios)) + 1
 
 
-def eigen_gap_k(a: AffinityMatrix | np.ndarray) -> int:
+def eigen_gap_k(a: np.ndarray) -> int:
     """Cluster count at the largest ratio between consecutive eigenvalues."""
-    values = _as_matrix(a)
-    eigenvalues, _ = symmetric_eigh(values)
+    eigenvalues, _ = symmetric_eigh(a)
     return _eigen_gap_from_values(eigenvalues)
 
 
@@ -255,15 +243,13 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> np.ndarray:
     return np.asarray([remap[int(lab)] for lab in labels], dtype=np.int64)
 
 
-def refine(
-    embeddings: EmbeddingSet, sigma: float = 1.0, percentile: float = 95.0
-) -> AffinityMatrix:
+def refine(embeddings: EmbeddingSet, sigma: float = 1.0, percentile: float = 95.0) -> np.ndarray:
     """Run the full affinity refinement chain."""
     blurred = gaussian_blur(affinity(embeddings), sigma)
     return _refine_blurred(blurred, percentile)
 
 
-def _refine_blurred(blurred: AffinityMatrix, percentile: float) -> AffinityMatrix:
+def _refine_blurred(blurred: np.ndarray, percentile: float) -> np.ndarray:
     """The refinement stages from the row threshold on, the ones `percentile` sets."""
     a = row_threshold(blurred, percentile)
     a = symmetrize(a)
@@ -288,7 +274,7 @@ def _sweep_percentiles(
     blurred = gaussian_blur(affinity(embeddings), sigma)
     best: tuple[float, float, np.ndarray, np.ndarray] | None = None
     for p in grid:
-        refined = _refine_blurred(blurred, p).values
+        refined = _refine_blurred(blurred, p)
         # Row scaling breaks symmetry; the spectral step uses the symmetric average.
         eigenvalues, eigenvectors = symmetric_eigh(0.5 * (refined + refined.T))
         ratios = _gap_ratios(eigenvalues)

@@ -26,6 +26,9 @@ from .errors import ValidationError
 ACCEPTED_RATES = (16000, 44100)
 ENERGY_FLOOR = 1e-10
 PREEMPHASIS = 0.97
+# The cepstrum: 40 mel filters, of whose DCT the first 13 coefficients are kept.
+N_FILTERS = 40
+N_COEFFS = 13
 # Frames per feature_matrix block: bounds the block temporaries (about
 # 1 MB each at 16 kHz) while per-block overhead stays negligible.
 _BLOCK_FRAMES = 256
@@ -194,9 +197,7 @@ def _zcrs(frames: np.ndarray) -> np.ndarray:
     return np.count_nonzero(nonneg[:, 1:] != nonneg[:, :-1], axis=1) / (frames.shape[1] - 1)
 
 
-def _mfccs(
-    frames: np.ndarray, sample_rate: int, n_filters: int, n_coeffs: int
-) -> np.ndarray:
+def _mfccs(frames: np.ndarray, sample_rate: int) -> np.ndarray:
     width = frames.shape[1]
     emphasized = np.empty_like(frames)
     emphasized[:, 0] = frames[:, 0]
@@ -204,17 +205,9 @@ def _mfccs(
     emphasized *= np.hanning(width)
     n_fft = 1 << (width - 1).bit_length()
     magnitude = np.abs(np.fft.rfft(emphasized, n_fft, axis=1))
-    energies = np.matvec(_mel_filterbank(n_filters, n_fft, sample_rate), magnitude)
+    energies = np.matvec(_mel_filterbank(n_fft, sample_rate), magnitude)
     log_energies = np.log(np.maximum(energies, ENERGY_FLOOR))
-    return dct(log_energies, type=2, norm="ortho", axis=1)[:, :n_coeffs]
-
-
-def _check_cepstrum(n_filters: int, n_coeffs: int) -> None:
-    if not 1 <= n_coeffs <= n_filters:
-        raise ValidationError(
-            f"need 1 <= n_coeffs <= n_filters, got n_coeffs={n_coeffs}, "
-            f"n_filters={n_filters}"
-        )
+    return dct(log_energies, type=2, norm="ortho", axis=1)[:, :N_COEFFS]
 
 
 def log_energy(frame_samples: np.ndarray) -> float:
@@ -234,8 +227,8 @@ def zcr(frame_samples: np.ndarray) -> float:
 
 
 @lru_cache(maxsize=8)
-def _mel_filterbank(n_filters: int, n_fft: int, sample_rate: int) -> np.ndarray:
-    """Triangular filters evenly spaced on the mel scale over 0..rate/2."""
+def _mel_filterbank(n_fft: int, sample_rate: int) -> np.ndarray:
+    """N_FILTERS triangular filters evenly spaced on the mel scale over 0..rate/2."""
 
     def to_mel(f):
         return 2595.0 * np.log10(1.0 + f / 700.0)
@@ -243,11 +236,11 @@ def _mel_filterbank(n_filters: int, n_fft: int, sample_rate: int) -> np.ndarray:
     def from_mel(m):
         return 700.0 * (10.0 ** (m / 2595.0) - 1.0)
 
-    mel_edges = np.linspace(to_mel(0.0), to_mel(sample_rate / 2.0), n_filters + 2)
+    mel_edges = np.linspace(to_mel(0.0), to_mel(sample_rate / 2.0), N_FILTERS + 2)
     hz_edges = from_mel(mel_edges)
     bin_freqs = np.arange(n_fft // 2 + 1) * sample_rate / n_fft
-    bank = np.zeros((n_filters, bin_freqs.size))
-    for m in range(n_filters):
+    bank = np.zeros((N_FILTERS, bin_freqs.size))
+    for m in range(N_FILTERS):
         lower, center, upper = hz_edges[m], hz_edges[m + 1], hz_edges[m + 2]
         rising = (bin_freqs - lower) / (center - lower)
         falling = (upper - bin_freqs) / (upper - center)
@@ -255,23 +248,17 @@ def _mel_filterbank(n_filters: int, n_fft: int, sample_rate: int) -> np.ndarray:
     return bank
 
 
-def mfcc(
-    frame_samples: np.ndarray,
-    sample_rate: int,
-    n_filters: int = 40,
-    n_coeffs: int = 13,
-) -> np.ndarray:
-    """Mel-frequency cepstral coefficients for one frame.
+def mfcc(frame_samples: np.ndarray, sample_rate: int) -> np.ndarray:
+    """The N_COEFFS mel-frequency cepstral coefficients of one frame.
 
     Chain: pre-emphasis 0.97, Hann window, magnitude FFT at the next power
-    of two, triangular mel filterbank over 0..rate/2, log energies floored
-    at 1e-10, orthonormal DCT-II, first `n_coeffs` coefficients.
+    of two, N_FILTERS triangular mel filters over 0..rate/2, log energies
+    floored at 1e-10, orthonormal DCT-II, first N_COEFFS coefficients.
     """
     x = np.asarray(frame_samples, dtype=np.float64)
     if x.size < 2:
         raise ValidationError(f"mfcc needs at least 2 samples, got {x.size}")
-    _check_cepstrum(n_filters, n_coeffs)
-    return _mfccs(x.reshape(1, -1), sample_rate, n_filters, n_coeffs)[0]
+    return _mfccs(x.reshape(1, -1), sample_rate)[0]
 
 
 def _usable_cpus() -> int:
@@ -283,15 +270,11 @@ def _usable_cpus() -> int:
 
 
 def feature_matrix(
-    audio: AudioBuffer,
-    window_s: float = 0.025,
-    hop_s: float = 0.010,
-    n_filters: int = 40,
-    n_coeffs: int = 13,
+    audio: AudioBuffer, window_s: float = 0.025, hop_s: float = 0.010
 ) -> np.ndarray:
-    """Per-frame features as a (frames, 2 + n_coeffs) array.
+    """Per-frame features as a (frames, 2 + N_COEFFS) array.
 
-    Columns are [log_energy, zcr, mfcc_0 .. mfcc_{n_coeffs-1}]; row t is
+    Columns are [log_energy, zcr, mfcc_0 .. mfcc_12]; row t is
     frame t of frame(audio, window_s, hop_s) and equals the per-frame
     log_energy, zcr and mfcc bit for bit. The frames are processed in
     blocks of _BLOCK_FRAMES rows, one FFT per block, so the framed matrix
@@ -300,16 +283,15 @@ def feature_matrix(
     matvec, DCT and ufuncs); each block writes only its own rows, so the
     bytes do not depend on the thread count.
     """
-    _check_cepstrum(n_filters, n_coeffs)
     frames = _frames(audio, window_s, hop_s)
-    features = np.empty((frames.shape[0], 2 + n_coeffs))
+    features = np.empty((frames.shape[0], 2 + N_COEFFS))
 
     def fill(start: int) -> None:
         block = frames[start : start + _BLOCK_FRAMES]
         rows = features[start : start + _BLOCK_FRAMES]
         rows[:, 0] = _log_energies(block)
         rows[:, 1] = _zcrs(block)
-        rows[:, 2:] = _mfccs(block, audio.sample_rate, n_filters, n_coeffs)
+        rows[:, 2:] = _mfccs(block, audio.sample_rate)
 
     starts = range(0, frames.shape[0], _BLOCK_FRAMES)
     workers = min(_usable_cpus(), len(starts))
@@ -323,11 +305,7 @@ def feature_matrix(
 
 
 def extract_features(
-    audio: AudioBuffer,
-    window_s: float = 0.025,
-    hop_s: float = 0.010,
-    n_filters: int = 40,
-    n_coeffs: int = 13,
+    audio: AudioBuffer, window_s: float = 0.025, hop_s: float = 0.010
 ) -> list[FrameFeatures]:
     """feature_matrix as one FrameFeatures per frame.
 
@@ -335,7 +313,7 @@ def extract_features(
     records are built in C (tuple.__new__ over zipped columns), so no
     Python frame runs per frame.
     """
-    matrix = feature_matrix(audio, window_s, hop_s, n_filters, n_coeffs)
+    matrix = feature_matrix(audio, window_s, hop_s)
     matrix.setflags(write=False)
     times = map(mul, range(len(matrix)), repeat(hop_s))
     columns = zip(range(len(matrix)), times, matrix[:, 0].tolist(), matrix[:, 1].tolist(),

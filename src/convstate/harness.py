@@ -36,12 +36,13 @@ def _chain_chunks(
     """Continue one trajectory in chunks; chunk `count` draws from ``rng_for(count)``.
 
     Chunk 0 starts at `current` itself, every later chunk at the successor
-    of the previous chunk's last label. Chunks hold at least one label.
+    of the previous chunk's last label. Each chunk holds `length` labels.
     """
-    size = max(length, 1)
+    if length < 1:
+        raise ValidationError(f"length must be >= 1, got {length}")
     while iterations is None or count < iterations:
         labels = [current] if count == 0 else []
-        labels += markov.walk(truth_chain, current, size - len(labels), rng_for(count))
+        labels += markov.walk(truth_chain, current, length - len(labels), rng_for(count))
         current = labels[-1]
         count += 1
         yield StateSequence(labels=tuple(labels), n_states=truth_chain.n_states)

@@ -323,8 +323,11 @@ def _oracle_from_document(spec, iterations: int | None, seed: int):
     if iterations is None:
         raise SchemaError("$.iterations: required with a chain oracle, which never runs dry")
     truth, _ = load_model(_path_field(spec.get("model"), "$.oracle.model", "model"))
-    length = _number_field(spec, "length", 300, "$.oracle.length")
+    if (length := _number_field(spec, "length", 300, "$.oracle.length")) < 1:
+        raise SchemaError(f"$.oracle.length: expected a positive integer, got {length}")
     initial = _number_field(spec, "initial", 0, "$.oracle.initial")
+    if not 0 <= initial < truth.n_states:
+        raise SchemaError(f"$.oracle.initial: state {initial} outside 0..{truth.n_states - 1}")
     seed = _seed_field(spec, seed, "$.oracle.seed")
     bootstrap = None
     if _bool_field(spec, "exact_bootstrap", False, "$.oracle.exact_bootstrap"):

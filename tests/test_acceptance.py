@@ -180,20 +180,20 @@ def test_criterion_6_spectral_pipeline():
         assert predicted.n_states == 3
         percentile = auto_percentile(embeddings)
         refined = refine(embeddings, percentile=percentile)
-        assert eigen_gap_k(0.5 * (refined.values + refined.values.T)) == 3
+        assert eigen_gap_k(0.5 * (refined + refined.T)) == 3
         _, aligned = align_labels(list(predicted.labels), truth)
         accuracy = float(np.mean(np.array(aligned) == np.array(truth)))
         assert accuracy >= 0.99
 
-        assert symmetrize(np.array([[0.0, 1.0], [0.0, 0.0]])).values.tolist() == [
+        assert symmetrize(np.array([[0.0, 1.0], [0.0, 0.0]])).tolist() == [
             [0.0, 1.0],
             [1.0, 0.0],
         ]
-        assert diffuse(np.array([[1.0, 0.0], [1.0, 1.0]])).values.tolist() == [
+        assert diffuse(np.array([[1.0, 0.0], [1.0, 1.0]])).tolist() == [
             [1.0, 1.0],
             [1.0, 2.0],
         ]
-        assert row_normalize(np.array([[2.0, 4.0], [1.0, 1.0]])).values.tolist() == [
+        assert row_normalize(np.array([[2.0, 4.0], [1.0, 1.0]])).tolist() == [
             [0.5, 1.0],
             [1.0, 1.0],
         ]

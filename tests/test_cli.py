@@ -371,6 +371,24 @@ class TestCliEdges:
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
+        "oracle, message",
+        [
+            ({"length": 0}, "$.oracle.length: expected a positive integer, got 0"),
+            ({"length": -3}, "$.oracle.length: expected a positive integer, got -3"),
+            ({"initial": 5}, "$.oracle.initial: state 5 outside 0..2"),
+            ({"initial": 5, "exact_bootstrap": True}, "$.oracle.initial: state 5 outside 0..2"),
+        ],
+        ids=["length-zero", "length-negative", "initial", "initial-with-exact-bootstrap"],
+    )
+    def test_chain_oracle_out_of_range_is_one_line_error(
+        self, capsys, tmp_path, truth_model_path, oracle, message
+    ):
+        config = {"iterations": 2, "oracle": {"kind": "chain", "model": truth_model_path, **oracle}}
+        path = str(tmp_path / "cfg.json")
+        open(path, "w").write(json.dumps(config))
+        assert run_cli(capsys, "session", path) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
         "text, reason",
         [("[NaN, 0, 15]", "finite"), ("[1, Infinity]", "finite"), ("{}", "JSON list")],
         ids=["nan", "infinity", "object"],

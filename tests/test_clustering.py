@@ -49,17 +49,17 @@ def direct_blur_oracle(values, sigma=1.0):
 class TestAffinity:
     def test_identical_vectors_give_ones(self):
         emb = EmbeddingSet(np.tile([1.0, 2.0, 3.0], (4, 1)))
-        assert np.allclose(affinity(emb).values, 1.0)
+        assert np.allclose(affinity(emb), 1.0)
 
     def test_orthogonal_pair(self):
         emb = EmbeddingSet(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        a = affinity(emb).values
+        a = affinity(emb)
         assert a[0, 1] == pytest.approx(0.5)
         assert a[0, 0] == 1.0
 
     def test_antiparallel_pair(self):
         emb = EmbeddingSet(np.array([[1.0, 0.0], [-1.0, 0.0]]))
-        assert affinity(emb).values[0, 1] == pytest.approx(0.0)
+        assert affinity(emb)[0, 1] == pytest.approx(0.0)
 
     def test_zero_norm_names_index(self):
         emb = EmbeddingSet(np.array([[1.0, 0.0], [0.0, 0.0]]))
@@ -70,19 +70,19 @@ class TestAffinity:
 class TestGaussianBlur:
     def test_constant_matrix_fixed_point(self):
         constant = np.full((7, 7), 0.3)
-        assert np.abs(gaussian_blur(constant).values - 0.3).max() < 1e-12
+        assert np.abs(gaussian_blur(constant) - 0.3).max() < 1e-12
 
     def test_matches_direct_convolution(self):
         rng = np.random.default_rng(3)
         values = rng.uniform(0, 1, (9, 9))
-        ours = gaussian_blur(values, sigma=1.0).values
+        ours = gaussian_blur(values, sigma=1.0)
         oracle = direct_blur_oracle(values, sigma=1.0)
         assert np.abs(ours - oracle).max() < 1e-12
 
     def test_single_spike_spreads(self):
         values = np.zeros((9, 9))
         values[4, 4] = 1.0
-        blurred = gaussian_blur(values).values
+        blurred = gaussian_blur(values)
         oracle = direct_blur_oracle(values)
         assert np.abs(blurred - oracle).max() < 1e-12
         assert blurred[4, 4] < 1.0
@@ -92,29 +92,24 @@ class TestGaussianBlur:
         rng = np.random.default_rng(4)
         raw = rng.uniform(0, 1, (8, 8))
         symmetric = 0.5 * (raw + raw.T)
-        blurred = gaussian_blur(symmetric).values
+        blurred = gaussian_blur(symmetric)
         assert np.abs(blurred - blurred.T).max() < 1e-12
 
     def test_sigma_zero_is_identity(self):
         rng = np.random.default_rng(5)
         values = rng.uniform(0, 1, (6, 6))
-        assert np.array_equal(gaussian_blur(values, sigma=0.0).values, values)
+        assert np.array_equal(gaussian_blur(values, sigma=0.0), values)
 
 
 class TestRowThreshold:
     def test_identical_row_unchanged(self):
         values = np.full((3, 3), 0.4)
-        assert np.array_equal(row_threshold(values).values, values)
+        assert np.array_equal(row_threshold(values), values)
 
     def test_nearest_rank_example(self):
         values = np.array([[1.0, 0.1, 0.1, 0.1]] * 4)
-        out = row_threshold(values, percentile=75.0).values
+        out = row_threshold(values, percentile=75.0)
         assert out[0].tolist() == [1.0, 0.001, 0.001, 0.001]
-
-    def test_multiplier_one_is_identity(self):
-        rng = np.random.default_rng(6)
-        values = rng.uniform(0, 1, (5, 5))
-        assert np.allclose(row_threshold(values, soft_multiplier=1.0).values, values)
 
     def test_rejects_bad_percentile(self):
         with pytest.raises(ValidationError):
@@ -125,30 +120,27 @@ class TestRowThreshold:
         n=st.integers(1, 12),
         levels=st.integers(1, 6),
         percentile=st.floats(0.01, 99.99),
-        soft_multiplier=st.sampled_from([0.0, 0.01, 0.5, 1.0]),
     )
     @settings(max_examples=60, deadline=None)
-    def test_matches_per_row_nearest_rank_loop(
-        self, seed, n, levels, percentile, soft_multiplier
-    ):
+    def test_matches_per_row_nearest_rank_loop(self, seed, n, levels, percentile):
         # Few distinct levels, so cutoffs often fall on ties.
         values = np.random.default_rng(seed).integers(0, levels, (n, n)) / levels
         expected = values.copy()
         for row in expected:
             ordered = np.sort(row)
             cutoff = ordered[min(int(row.size * percentile / 100.0 + 1e-9), row.size - 1)]
-            row[row < cutoff] *= soft_multiplier
-        out = row_threshold(values, percentile, soft_multiplier).values
+            row[row < cutoff] *= 0.01
+        out = row_threshold(values, percentile)
         assert np.array_equal(out, expected)
 
 
 class TestSymmetrize:
     def test_symmetric_fixed_point(self):
         values = np.array([[1.0, 0.2], [0.2, 1.0]])
-        assert np.array_equal(symmetrize(values).values, values)
+        assert np.array_equal(symmetrize(values), values)
 
     def test_max_rule(self):
-        assert symmetrize(np.array([[0.0, 1.0], [0.0, 0.0]])).values.tolist() == [
+        assert symmetrize(np.array([[0.0, 1.0], [0.0, 0.0]])).tolist() == [
             [0.0, 1.0],
             [1.0, 0.0],
         ]
@@ -157,16 +149,16 @@ class TestSymmetrize:
     @settings(max_examples=25)
     def test_output_always_symmetric(self, seed):
         values = np.random.default_rng(seed).uniform(0, 1, (6, 6))
-        out = symmetrize(values).values
+        out = symmetrize(values)
         assert np.array_equal(out, out.T)
 
 
 class TestDiffuse:
     def test_identity_fixed_point(self):
-        assert np.array_equal(diffuse(np.eye(3)).values, np.eye(3))
+        assert np.array_equal(diffuse(np.eye(3)), np.eye(3))
 
     def test_hand_product(self):
-        assert diffuse(np.array([[1.0, 0.0], [1.0, 1.0]])).values.tolist() == [
+        assert diffuse(np.array([[1.0, 0.0], [1.0, 1.0]])).tolist() == [
             [1.0, 1.0],
             [1.0, 2.0],
         ]
@@ -175,19 +167,19 @@ class TestDiffuse:
     @settings(max_examples=25)
     def test_output_positive_semidefinite(self, seed):
         values = np.random.default_rng(seed).uniform(-1, 1, (6, 6))
-        out = diffuse(values).values
+        out = diffuse(values)
         eigenvalues = np.linalg.eigvalsh(0.5 * (out + out.T))
         assert eigenvalues.min() > -1e-9
 
 
 class TestRowNormalize:
     def test_hand_division(self):
-        out = row_normalize(np.array([[2.0, 4.0], [1.0, 1.0]])).values
+        out = row_normalize(np.array([[2.0, 4.0], [1.0, 1.0]]))
         assert out.tolist() == [[0.5, 1.0], [1.0, 1.0]]
 
     def test_normalized_fixed_point(self):
         values = np.array([[0.5, 1.0], [1.0, 0.25]])
-        assert np.array_equal(row_normalize(values).values, values)
+        assert np.array_equal(row_normalize(values), values)
 
     def test_zero_row_rejected(self):
         with pytest.raises(ValidationError, match="row 1"):
@@ -197,8 +189,48 @@ class TestRowNormalize:
     @settings(max_examples=25)
     def test_row_max_becomes_one(self, seed):
         values = np.random.default_rng(seed).uniform(0.1, 1, (5, 5))
-        out = row_normalize(values).values
+        out = row_normalize(values)
         assert out.max(axis=1) == pytest.approx(np.ones(5))
+
+
+STAGES = {
+    "gaussian_blur": gaussian_blur,
+    "row_threshold": row_threshold,
+    "symmetrize": symmetrize,
+    "diffuse": diffuse,
+    "row_normalize": row_normalize,
+}
+
+
+class TestStageInputs:
+    @pytest.mark.parametrize("stage", sorted(STAGES))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, stage, bad):
+        values = np.ones((4, 4))
+        values[1, 2] = bad
+        with pytest.raises(ValidationError, match="affinity contains NaN or Inf"):
+            STAGES[stage](values)
+
+    @pytest.mark.parametrize("stage", sorted(STAGES))
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
+    def test_non_square_rejected(self, stage, shape):
+        with pytest.raises(ValidationError, match="affinity must be square"):
+            STAGES[stage](np.ones(shape))
+
+    def test_diffuse_rejects_an_overflowing_product(self):
+        values = np.array([[1e200, 1e200], [1.0, 1.0]])
+        with np.errstate(over="ignore"), pytest.raises(ValidationError, match="NaN or Inf"):
+            diffuse(values)
+
+    def test_row_normalize_rejects_an_overflowing_quotient(self):
+        values = np.array([[1e-300, -1e300], [1.0, 1.0]])
+        with np.errstate(over="ignore"), pytest.raises(ValidationError, match="NaN or Inf"):
+            row_normalize(values)
+
+    def test_affinity_rejects_vectors_whose_products_overflow(self):
+        embeddings = EmbeddingSet(np.array([[1e200, 1e200], [1e200, 0.0]]))
+        with np.errstate(all="ignore"), pytest.raises(ValidationError, match="NaN or Inf"):
+            affinity(embeddings)
 
 
 class TestSymmetricEigh:
@@ -299,7 +331,7 @@ class TestSpectralCluster:
         embeddings, _ = FIXTURE
         percentile = auto_percentile(embeddings)
         refined = refine(embeddings, percentile=percentile)
-        sym = 0.5 * (refined.values + refined.values.T)
+        sym = 0.5 * (refined + refined.T)
         assert eigen_gap_k(sym) == 3
 
     def test_identical_embeddings_single_state(self):
@@ -345,7 +377,7 @@ class TestPercentileSweep:
         """The sweep's reference: the whole refinement chain per percentile."""
         spectra = []
         for percentile in PERCENTILE_GRID:
-            refined = refine(embeddings, sigma, percentile).values
+            refined = refine(embeddings, sigma, percentile)
             spectra.append(symmetric_eigh(0.5 * (refined + refined.T)))
         return spectra
 

@@ -86,7 +86,7 @@ def reference_mfcc(samples, rate, n_filters=40, n_coeffs=13):
     return np.array(coeffs)
 
 
-def per_frame_features(audio, window_s=0.025, hop_s=0.010, n_filters=40, n_coeffs=13):
+def per_frame_features(audio, window_s=0.025, hop_s=0.010):
     """The per-frame loop the frontend ran before feature_matrix, kept verbatim.
 
     One log_energy, zcr and mfcc call (one FFT) per frame; the feature
@@ -107,15 +107,15 @@ def per_frame_features(audio, window_s=0.025, hop_s=0.010, n_filters=40, n_coeff
         windowed = emphasized * np.hanning(x.size)
         n_fft = 1 << (x.size - 1).bit_length()
         magnitude = np.abs(np.fft.rfft(windowed, n_fft))
-        energies = _mel_filterbank(n_filters, n_fft, audio.sample_rate) @ magnitude
+        energies = _mel_filterbank(n_fft, audio.sample_rate) @ magnitude
         log_energies = np.log(np.maximum(energies, 1e-10))
-        return dct(log_energies, type=2, norm="ortho")[:n_coeffs]
+        return dct(log_energies, type=2, norm="ortho")[:13]
 
     rows = [
         np.concatenate(([log_energy(x), zcr(x)], mfcc(x)))
         for x in frame(audio, window_s, hop_s)
     ]
-    return np.array(rows).reshape(len(rows), 2 + n_coeffs)
+    return np.array(rows).reshape(len(rows), 15)
 
 
 def tone(freq_hz, duration_s=0.025, rate=16000, amplitude=0.5):
@@ -217,13 +217,8 @@ class TestFeatureMatrix:
         data=st.data(),
         rate=st.sampled_from(ACCEPTED_RATES),
         params=st.one_of(
-            st.just((0.025, 0.010, 40, 13)),
-            st.tuples(
-                st.floats(0.002, 0.04),
-                st.floats(0.001, 0.02),
-                st.integers(2, 48),
-                st.integers(1, 48),
-            ).filter(lambda p: p[3] <= p[2]),
+            st.just((0.025, 0.010)),
+            st.tuples(st.floats(0.002, 0.04), st.floats(0.001, 0.02)),
         ),
         frames=st.one_of(
             st.sampled_from([0, 1, _BLOCK_FRAMES - 1, _BLOCK_FRAMES, _BLOCK_FRAMES + 1]),
@@ -236,7 +231,7 @@ class TestFeatureMatrix:
     def test_rows_equal_per_frame_reference(
         self, data, rate, params, frames, seed, zeros
     ):
-        window_s, hop_s, n_filters, n_coeffs = params
+        window_s, hop_s = params
         window = int(round(window_s * rate))
         hop = int(round(hop_s * rate))
         if frames == 0:
@@ -249,11 +244,11 @@ class TestFeatureMatrix:
         if zeros:
             samples[rng.random(length) < 0.3] = 0.0
         audio = AudioBuffer(samples, rate)
-        matrix = feature_matrix(audio, window_s, hop_s, n_filters, n_coeffs)
-        assert matrix.shape == (frames, 2 + n_coeffs)
-        reference = per_frame_features(audio, window_s, hop_s, n_filters, n_coeffs)
+        matrix = feature_matrix(audio, window_s, hop_s)
+        assert matrix.shape == (frames, 15)
+        reference = per_frame_features(audio, window_s, hop_s)
         assert matrix.tobytes() == reference.tobytes()
-        listed = extract_features(audio, window_s, hop_s, n_filters, n_coeffs)
+        listed = extract_features(audio, window_s, hop_s)
         assert [f.frame_index for f in listed] == list(range(frames))
         assert all(
             f.to_vector().tobytes() == row.tobytes() for f, row in zip(listed, matrix)
@@ -272,14 +267,6 @@ class TestFeatureMatrix:
         listed = extract_features(audio)
         assert all(type(f.log_energy) is float and type(f.zcr) is float for f in listed)
         assert not any(f.mfcc.flags.writeable for f in listed)
-
-    @pytest.mark.parametrize("n_filters, n_coeffs", [(40, 0), (10, 11)])
-    def test_coefficient_count_out_of_range(self, n_filters, n_coeffs):
-        audio = AudioBuffer(np.zeros(1000), 16000)
-        with pytest.raises(ValidationError, match="n_coeffs"):
-            feature_matrix(audio, n_filters=n_filters, n_coeffs=n_coeffs)
-        with pytest.raises(ValidationError, match="n_coeffs"):
-            mfcc(np.zeros(400), 16000, n_filters, n_coeffs)
 
 
 class TestFrameFeatures:

@@ -2,8 +2,9 @@
 session hot path was vectorized (session, simulate, predict), before the
 indented JSON writer replaced ``json.dumps(..., indent=2)`` (estimate,
 check, saved model), before the feature blocks ran on a thread pool
-(vad) and before ``FrameFeatures`` became views of one feature matrix
-(the per-frame VAD path).
+(vad), before ``FrameFeatures`` became views of one feature matrix
+(the per-frame VAD path) and before the spectral stages dropped their
+wrapper type and settable soft multiplier (diarize).
 
 Any change to the walk kernel, the label checks, the counters, the report
 writers or the frontend kernels that moves a single output byte fails here.
@@ -61,6 +62,11 @@ GOLDEN = {
     "vad/44100/stdout": "0b111ac576ed181f1f5441f4639ac3a807378f00644ac9c154edf916b95035f2",
     "per-frame/16000": "ca9970d87ac55d7b7d758da2767451fbd863ccebb921afa6cc5691d576e88151",
     "per-frame/44100": "ca9970d87ac55d7b7d758da2767451fbd863ccebb921afa6cc5691d576e88151",
+    "diarize/sweep": "8312c967ae9a1a41f35e47c862eac1188706411503a066111677e92d53dde3c8",
+    "diarize/percentile-90": "45b252605df4bcdac74f4f2a5f6eaad22c67113687b2fdeb06d57f8fff0258ed",
+    "diarize/sigma-0": "744731eae511ea8da475f160f574c386c41d88495432834e0cb754ae157f9734",
+    "diarize/k-3": "b93d2eb5661dd4933ad77258d6d2eaa765290438f457124dede6f6457b576ca3",
+    "diarize/timed-jsonl": "7aed47b6f6fc0b6d3069a08c567f38729ec6758fee25d801d5903a5c5db5f729",
 }
 
 # The feature CSV holds full-precision floats from NumPy's SIMD-dispatched
@@ -226,3 +232,38 @@ def test_per_frame_vad_outputs(rate):
     assert 0 < mask.sum() < mask.size == 798 and len(spans) > 1
     digest = hashlib.sha256(mask.tobytes() + repr(spans).encode()).hexdigest()
     assert digest == GOLDEN[f"per-frame/{rate}"]
+
+
+DIARIZE_FLAGS = {
+    "sweep": [],
+    "percentile-90": ["--percentile", 90],
+    "sigma-0": ["--sigma", 0],
+    "k-3": ["--k", 3],
+}
+
+
+def test_diarize_outputs(capsys, tmp_path):
+    # Four noisy clusters: each flag changes the labels. Labels are
+    # integers picked by k-means over eigenvector columns, so a column's
+    # sign, which LAPACK builds may flip, does not move them.
+    csv = tmp_path / "embeddings.csv"
+    code, _, _ = run(
+        capsys, tmp_path, "simulate", "embeddings", "--clusters", 4, "--per-cluster", 10,
+        "--dim", 6, "--separation", 2.5, "--noise-sigma", 1.0, "--seed", 21, "--out", csv,
+    )
+    assert code == 0
+    digests = {}
+    for name, flags in DIARIZE_FLAGS.items():
+        code, out, err = run(capsys, tmp_path, "diarize", csv, *flags)
+        assert (code, err) == (0, "")
+        digests[f"diarize/{name}"] = sha256(out)
+    timed = tmp_path / "embeddings.jsonl"
+    rows = [[float(v) for v in line.split(",")] for line in csv.read_text().splitlines()]
+    timed.write_text("".join(
+        json.dumps({"start_s": 0.4 * i, "end_s": 0.4 * (i + 1), "vector": row}) + "\n"
+        for i, row in enumerate(rows)
+    ))
+    code, out, err = run(capsys, tmp_path, "diarize", timed, "--seed", 3)
+    assert (code, err) == (0, "")
+    digests["diarize/timed-jsonl"] = sha256(out)
+    assert digests == {key: GOLDEN[key] for key in digests}

@@ -75,6 +75,18 @@ class TestChainOracles:
         assert pieces[0].labels == bootstrap.labels
         assert len(pieces) == 3
 
+    @pytest.mark.parametrize("length", [0, -3])
+    def test_length_below_one_rejected(self, length):
+        bootstrap = sequence_with_exact_counts(STICKY.counts)
+        oracles = [
+            chain_oracle(STICKY, length, 0, seed=1, iterations=2),
+            matched_chain_oracle(STICKY, length, 0, seed=1, iterations=2),
+            matched_chain_oracle(STICKY, length, 0, seed=1, iterations=2, bootstrap=bootstrap),
+        ]
+        for oracle in oracles:
+            with pytest.raises(ValidationError, match=f"length must be >= 1, got {length}"):
+                list(oracle)
+
 
 def flatnonzero_exact_counts(counts):
     """Reference: the Hierholzer walk that searched each row with np.flatnonzero."""

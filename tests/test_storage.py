@@ -53,12 +53,12 @@ def model():
     return normalize(np.array([[5, 2, 1], [0, 3, 3], [1, 1, 4]]))
 
 
-def csv_writer_features(features, n_coeffs):
+def csv_writer_features(features):
     """The feature CSV serializer from before features_to_csv took a matrix."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(
-        ["frame_index", "time_s", "log_energy", "zcr"] + [f"mfcc_{i}" for i in range(n_coeffs)]
+        ["frame_index", "time_s", "log_energy", "zcr"] + [f"mfcc_{i}" for i in range(13)]
     )
     for feat in features:
         writer.writerow(
@@ -349,15 +349,14 @@ class TestFeaturesCsv:
         seed=st.integers(0, 2**32 - 1),
         length=st.integers(0, 3000),
         hop_s=st.sampled_from([0.010, 0.0125, 0.015, 0.02]),
-        n_coeffs=st.integers(1, 20),
     )
     @settings(max_examples=25, deadline=None)
-    def test_matches_the_csv_writer_serializer(self, seed, length, hop_s, n_coeffs):
+    def test_matches_the_csv_writer_serializer(self, seed, length, hop_s):
         samples = np.random.default_rng(seed).uniform(-1, 1, length + 1)
         audio = AudioBuffer(samples, 16000)
-        rows = feature_matrix(audio, hop_s=hop_s, n_coeffs=n_coeffs)
-        features = extract_features(audio, hop_s=hop_s, n_coeffs=n_coeffs)
-        assert features_to_csv(rows, hop_s) == csv_writer_features(features, n_coeffs)
+        rows = feature_matrix(audio, hop_s=hop_s)
+        features = extract_features(audio, hop_s=hop_s)
+        assert features_to_csv(rows, hop_s) == csv_writer_features(features)
 
 
 JSON_SCALARS = st.one_of(
@@ -509,12 +508,21 @@ class TestSessionConfigDocument:
                 {"iterations": None},
                 "$.iterations: required with a chain oracle, which never runs dry",
             ),
+            ({"oracle": {"length": 0}}, "$.oracle.length: expected a positive integer, got 0"),
+            ({"oracle": {"length": -3}}, "$.oracle.length: expected a positive integer, got -3"),
+            ({"oracle": {"initial": 3}}, "$.oracle.initial: state 3 outside 0..2"),
+            ({"oracle": {"initial": -1}}, "$.oracle.initial: state -1 outside 0..2"),
+            (
+                {"oracle": {"initial": 5, "exact_bootstrap": True}},
+                "$.oracle.initial: state 5 outside 0..2",
+            ),
         ],
         ids=[
             "outputs", "threshold-typo", "oracle-typo", "chain-key-in-files-oracle",
             "key-with-newline", "matched-string", "exact-bootstrap-int", "seed-negative",
             "oracle-seed-negative", "model-path-nul", "mode-unknown", "not-an-object",
-            "chain-without-iterations",
+            "chain-without-iterations", "length-zero", "length-negative", "initial-too-high",
+            "initial-negative", "initial-with-exact-bootstrap",
         ],
     )
     def test_rejected_field(self, truth_path, edit, message):
