@@ -17,7 +17,7 @@ import numpy as np
 from convstate.controller import SessionConfig, Thresholds, run_session
 from convstate.harness import matched_chain_oracle, sequence_with_exact_counts
 from convstate.markov import Sampled, normalize
-from convstate.storage import report_table, table_to_csv
+from convstate.storage import table_to_csv
 
 
 def main() -> None:
@@ -57,7 +57,7 @@ def main() -> None:
     report = run_session(oracle, config)
 
     print()
-    print(table_to_csv(report_table(report), truth.n_states), end="")
+    print(table_to_csv(report), end="")
     decisions = [
         rec.decision.decision.value for rec in report.iterations if rec.decision
     ]

@@ -117,8 +117,7 @@ def _cmd_session(args: argparse.Namespace) -> None:
     if report_path:
         report_doc = storage.session_to_document(report)
         storage.atomic_write_text(report_path, storage.json_text(report_doc) + "\n")
-    rows = storage.report_table(report)
-    _emit(storage.table_to_csv(rows, report.final_model.n_states), table_path)
+    _emit(storage.table_to_csv(report), table_path)
     if table_path or report_path:
         summary = {"iterations": len(report.iterations), "mean_tpe": report.mean_tpe(),
                    "report_json": report_path, "table_csv": table_path}

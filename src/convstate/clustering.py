@@ -60,14 +60,16 @@ def _checked(a: np.ndarray) -> np.ndarray:
 def affinity(embeddings: EmbeddingSet) -> np.ndarray:
     """Cosine similarity mapped to [0, 1], diagonal pinned to 1."""
     v = embeddings.vectors
-    norms = np.linalg.norm(v, axis=1)
-    for i, norm in enumerate(norms):
-        if norm == 0.0:
-            raise ValidationError(f"embedding {i} has zero norm")
-    cos = (v @ v.T) / np.outer(norms, norms)
+    # A vector whose squared norm overflows turns its cosines into NaN, which
+    # _checked rejects; numpy's overflow warnings would only repeat that.
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(v, axis=1)
+        for i, norm in enumerate(norms):
+            if norm == 0.0:
+                raise ValidationError(f"embedding {i} has zero norm")
+        cos = (v @ v.T) / np.outer(norms, norms)
     a = (1.0 + cos) / 2.0
     np.fill_diagonal(a, 1.0)
-    # A vector whose squared norm overflows turns its cosines into NaN.
     return _checked(np.clip(a, 0.0, 1.0))
 
 

@@ -15,7 +15,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import repeat
-from operator import itemgetter, mul
+from operator import mul
+from typing import NamedTuple
 
 import numpy as np
 from scipy.fft import dct
@@ -60,48 +61,19 @@ class AudioBuffer:
         object.__setattr__(self, "samples", samples)
 
 
-class FrameFeatures(tuple):
-    """One frame's features as an immutable record; vad_classify reads its row.
+class FrameFeatures(NamedTuple):
+    """One frame's features; row is [log_energy, zcr, *mfcc] and mfcc a view of it.
 
-    A tuple of (frame_index, time_s, log_energy, zcr, mfcc, row), where row
-    is the read-only feature vector [log_energy, zcr, *mfcc] and mfcc is a
-    view of it. extract_features builds these with tuple.__new__ over rows
-    of one read-only matrix, so it neither copies nor re-validates them;
-    the constructor validates its arguments and builds its own row.
+    extract_features builds these over read-only rows of one feature
+    matrix; vad_classify reads the row.
     """
 
-    __slots__ = ()
-
-    def __new__(cls, frame_index: int, time_s: float, log_energy: float, zcr: float,
-                mfcc: np.ndarray):
-        coeffs = np.asarray(mfcc, dtype=np.float64)
-        if coeffs.ndim != 1:
-            raise ValidationError("mfcc must be 1-D")
-        if not 0.0 <= zcr <= 1.0:
-            raise ValidationError(f"zcr {zcr} outside [0, 1]")
-        row = np.concatenate(([log_energy, zcr], coeffs))
-        if not np.isfinite(row).all():
-            raise ValidationError("log_energy and mfcc must be finite")
-        row.setflags(write=False)
-        return tuple.__new__(cls, (frame_index, time_s, float(log_energy), float(zcr),
-                                   row[2:], row))
-
-    frame_index = property(itemgetter(0))
-    time_s = property(itemgetter(1))
-    log_energy = property(itemgetter(2))
-    zcr = property(itemgetter(3))
-    mfcc = property(itemgetter(4))
-
-    def __getnewargs__(self):
-        return self[:5]
-
-    def __repr__(self) -> str:
-        return (f"FrameFeatures(frame_index={self[0]!r}, time_s={self[1]!r}, "
-                f"log_energy={self[2]!r}, zcr={self[3]!r}, mfcc={self[4]!r})")
-
-    def to_vector(self) -> np.ndarray:
-        """A writable copy of [log_energy, zcr, *mfcc]."""
-        return self[5].copy()
+    frame_index: int
+    time_s: float
+    log_energy: float
+    zcr: float
+    mfcc: np.ndarray
+    row: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -331,7 +303,7 @@ def vad_classify(
     probabilities as arrays, each row equal bit for bit to its one-frame
     call. A probability of exactly 0.5 classifies as non-speech.
     """
-    x = features[5] if isinstance(features, FrameFeatures) else np.asarray(features)
+    x = features.row if isinstance(features, FrameFeatures) else np.asarray(features)
     if x.ndim not in (1, 2):
         raise ValidationError(f"features must be one vector or an (n, d) matrix, got {x.ndim}-D")
     w = np.asarray(weights, dtype=np.float64)

@@ -8,7 +8,6 @@ batch re-estimation stay exactly equivalent.
 
 from __future__ import annotations
 
-import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
@@ -279,28 +278,3 @@ def windowed_transition(
         )
     return estimate_transition(labels[offset : offset + window_len], n_states, policy)
 
-
-def stationary_distribution(model: TransitionModel) -> np.ndarray:
-    """Long-run state frequencies pi with pi @ probs = pi and sum(pi) = 1.
-
-    One LAPACK solve of the balance equations ``(probs.T - I) pi = 0`` with
-    the last (redundant) equation replaced by ``sum(pi) = 1``. That system
-    is singular exactly when the chain has more than one closed class, i.e.
-    when the stationary distribution is not unique; then a RuntimeWarning
-    is issued and the uniform vector is returned.
-    """
-    probs = model.probs
-    n = model.n_states
-    row_sums = probs.sum(axis=1)
-    if not np.allclose(row_sums, 1.0, atol=1e-9):
-        raise ValidationError("model rows are not stochastic (unseen rows under error policy?)")
-    system = probs.T - np.eye(n)
-    system[-1] = 1.0
-    if np.linalg.matrix_rank(system) < n:
-        warnings.warn(
-            "stationary distribution is not unique; returning uniform",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return np.full(n, 1.0 / n)
-    return np.clip(np.linalg.solve(system, np.eye(n)[-1]), 0.0, None)

@@ -66,24 +66,6 @@ def tpe(
     return 100.0 * float(np.count_nonzero(pred != act)) / pred.size
 
 
-def epps(
-    predicted: StateSequence | Sequence[int],
-    actual: StateSequence | Sequence[int],
-    state: int,
-) -> float | None:
-    """Percent of `state`'s occurrences in `actual` that were mispredicted.
-
-    Returns None when the state never occurs in the actual sequence.
-    """
-    pred, act = _paired_labels(predicted, actual)
-    at_state = act == state
-    occurrences = int(np.count_nonzero(at_state))
-    if occurrences == 0:
-        return None
-    missed = int(np.count_nonzero(at_state & (pred != act)))
-    return 100.0 * missed / occurrences
-
-
 def evaluate(
     predicted: StateSequence | Sequence[int],
     actual: StateSequence | Sequence[int],

@@ -15,9 +15,7 @@ import math
 import os
 import re
 import tempfile
-from dataclasses import dataclass
 from itertools import filterfalse
-from typing import Sequence
 
 import numpy as np
 
@@ -241,8 +239,14 @@ def _object(value, path: str, known: set) -> dict:
     return value
 
 
-def _number_field(doc: dict, key: str, default, path: str, kind: type = int):
-    """doc[key] (default when absent), which must be a `kind`, int or float.
+# Range-error words for `above`: an integer above -1 is non-negative.
+_BOUND_WORDS = {-1: "non-negative", 0: "positive"}
+
+
+def _number_field(doc: dict, key: str, default, path: str, kind: type = int,
+                  above: int | None = None):
+    """doc[key] (default when absent), which must be a `kind`, int or float,
+    greater than `above` when that is given.
 
     A None default makes the field optional: absent or null gives None.
     Values are checked by `is_number`, not converted; a rejected value is a
@@ -251,16 +255,14 @@ def _number_field(doc: dict, key: str, default, path: str, kind: type = int):
     value = doc.get(key, default)
     if value is None and default is None:
         return None
-    if is_number(value, kind):
-        return value
     noun = "an integer" if kind is int else "a finite number"
-    raise SchemaError(f"{path}: expected {noun}, got {value!r}")
-
-
-def _seed_field(doc: dict, default: int, path: str) -> int:
-    if (seed := _number_field(doc, "seed", default, path)) < 0:
-        raise SchemaError(f"{path}: expected a non-negative integer, got {seed}")
-    return seed
+    if not is_number(value, kind):
+        raise SchemaError(f"{path}: expected {noun}, got {value!r}")
+    if above is not None and not value > above:
+        bound = _BOUND_WORDS.get(above)
+        noun = f"a {bound} {noun.split(' ', 1)[1]}" if bound else f"{noun} above {above}"
+        raise SchemaError(f"{path}: expected {noun}, got {value}")
+    return value
 
 
 def _bool_field(doc: dict, key: str, default: bool, path: str) -> bool:
@@ -323,12 +325,11 @@ def _oracle_from_document(spec, iterations: int | None, seed: int):
     if iterations is None:
         raise SchemaError("$.iterations: required with a chain oracle, which never runs dry")
     truth, _ = load_model(_path_field(spec.get("model"), "$.oracle.model", "model"))
-    if (length := _number_field(spec, "length", 300, "$.oracle.length")) < 1:
-        raise SchemaError(f"$.oracle.length: expected a positive integer, got {length}")
+    length = _number_field(spec, "length", 300, "$.oracle.length", above=0)
     initial = _number_field(spec, "initial", 0, "$.oracle.initial")
     if not 0 <= initial < truth.n_states:
         raise SchemaError(f"$.oracle.initial: state {initial} outside 0..{truth.n_states - 1}")
-    seed = _seed_field(spec, seed, "$.oracle.seed")
+    seed = _number_field(spec, "seed", seed, "$.oracle.seed", above=-1)
     bootstrap = None
     if _bool_field(spec, "exact_bootstrap", False, "$.oracle.exact_bootstrap"):
         bootstrap = harness.sequence_with_exact_counts(truth.counts)
@@ -354,13 +355,13 @@ def session_config_from_document(doc, overrides: dict | None = None):
     doc = _object(doc, "$", _SESSION_KEYS)
     thresholds_doc = _object(doc.get("thresholds", {}), "$.thresholds", _THRESHOLD_KEYS)
 
-    def field(fields: dict, key: str, default, path: str, kind: type = int):
+    def field(fields: dict, key: str, default, path: str, kind: type = int, above=None):
         if key in given:
             return given[key]
-        return _number_field(fields, key, default, path, kind)
+        return _number_field(fields, key, default, path, kind, above)
 
     def threshold(key: str, default: float | None):
-        return field(thresholds_doc, key, default, f"$.thresholds.{key}", float)
+        return field(thresholds_doc, key, default, f"$.thresholds.{key}", float, above=0)
 
     interval = given.get("checker_interval", thresholds_doc.get("checker_interval", "every"))
     if not isinstance(interval, str):
@@ -372,16 +373,16 @@ def session_config_from_document(doc, overrides: dict | None = None):
         row_diff_min=threshold("row_diff_min", None),
         checker_interval=parse_interval(interval),
     )
-    doc_seed = _seed_field(doc, 0, "$.seed")
+    doc_seed = _number_field(doc, "seed", 0, "$.seed", above=-1)
     seed = given.get("seed", doc_seed)
-    iterations = _number_field(doc, "iterations", None, "$.iterations")
-    n_states = _number_field(doc, "states", None, "$.states")
+    iterations = _number_field(doc, "iterations", None, "$.iterations", above=-1)
+    n_states = _number_field(doc, "states", None, "$.states", above=0)
     config = SessionConfig(
         thresholds=thresholds,
         mode=_mode_from_name(doc.get("mode", "argmax"), seed),
         seed=seed,
-        candidate_count=_number_field(doc, "candidate_count", 5, "$.candidate_count"),
-        window_len=field(doc, "window", None, "$.window"),
+        candidate_count=_number_field(doc, "candidate_count", 5, "$.candidate_count", above=0),
+        window_len=field(doc, "window", None, "$.window", above=1),
         iterations=iterations,
     )
     return config, n_states, _oracle_from_document(doc.get("oracle"), iterations, doc_seed)
@@ -482,10 +483,6 @@ def labels_to_text(seq: StateSequence) -> str:
     return "\n".join(str(label) for label in seq.labels) + "\n"
 
 
-def write_labels(seq: StateSequence, path: str) -> None:
-    atomic_write_text(path, labels_to_text(seq))
-
-
 def read_embeddings(path: str) -> EmbeddingSet:
     """CSV rows of floats, or JSONL records with start_s/end_s/vector."""
     with open(path, "r") as handle:
@@ -532,40 +529,23 @@ def features_to_csv(rows: np.ndarray, hop_s: float) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class TableRow:
-    """One result-table row group: a file's TPE and per-state EPPS."""
-
-    file_id: int
-    tpe: float
-    epps: dict[int, float]
-
-
-def report_table(session: SessionReport) -> list[TableRow]:
-    """Row groups for every checked iteration; the bootstrap gets no row."""
-    rows = []
+def table_to_csv(session: SessionReport) -> str:
+    """The result table: one row group per checked iteration, file id and
+    TPE only on a group's first row; the bootstrap gets no group."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["Audio File", "Speaker State", "EPPS (in %)", "TPE (in %)"])
     for record in session.iterations:
         if record.decision is None:
             continue
         report = record.decision.report
-        rows.append(TableRow(file_id=record.index, tpe=report.tpe, epps=dict(report.epps)))
-    return rows
-
-
-def table_to_csv(rows: Sequence[TableRow], n_states: int) -> str:
-    """Mirror the result-table layout: file id and TPE only on a group's first row."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["Audio File", "Speaker State", "EPPS (in %)", "TPE (in %)"])
-    for row in rows:
-        for state in range(n_states):
-            epps_cell = f"{row.epps[state]:.2f}" if state in row.epps else ""
+        for state in range(session.final_model.n_states):
             writer.writerow(
                 [
-                    str(row.file_id) if state == 0 else "",
+                    str(record.index) if state == 0 else "",
                     state,
-                    epps_cell,
-                    f"{row.tpe:.2f}" if state == 0 else "",
+                    f"{report.epps[state]:.2f}" if state in report.epps else "",
+                    f"{report.tpe:.2f}" if state == 0 else "",
                 ]
             )
     return buffer.getvalue()

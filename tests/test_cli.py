@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -323,6 +326,20 @@ class TestCliEdges:
         assert code == 1
         assert err.startswith("error:") and "distinct" in err
 
+    def test_diarize_overflowing_embeddings_is_one_line_error(self, tmp_path):
+        # Run as a process: under pytest, numpy's RuntimeWarnings would be
+        # recorded instead of reaching stderr.
+        emb = tmp_path / "e.csv"
+        emb.write_text("1e200,1e200\n1e200,0\n1,1\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        result = subprocess.run(
+            [sys.executable, "-m", "convstate", "diarize", str(emb), "--seed", "7"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (
+            1, "", "error: affinity contains NaN or Inf\n"
+        )
+
     @pytest.mark.parametrize(
         "overrides, argv, field",
         [
@@ -384,6 +401,29 @@ class TestCliEdges:
         self, capsys, tmp_path, truth_model_path, oracle, message
     ):
         config = {"iterations": 2, "oracle": {"kind": "chain", "model": truth_model_path, **oracle}}
+        path = str(tmp_path / "cfg.json")
+        open(path, "w").write(json.dumps(config))
+        assert run_cli(capsys, "session", path) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"window": 0}, "$.window: expected an integer above 1, got 0"),
+            ({"candidate_count": 0}, "$.candidate_count: expected a positive integer, got 0"),
+            ({"states": 0}, "$.states: expected a positive integer, got 0"),
+            ({"iterations": -1}, "$.iterations: expected a non-negative integer, got -1"),
+            (
+                {"thresholds": {"tpe_threshold": 0}},
+                "$.thresholds.tpe_threshold: expected a positive finite number, got 0",
+            ),
+        ],
+        ids=["window", "candidate-count", "states", "iterations", "tpe-threshold"],
+    )
+    def test_config_value_out_of_range_names_its_path(
+        self, capsys, tmp_path, truth_model_path, overrides, message
+    ):
+        config = {"iterations": 2, "oracle": {"kind": "chain", "model": truth_model_path}}
+        config.update(overrides)
         path = str(tmp_path / "cfg.json")
         open(path, "w").write(json.dumps(config))
         assert run_cli(capsys, "session", path) == (1, "", f"error: {message}\n")

@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +15,6 @@ from convstate.markov import (
     normalize,
     predict_next,
     predict_sequence,
-    stationary_distribution,
     _as_labels,
     _validate_labels,
     update_online,
@@ -415,66 +412,6 @@ class TestWindowedTransition:
         assert window.probs.tolist() == direct.probs.tolist()
 
 
-class TestStationaryDistribution:
-    def test_alternator_is_half_half(self):
-        model = normalize(np.array([[0, 4], [4, 0]]))
-        assert stationary_distribution(model) == pytest.approx([0.5, 0.5])
-
-    def test_identity_reports_non_unique(self):
-        model = TransitionModel(2, np.zeros((2, 2), dtype=int), np.eye(2))
-        with pytest.warns(RuntimeWarning, match="not unique"):
-            pi = stationary_distribution(model)
-        assert pi == pytest.approx([0.5, 0.5])
-
-    def test_doubly_stochastic(self):
-        model = normalize(np.array([[1, 1], [1, 1]]))
-        assert stationary_distribution(model) == pytest.approx([0.5, 0.5])
-
-    def test_sticky_chain_solves_without_warning(self):
-        model = normalize(np.array([[999_999, 1], [1, 999_999]]))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            pi = stationary_distribution(model)
-        # The system's condition number is about 1e6, so about 1e-10 error is expected.
-        assert pi == pytest.approx([0.5, 0.5], abs=1e-9)
-
-    def test_two_closed_classes_and_a_transient_state_warn(self):
-        model = normalize(np.array([[3, 0, 0], [0, 3, 0], [1, 1, 1]]))
-        with pytest.warns(RuntimeWarning, match="not unique"):
-            pi = stationary_distribution(model)
-        assert pi.tolist() == [1 / 3] * 3
-
-    def test_three_cycle_is_uniform_without_warning(self):
-        model = normalize(np.array([[0, 5, 0], [0, 0, 5], [5, 0, 0]]))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            pi = stationary_distribution(model)
-        assert pi == pytest.approx([1 / 3] * 3, abs=1e-12)
-
-    @given(count_matrices())
-    @settings(max_examples=200, deadline=None)
-    def test_non_negative_and_sums_to_one(self, counts):
-        model = normalize(counts)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            pi = stationary_distribution(model)
-        assert (pi >= 0).all()
-        assert pi.sum() == pytest.approx(1.0, abs=1e-9)
-        if not caught:
-            assert np.abs(pi @ model.probs - pi).max() < 1e-8
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=30)
-    def test_fixed_point_property(self, seed):
-        rng = np.random.default_rng(seed)
-        counts = rng.integers(1, 20, (4, 4))
-        model = normalize(counts)
-        pi = stationary_distribution(model)
-        assert np.abs(pi @ model.probs - pi).max() < 1e-8
-        assert pi.sum() == pytest.approx(1.0)
-        assert (pi >= 0).all()
-
-
 class TestInvariants:
     @given(label_sequences(), st.lists(st.integers(0, 4), max_size=10))
     def test_rows_stay_stochastic_through_updates(self, case, extra):
@@ -511,16 +448,3 @@ class TestInvariants:
         estimate = estimate_transition(sample, 3)
         assert np.abs(estimate.probs - truth.probs).max() <= 0.03
 
-
-class TestStationaryEdges:
-    def test_error_policy_zero_row_rejected(self):
-        model = normalize(np.array([[2, 0], [0, 0]]), UnseenRowPolicy.ERROR_ON_QUERY)
-        with pytest.raises(ValidationError, match="stochastic"):
-            stationary_distribution(model)
-
-    def test_reducible_chain_with_unique_target(self):
-        model = TransitionModel(
-            2, np.array([[4, 0], [2, 2]]), np.array([[1.0, 0.0], [0.5, 0.5]])
-        )
-        pi = stationary_distribution(model)
-        assert pi == pytest.approx([1.0, 0.0], abs=1e-6)

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from convstate.errors import ValidationError
-from convstate.metrics import EvaluationReport, epps, evaluate, tpe
+from convstate.metrics import EvaluationReport, evaluate, tpe
 
 
 def brute_force_tpe(predicted, actual):
@@ -79,13 +79,13 @@ class TestTpe:
 
 class TestEpps:
     def test_half_missed(self):
-        assert epps([0, 1, 1, 1], [0, 0, 1, 1], 0) == 50.0
+        assert evaluate([0, 1, 1, 1], [0, 0, 1, 1], 2).epps.get(0) == 50.0
 
     def test_absent_state_is_none(self):
-        assert epps([0, 0], [0, 0], 1) is None
+        assert evaluate([0, 0], [0, 0], 2).epps.get(1) is None
 
     def test_perfect_prediction(self):
-        assert epps([2, 0, 2], [2, 0, 2], 2) == 0.0
+        assert evaluate([2, 0, 2], [2, 0, 2], 3).epps.get(2) == 0.0
 
 
 class TestEvaluate:
@@ -135,9 +135,10 @@ class TestProperties:
     def test_matches_brute_force_oracle(self, case):
         predicted, actual, n_states = case
         assert tpe(predicted, actual) == pytest.approx(brute_force_tpe(predicted, actual))
+        report = evaluate(predicted, actual, n_states)
         for state in range(n_states):
             expected = brute_force_epps(predicted, actual, state)
-            got = epps(predicted, actual, state)
+            got = report.epps.get(state)
             if expected is None:
                 assert got is None
             else:

@@ -10,9 +10,13 @@ from hypothesis import strategies as st
 
 from convstate.clustering import EmbeddingSet
 from convstate.controller import (
+    CheckDecision,
+    Decision,
     FixedEvery,
+    IterationRecord,
     RandomBernoulli,
     SessionConfig,
+    SessionReport,
     Thresholds,
     run_session,
 )
@@ -26,12 +30,14 @@ from convstate.markov import (
     UnseenRowPolicy,
     normalize,
 )
+from convstate.metrics import EvaluationReport
 from convstate.storage import (
-    TableRow,
+    atomic_write_text,
     embeddings_to_csv,
     features_to_csv,
     is_number,
     json_text,
+    labels_to_text,
     load_model,
     model_from_document,
     model_to_document,
@@ -39,12 +45,10 @@ from convstate.storage import (
     parse_labels_text,
     read_embeddings,
     read_labels,
-    report_table,
     save_model,
     session_config_from_document,
     session_to_document,
     table_to_csv,
-    write_labels,
 )
 
 
@@ -157,7 +161,7 @@ class TestLabelIo:
     def test_newline_round_trip(self, tmp_path):
         path = str(tmp_path / "labels.txt")
         seq = StateSequence(labels=(0, 2, 1, 1), n_states=3)
-        write_labels(seq, path)
+        atomic_write_text(path, labels_to_text(seq))
         loaded = read_labels(path)
         assert loaded.labels == seq.labels
         assert loaded.n_states == 3
@@ -171,7 +175,7 @@ class TestLabelIo:
         seq = StateSequence(
             labels=(0, 1), n_states=2, times=((0.0, 0.4), (0.4, 0.8))
         )
-        write_labels(seq, path)
+        atomic_write_text(path, labels_to_text(seq))
         loaded = read_labels(path)
         assert loaded.labels == seq.labels
         assert loaded.times == seq.times
@@ -392,10 +396,19 @@ class TestJsonText:
             json_text(doc)
 
 
+def one_row_session(file_id: int, tpe: float, epps: dict, n_states: int) -> SessionReport:
+    """A session whose only checked iteration scored `tpe` and `epps`."""
+    labels = StateSequence(labels=(0,), n_states=n_states)
+    report = EvaluationReport(tpe=tpe, epps=epps, compared_length=1, per_state_occurrences={})
+    checked = IterationRecord(file_id, labels, True, CheckDecision(Decision.ACCEPT, report), None)
+    unchecked = IterationRecord(file_id + 1, labels, False, None, None)
+    final = normalize(np.zeros((n_states, n_states), dtype=int))
+    return SessionReport(bootstrap=labels, iterations=(checked, unchecked), final_model=final)
+
+
 class TestTable:
     def test_csv_mirrors_result_table_layout(self):
-        rows = [TableRow(file_id=1, tpe=9.58, epps={0: 8.57, 1: 7.14, 2: 20.0})]
-        text = table_to_csv(rows, 3)
+        text = table_to_csv(one_row_session(1, 9.58, {0: 8.57, 1: 7.14, 2: 20.0}, 3))
         assert text.splitlines() == [
             "Audio File,Speaker State,EPPS (in %),TPE (in %)",
             "1,0,8.57,9.58",
@@ -404,14 +417,14 @@ class TestTable:
         ]
 
     def test_absent_state_blank_cell_and_null_json(self):
-        rows = [TableRow(file_id=2, tpe=10.0, epps={0: 10.0})]
-        text = table_to_csv(rows, 2)
-        assert text.splitlines()[2] == ",1,,"
+        text = table_to_csv(one_row_session(2, 10.0, {0: 10.0}, 2))
+        assert text.splitlines()[1:] == ["2,0,10.00,10.00", ",1,,"]
 
     def test_rounding_only_at_emission(self):
-        rows = [TableRow(file_id=1, tpe=100 / 3, epps={0: 200 / 3})]
-        assert rows[0].tpe != round(rows[0].tpe, 2)
-        text = table_to_csv(rows, 1)
+        session = one_row_session(1, 100 / 3, {0: 200 / 3}, 1)
+        report = session.iterations[0].decision.report
+        assert report.tpe != round(report.tpe, 2)
+        text = table_to_csv(session)
         assert "33.33" in text and "66.67" in text
 
 
@@ -424,9 +437,9 @@ class TestSessionDocument:
         assert len(doc["iterations"]) == 3
         assert doc["mean_tpe"] == 0.0
         assert doc["final_model"]["s"] == 3
-        rows = report_table(report)
-        assert [r.file_id for r in rows] == [1, 2, 3]
-        assert all(r.tpe == 0.0 for r in rows)
+        rows = [line.split(",") for line in table_to_csv(report).splitlines()[1:]]
+        assert [row[0] for row in rows[::3]] == ["1", "2", "3"]
+        assert all(row[3] == "0.00" for row in rows[::3])
 
 
 class TestModeDocument:
