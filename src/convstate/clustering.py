@@ -1,9 +1,9 @@
 """Spectral clustering of segment embeddings into speaker-state labels.
 
-Pipeline: cosine affinity, Gaussian blur, row-wise thresholding,
-symmetrization, diffusion, row-wise max normalization, eigendecomposition,
-cluster-count selection by eigengap ratio, then k-means over the spectral
-embedding rows.
+Pipeline: cosine affinity, Gaussian blur (separable: a 1-D blur along
+each axis), row-wise thresholding, symmetrization, diffusion, row-wise max
+normalization, eigendecomposition, cluster-count selection by eigengap
+ratio, then k-means over the spectral embedding rows.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import convolve2d
 
 from .errors import ValidationError
 from .markov import StateSequence
@@ -73,26 +72,54 @@ def affinity(embeddings: EmbeddingSet) -> np.ndarray:
     return _checked(np.clip(a, 0.0, 1.0))
 
 
+def _gaussian_taps(sigma: float, max_radius: int) -> np.ndarray:
+    """Taps exp(-k^2 / 2 sigma^2) at offsets k = 1, 2, ... beside a centre tap of 1.
+
+    Offsets stop at ceil(2 sigma) and at `max_radius`, since a tap past the
+    matrix never touches it. A sigma**2 that overflows gives taps of 1, one
+    that underflows gives taps of 0, and taps of 0 are dropped, so an empty
+    result means the identity.
+    """
+    radius = max_radius if 2.0 * sigma >= max_radius else math.ceil(2.0 * sigma)
+    offsets = np.arange(1, radius + 1)
+    with np.errstate(divide="ignore", over="ignore"):
+        taps = np.exp(-(offsets**2) / (2.0 * np.float64(sigma) ** 2))
+    return taps[taps > 0.0]
+
+
+def _blur_axis(values: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
+    """Zero-filled 1-D blur along `axis` by the symmetric taps of `_gaussian_taps`."""
+    radius, n = taps.size, values.shape[axis]
+    shape = list(values.shape)
+    shape[axis] += 2 * radius
+    padded = np.moveaxis(np.zeros(shape), axis, 0)
+    padded[radius : radius + n] = np.moveaxis(values, axis, 0)
+    out = values.copy()
+    lines = np.moveaxis(out, axis, 0)
+    for k, tap in enumerate(taps, start=1):
+        lines += tap * (padded[radius - k : radius - k + n] + padded[radius + k : radius + k + n])
+    return out
+
+
 def gaussian_blur(a: np.ndarray, sigma: float = 1.0) -> np.ndarray:
     """2-D Gaussian smoothing, kernel renormalized over in-bounds taps.
 
     The matrix is smoothed as an image, which deliberately couples
     neighbouring segment indices (adjacent segments tend to share a
-    speaker). ``sigma=0`` degenerates to the identity.
+    speaker). The kernel is the outer product of one 1-D Gaussian, and so
+    is its in-bounds weight, so the blur runs as a renormalized 1-D blur
+    down the columns and then along the rows. ``sigma=0``, or a sigma so
+    small that every off-centre tap underflows, is the identity.
     """
     if not 0 <= sigma < math.inf:
         raise ValidationError(f"sigma must be non-negative and finite, got {sigma}")
     values = _checked(a)
-    radius = math.ceil(2.0 * sigma)
-    if radius == 0:
+    taps = _gaussian_taps(sigma, len(values) - 1)
+    if taps.size == 0:
         return values.copy()
-    offsets = np.arange(-radius, radius + 1)
-    line = np.exp(-(offsets**2) / (2.0 * sigma**2))
-    kernel = np.outer(line, line)
-    kernel /= kernel.sum()
-    smoothed = convolve2d(values, kernel, mode="same", boundary="fill")
-    coverage = convolve2d(np.ones_like(values), kernel, mode="same", boundary="fill")
-    return smoothed / coverage
+    coverage = _blur_axis(np.ones(len(values)), taps, 0)
+    down = _blur_axis(values, taps, 0) / coverage[:, None]
+    return _blur_axis(down, taps, 1) / coverage
 
 
 # Scale of the entries below a row's percentile: attenuated, not zeroed,

@@ -346,7 +346,9 @@ def session_config_from_document(doc, overrides: dict | None = None):
     `overrides` maps a field of ``$`` or ``$.thresholds`` (`seed`,
     `window`, `tpe_threshold`, `epps_threshold`, `matrix_diff_max`,
     `checker_interval`) to a value that replaces the document's; None
-    overrides nothing and other keys are ignored. The state count is None
+    overrides nothing and other keys are ignored. An override gets the
+    field's own check, and a rejected one is named by its flag
+    (`--window`, `--tpe-threshold`). The state count is None
     when the config leaves it to the bootstrap sequence. `oracle.seed`
     defaults to the document's `seed`, not to an overriding one. A key
     outside the format is an error.
@@ -357,7 +359,7 @@ def session_config_from_document(doc, overrides: dict | None = None):
 
     def field(fields: dict, key: str, default, path: str, kind: type = int, above=None):
         if key in given:
-            return given[key]
+            fields, path = given, "--" + key.replace("_", "-")
         return _number_field(fields, key, default, path, kind, above)
 
     def threshold(key: str, default: float | None):

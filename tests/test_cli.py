@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -340,6 +341,16 @@ class TestCliEdges:
             1, "", "error: affinity contains NaN or Inf\n"
         )
 
+    def test_cli_import_leaves_scipy_signal_unloaded(self):
+        # scipy.signal alone took about 0.8 s of every command's start-up.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import convstate.cli, sys; print('scipy.signal' in sys.modules)"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (0, "False\n", "")
+
     @pytest.mark.parametrize(
         "overrides, argv, field",
         [
@@ -427,6 +438,42 @@ class TestCliEdges:
         path = str(tmp_path / "cfg.json")
         open(path, "w").write(json.dumps(config))
         assert run_cli(capsys, "session", path) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            (["--window", "1"], "--window: expected an integer above 1, got 1"),
+            (
+                ["--tpe-threshold", "0"],
+                "--tpe-threshold: expected a positive finite number, got 0.0",
+            ),
+            (
+                ["--epps-threshold", "-1"],
+                "--epps-threshold: expected a positive finite number, got -1.0",
+            ),
+            (["--matrix-diff-max", "nan"], "--matrix-diff-max: expected a finite number, got nan"),
+        ],
+        ids=["window", "tpe-threshold", "epps-threshold", "matrix-diff-max-nan"],
+    )
+    def test_flag_out_of_range_names_the_flag(
+        self, capsys, tmp_path, truth_model_path, flag, message
+    ):
+        config = {"iterations": 2, "oracle": {"kind": "chain", "model": truth_model_path}}
+        path = str(tmp_path / "cfg.json")
+        open(path, "w").write(json.dumps(config))
+        assert run_cli(capsys, "session", path, *flag) == (1, "", f"error: {message}\n")
+
+    def test_diarize_sigma_extremes(self, capsys, tmp_path):
+        emb = tmp_path / "e.csv"
+        emb.write_text("1.0,0.0\n0.0,1.0\n1.0,0.1\n0.1,1.0\n0.9,0.2\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            identity = run_cli(capsys, "diarize", str(emb), "--sigma", "0")
+            assert identity[0] == 0 and identity[2] == ""
+            assert run_cli(capsys, "diarize", str(emb), "--sigma", "1e-200") == identity
+            for sigma in ("1e9", "1e300"):
+                code, out, err = run_cli(capsys, "diarize", str(emb), "--sigma", sigma)
+                assert (code, err) == (0, "") and out.count("\n") == 5
 
     @pytest.mark.parametrize(
         "text, reason",
@@ -677,3 +724,122 @@ class TestSessionConfigFuzz:
             err.startswith(("error: ", "i/o error: ")) and err.count("\n") == 1
         )
         assert (code == 0) == (err == "")
+
+
+LABEL_TOKENS = st.one_of(
+    st.integers(-2, 4).map(str),
+    st.integers(-(2**70), 2**70).map(str),
+    st.sampled_from(["1_0", "٣", "1.5", "+2", "-0", "0x1", "1e3", "nan", "x", "{", ""]),
+)
+LABEL_SEPARATORS = st.sampled_from([" ", ",", "\n", "\t", ", ", "\r\n", ",,", " \n "])
+PLAIN_LABEL_TEXT = st.one_of(
+    st.lists(st.tuples(LABEL_TOKENS, LABEL_SEPARATORS), max_size=12).map(
+        lambda pairs: "".join(token + sep for token, sep in pairs)
+    ),
+    st.text(max_size=16),
+)
+# Gap before and length of each span: unedited, a timed label file is valid.
+SPANS = st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.01, 1.0)), min_size=1, max_size=8)
+# No edit, one field of one line replaced by an odd value (None removes it), or
+# one line replaced by text.
+TIMED_EDITS = st.one_of(
+    st.none(),
+    st.tuples(st.integers(0, 7), st.sampled_from(["start_s", "end_s", "state"]), ODD_JSON_VALUES),
+    st.tuples(st.integers(0, 7), st.just("line"), st.text(max_size=8)),
+)
+# Rows of one width; CELL_EDITS replaces at most one cell by an odd token.
+EMBEDDING_ROWS = st.integers(1, 4).flatmap(
+    lambda width: st.lists(
+        st.lists(st.floats(-10, 10), min_size=width, max_size=width), max_size=10
+    )
+)
+CELL_EDITS = st.one_of(
+    st.none(),
+    st.tuples(
+        st.integers(0, 39),
+        st.one_of(
+            st.floats().map(repr),
+            st.sampled_from(
+                ["1e400", "-1e400", "5e-324", "1e200", "nan", "inf", "", " ", "x", "1,2"]
+            ),
+        ),
+    ),
+)
+
+
+def timed_label_text(spans, states, edit):
+    lines, start = [], 0.0
+    for (gap, length), state in zip(spans, states):
+        start += gap
+        lines.append({"start_s": start, "end_s": start + length, "state": state})
+        start += length
+    if edit is not None:
+        index, key, value = edit
+        index %= len(lines)
+        if key == "line":
+            lines[index] = value
+        elif value is None:
+            del lines[index][key]
+        else:
+            lines[index][key] = value
+    return "".join((line if isinstance(line, str) else json.dumps(line)) + "\n" for line in lines)
+
+
+def label_argv(command, path):
+    # `check` gets --states: the state count it infers is the largest label plus one.
+    if command == "estimate":
+        return ["estimate", path, "--states", "3"]
+    return ["check", path, path, "--states", "3"]
+
+
+FUZZ_SETTINGS = settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+class TestInputFileFuzz:
+    """Label files (plain text and timed JSONL) and embeddings CSV, as the CLI reads them."""
+
+    @staticmethod
+    def run_on(capsys, argv):
+        with warnings.catch_warnings():
+            # From the command line a warning would add lines to stderr.
+            warnings.simplefilter("error")
+            warnings.filterwarnings("ignore", "degenerate eigenvalue spectrum")
+            code, _, err = run_cli(capsys, *argv)
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err
+        if code == 0:
+            assert err == ""
+        else:
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+    @given(PLAIN_LABEL_TEXT, st.sampled_from(["estimate", "check"]))
+    @FUZZ_SETTINGS
+    def test_plain_text_labels(self, capsys, tmp_path, text, command):
+        path = tmp_path / "labels.txt"
+        path.write_text(text)
+        self.run_on(capsys, label_argv(command, str(path)))
+
+    @given(SPANS, st.lists(st.integers(0, 2), min_size=8, max_size=8), TIMED_EDITS,
+           st.sampled_from(["estimate", "check"]))
+    @FUZZ_SETTINGS
+    def test_timed_jsonl_labels(self, capsys, tmp_path, spans, states, edit, command):
+        path = tmp_path / "labels.jsonl"
+        path.write_text(timed_label_text(spans, states, edit))
+        self.run_on(capsys, label_argv(command, str(path)))
+
+    @given(
+        EMBEDDING_ROWS, CELL_EDITS,
+        st.sampled_from([[], ["--k", "2"], ["--sigma", "0"], ["--percentile", "80"]]),
+    )
+    @FUZZ_SETTINGS
+    def test_embeddings_csv(self, capsys, tmp_path, rows, edit, flags):
+        cells = [[repr(v) for v in row] for row in rows]
+        if edit is not None and cells:
+            index, token = edit
+            index %= len(cells) * len(cells[0])
+            cells[index // len(cells[0])][index % len(cells[0])] = token
+        path = tmp_path / "emb.csv"
+        path.write_text("".join(",".join(row) + "\n" for row in cells))
+        self.run_on(capsys, ["diarize", str(path), *flags])

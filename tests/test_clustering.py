@@ -1,7 +1,11 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import convolve2d
 
 from convstate import clustering
 from convstate.clustering import (
@@ -25,10 +29,12 @@ from convstate.harness import align_labels, generate_synthetic_embeddings
 
 
 def direct_blur_oracle(values, sigma=1.0):
-    """Nested-loop convolution with in-bounds renormalization."""
-    import math
+    """Nested-loop convolution with in-bounds renormalization.
 
+    The centre weight is 1; off-centre weights are 0 once 2 sigma^2 underflows.
+    """
     radius = math.ceil(2 * sigma)
+    two_var = 2 * sigma * sigma
     n, m = values.shape
     out = np.zeros_like(values)
     for i in range(n):
@@ -39,11 +45,31 @@ def direct_blur_oracle(values, sigma=1.0):
                 for dj in range(-radius, radius + 1):
                     ii, jj = i + di, j + dj
                     if 0 <= ii < n and 0 <= jj < m:
-                        w = math.exp(-(di * di + dj * dj) / (2 * sigma * sigma))
+                        d2 = di * di + dj * dj
+                        if d2 == 0:
+                            w = 1.0
+                        elif two_var == 0.0:
+                            w = 0.0
+                        else:
+                            w = math.exp(-d2 / two_var)
                         acc += w * values[ii, jj]
                         weight_sum += w
             out[i, j] = acc / weight_sum
     return out
+
+
+def convolve2d_blur(values, sigma=1.0):
+    """The blur as two scipy.signal.convolve2d calls over the full 2-D kernel."""
+    radius = math.ceil(2.0 * sigma)
+    if radius == 0:
+        return values.copy()
+    offsets = np.arange(-radius, radius + 1)
+    line = np.exp(-(offsets**2) / (2.0 * sigma**2))
+    kernel = np.outer(line, line)
+    kernel /= kernel.sum()
+    smoothed = convolve2d(values, kernel, mode="same", boundary="fill")
+    coverage = convolve2d(np.ones_like(values), kernel, mode="same", boundary="fill")
+    return smoothed / coverage
 
 
 class TestAffinity:
@@ -99,6 +125,32 @@ class TestGaussianBlur:
         rng = np.random.default_rng(5)
         values = rng.uniform(0, 1, (6, 6))
         assert np.array_equal(gaussian_blur(values, sigma=0.0), values)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 40),
+        sigma=st.floats(0.0, 3.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_direct_convolution_on_any_square(self, seed, n, sigma):
+        values = np.random.default_rng(seed).uniform(-1, 1, (n, n))
+        blurred = gaussian_blur(values, sigma)
+        assert np.isfinite(blurred).all()
+        assert np.abs(blurred - direct_blur_oracle(values, sigma)).max() < 1e-12
+
+    @pytest.mark.parametrize("sigma", [1e-300, 1e-200, 1e9, 1e300])
+    @pytest.mark.parametrize("n", [1, 2, 9])
+    def test_extreme_sigma_is_finite_and_silent(self, sigma, n):
+        values = np.random.default_rng(n).uniform(0, 1, (n, n))
+        values[0, 0] = -0.0  # bitwise equality keeps its sign
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            blurred = gaussian_blur(values, sigma)
+        assert np.isfinite(blurred).all()
+        if sigma < 1.0:
+            assert blurred.tobytes() == gaussian_blur(values, 0.0).tobytes()
+        else:  # every tap is 1: each entry becomes the matrix mean
+            assert np.abs(blurred - values.mean()).max() < 1e-12
 
 
 class TestRowThreshold:
@@ -370,6 +422,25 @@ class TestSpectralCluster:
         embeddings = EmbeddingSet(vectors, times=times)
         predicted = spectral_cluster(embeddings, k=2, seed=0)
         assert predicted.times == times
+
+
+# (clusters, per_cluster, dim, separation, noise_sigma, seed): overlapping
+# clusters, where the blur decides some labels.
+BLUR_CORPORA = [
+    (2, 30, 8, 2.0, 1.0, 1), (3, 20, 16, 2.5, 1.0, 2), (3, 25, 6, 2.5, 1.2, 3),
+    (4, 12, 8, 3.0, 1.0, 4), (5, 10, 12, 3.5, 1.0, 5), (3, 60, 10, 2.0, 1.0, 6),
+]
+
+
+class TestSeparableBlur:
+    @pytest.mark.parametrize("corpus", BLUR_CORPORA)
+    @pytest.mark.parametrize("sigma", [1.0, 2.5])
+    def test_labels_equal_the_convolve2d_blur(self, monkeypatch, corpus, sigma):
+        embeddings, _ = generate_synthetic_embeddings(*corpus)
+        labels = spectral_cluster(embeddings, seed=corpus[-1], sigma=sigma)
+        monkeypatch.setattr(clustering, "gaussian_blur", convolve2d_blur)
+        reference = spectral_cluster(embeddings, seed=corpus[-1], sigma=sigma)
+        assert labels == reference
 
 
 class TestPercentileSweep:
