@@ -99,7 +99,15 @@ def _cmd_check(args: argparse.Namespace) -> None:
     actual = storage.read_labels(args.actual)
     n_states = args.states
     if n_states is None:
+        # The count sizes the per-state report, so one stray label may not
+        # make it outgrow the input.
         n_states = max(predicted.n_states, actual.n_states)
+        length = max(len(predicted), len(actual))
+        if n_states > length:
+            raise ValidationError(
+                f"largest label {n_states - 1} implies {n_states} states for {length} "
+                "labels; pass --states"
+            )
     else:
         _require_states(n_states)
     thresholds = Thresholds(
@@ -111,7 +119,7 @@ def _cmd_check(args: argparse.Namespace) -> None:
 
 
 def _cmd_session(args: argparse.Namespace) -> None:
-    config, n_states, oracle = storage.read_session_config(args.config, vars(args))
+    config, n_states, oracle = storage.read_session_config(args.config)
     report = run_session(oracle, config, n_states=n_states)
     report_path, table_path = args.report_out or None, args.table_out or None
     if report_path:
@@ -202,20 +210,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ses = sub.add_parser(
         "session", help="run the full checker loop from a config",
         description="Run the checker loop from a JSON session config (format in the README). "
-        "A key outside the format is an error. Each flag overrides the field it is named for.",
+        "Every setting comes from the config; a key outside the format is an error.",
     )
     p_ses.add_argument("config", help="JSON session config")
-    p_ses.add_argument("--tpe-threshold", type=float, default=None, dest="tpe_threshold")
-    p_ses.add_argument("--epps-threshold", type=float, default=None, dest="epps_threshold")
-    p_ses.add_argument("--matrix-diff-max", type=float, default=None, dest="matrix_diff_max")
-    p_ses.add_argument("--window", type=int, default=None)
-    p_ses.add_argument(
-        "--seed", type=int, default=None, help=">= 0; overrides $.seed but not $.oracle.seed"
-    )
-    p_ses.add_argument(
-        "--checker-interval", default=None, dest="checker_interval",
-        help="every, fixed:m, or bernoulli:p; overrides $.thresholds.checker_interval",
-    )
     p_ses.add_argument("--report-out", dest="report_out")
     p_ses.add_argument("--table-out", dest="table_out")
     p_ses.set_defaults(func=_cmd_session)

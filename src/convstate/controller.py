@@ -173,31 +173,29 @@ EvaluatorOutcome = ProceedNextWindow | FallbackPreviousWindow
 
 
 def evaluator_step(
-    seq: StateSequence | Sequence[int],
+    labels: Sequence[int],
     window_len: int,
-    offset: int,
     full_model: TransitionModel,
     thresholds: Thresholds,
 ) -> EvaluatorOutcome:
-    """Vet the window at `offset` as a prediction basis.
+    """Vet the last `window_len` labels as a prediction basis.
 
     When the windowed matrix drifts from the full one by more than
     ``matrix_diff_max`` in any cell, or any of its rows lacks a clear
     winner, the basis is re-estimated from the immediately preceding
-    window (start clamped at 0) instead.
+    window instead: ``labels[-2 * window_len:][:window_len]``, which starts
+    at the first label when fewer than ``2 * window_len`` are given.
     """
-    windowed = markov.windowed_transition(
-        seq, window_len, offset, full_model.n_states, full_model.policy
-    )
+    n_states, policy = full_model.n_states, full_model.policy
+    windowed = markov.estimate_transition(labels[-window_len:], n_states, policy)
     gap, diff_ok = matrix_diff(full_model, windowed, thresholds.matrix_diff_max)
     _, rows_ok = row_diff_check(windowed, thresholds.row_diff_min)
     if diff_ok and rows_ok:
         return ProceedNextWindow(model=windowed, max_abs_diff=gap)
-    previous_offset = max(offset - window_len, 0)
-    previous = markov.windowed_transition(
-        seq, window_len, previous_offset, full_model.n_states, full_model.policy
+    previous = labels[-2 * window_len :][:window_len]
+    return FallbackPreviousWindow(
+        model=markov.estimate_transition(previous, n_states, policy), max_abs_diff=gap
     )
-    return FallbackPreviousWindow(model=previous, max_abs_diff=gap)
 
 
 @dataclass(frozen=True)
@@ -283,8 +281,11 @@ def run_session(
     bootstrap = StateSequence(labels=_as_labels(first).tolist(), n_states=n_states)
 
     model = markov.estimate_transition(bootstrap, n_states)
-    history = list(bootstrap.labels)
-    anchor = history[-1]
+    window = config.window_len
+    # The evaluator reads only the last two windows, so that is all the
+    # history a windowed session keeps.
+    history = list(bootstrap.labels[-2 * window :]) if window is not None else []
+    anchor = bootstrap.labels[-1]
     interval = config.thresholds.checker_interval
     bernoulli_rng = np.random.default_rng([config.seed, 0xB0])
     records: list[IterationRecord] = []
@@ -304,19 +305,13 @@ def run_session(
 
         outcome: EvaluatorOutcome | None = None
         basis = model
-        if config.window_len is not None:
-            if config.window_len >= len(history):
+        if window is not None:
+            if window >= len(history):
                 raise ValidationError(
-                    f"window_len {config.window_len} must stay below the "
+                    f"window_len {window} must stay below the "
                     f"observed sequence length {len(history)}"
                 )
-            outcome = evaluator_step(
-                history,
-                config.window_len,
-                len(history) - config.window_len,
-                model,
-                config.thresholds,
-            )
+            outcome = evaluator_step(history, window, model, config.thresholds)
             basis = outcome.model
 
         if isinstance(interval, FixedEvery):
@@ -339,12 +334,14 @@ def run_session(
             best = int(np.count_nonzero(rows != actual, axis=1).argmin())
             verdict = check_iteration(rows[best], actual, config.thresholds, n_states)
         predicted_labels = candidates[best]
-        if verdict is None or verdict.decision is Decision.ACCEPT:
+        accepted = verdict is None or verdict.decision is Decision.ACCEPT
+        if accepted:
             model = update_from_labels(model, anchor, rows[best])
-            history.extend(predicted_labels)
         else:
             model = markov.estimate_transition(actual, n_states)
-            history.extend(actual.tolist())
+        if window is not None:
+            history.extend(predicted_labels if accepted else actual.tolist())
+            del history[: -2 * window]
         # A check ran the diarizer, so its last label is the freshest anchor
         # for the next iteration regardless of the verdict.
         anchor = int(actual[-1]) if checked else predicted_labels[-1]

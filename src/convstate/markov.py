@@ -259,22 +259,3 @@ def predict_sequence(
     labels = [initial, *walk(model, initial, length - 1, rng)]
     return StateSequence(labels=tuple(labels), n_states=model.n_states)
 
-
-def windowed_transition(
-    seq: StateSequence | Sequence[int],
-    window_len: int,
-    offset: int,
-    n_states: int,
-    policy: UnseenRowPolicy = UnseenRowPolicy.UNIFORM,
-) -> TransitionModel:
-    """Estimate a model from the slice ``labels[offset : offset + window_len]``."""
-    labels = _as_labels(seq)
-    if window_len < 1:
-        raise ValidationError(f"window_len must be >= 1, got {window_len}")
-    if offset < 0 or offset + window_len > labels.size:
-        raise ValidationError(
-            f"window [{offset}, {offset + window_len}) out of bounds for "
-            f"sequence of length {labels.size}"
-        )
-    return estimate_transition(labels[offset : offset + window_len], n_states, policy)
-

@@ -340,32 +340,20 @@ def _oracle_from_document(spec, iterations: int | None, seed: int):
     return harness.chain_oracle(truth, length, initial, seed, iterations + 1)
 
 
-def session_config_from_document(doc, overrides: dict | None = None):
+def session_config_from_document(doc):
     """The SessionConfig, state count and oracle a session config describes.
 
-    `overrides` maps a field of ``$`` or ``$.thresholds`` (`seed`,
-    `window`, `tpe_threshold`, `epps_threshold`, `matrix_diff_max`,
-    `checker_interval`) to a value that replaces the document's; None
-    overrides nothing and other keys are ignored. An override gets the
-    field's own check, and a rejected one is named by its flag
-    (`--window`, `--tpe-threshold`). The state count is None
-    when the config leaves it to the bootstrap sequence. `oracle.seed`
-    defaults to the document's `seed`, not to an overriding one. A key
-    outside the format is an error.
+    Each setting comes from the document or, when absent, its default. The
+    state count is None when the config leaves it to the bootstrap sequence.
+    `oracle.seed` defaults to `seed`. A key outside the format is an error.
     """
-    given = {key: value for key, value in (overrides or {}).items() if value is not None}
     doc = _object(doc, "$", _SESSION_KEYS)
     thresholds_doc = _object(doc.get("thresholds", {}), "$.thresholds", _THRESHOLD_KEYS)
 
-    def field(fields: dict, key: str, default, path: str, kind: type = int, above=None):
-        if key in given:
-            fields, path = given, "--" + key.replace("_", "-")
-        return _number_field(fields, key, default, path, kind, above)
-
     def threshold(key: str, default: float | None):
-        return field(thresholds_doc, key, default, f"$.thresholds.{key}", float, above=0)
+        return _number_field(thresholds_doc, key, default, f"$.thresholds.{key}", float, above=0)
 
-    interval = given.get("checker_interval", thresholds_doc.get("checker_interval", "every"))
+    interval = thresholds_doc.get("checker_interval", "every")
     if not isinstance(interval, str):
         raise SchemaError(f"$.thresholds.checker_interval: expected a string, got {interval!r}")
     thresholds = Thresholds(
@@ -375,8 +363,7 @@ def session_config_from_document(doc, overrides: dict | None = None):
         row_diff_min=threshold("row_diff_min", None),
         checker_interval=parse_interval(interval),
     )
-    doc_seed = _number_field(doc, "seed", 0, "$.seed", above=-1)
-    seed = given.get("seed", doc_seed)
+    seed = _number_field(doc, "seed", 0, "$.seed", above=-1)
     iterations = _number_field(doc, "iterations", None, "$.iterations", above=-1)
     n_states = _number_field(doc, "states", None, "$.states", above=0)
     config = SessionConfig(
@@ -384,15 +371,15 @@ def session_config_from_document(doc, overrides: dict | None = None):
         mode=_mode_from_name(doc.get("mode", "argmax"), seed),
         seed=seed,
         candidate_count=_number_field(doc, "candidate_count", 5, "$.candidate_count", above=0),
-        window_len=field(doc, "window", None, "$.window", above=1),
+        window_len=_number_field(doc, "window", None, "$.window", above=1),
         iterations=iterations,
     )
-    return config, n_states, _oracle_from_document(doc.get("oracle"), iterations, doc_seed)
+    return config, n_states, _oracle_from_document(doc.get("oracle"), iterations, seed)
 
 
-def read_session_config(path: str, overrides: dict | None = None):
+def read_session_config(path: str):
     """session_config_from_document of the JSON document at `path`."""
-    return session_config_from_document(read_json(path), overrides)
+    return session_config_from_document(read_json(path))
 
 
 def _number(value, kind: type = float):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -158,6 +159,34 @@ class TestEstimatePredictCheck:
         assert (code, out) == (1, "")
         assert err == f"error: --states must be >= 1, got {states}\n"
 
+    @pytest.mark.parametrize(
+        "predicted, actual, flags, expected",
+        [
+            ("0\n1000000\n", "0\n1000000\n", [],
+             "error: largest label 1000000 implies 1000001 states for 2 labels; pass --states\n"),
+            ('{"start_s": 0, "end_s": 1, "state": 0}\n{"start_s": 1, "end_s": 2, "state": 7}\n',
+             "0\n1\n", [], "error: largest label 7 implies 8 states for 2 labels; pass --states\n"),
+            ("0\n1000000\n", "0\n1000000\n", ["--states", "2"], {"0": 1, "1": 0}),
+            ("0\n1\n", "0\n1\n", [], {"0": 1, "1": 1}),
+            ("0\n1\n2\n3\n", "3\n0\n", [],
+             "error: length mismatch: predicted has 4, actual has 2\n"),
+        ],
+        ids=["stray-label", "timed-jsonl", "explicit-states", "labels-up-to-length",
+             "bound-by-the-longer-file"],
+    )
+    def test_check_infers_states_only_up_to_the_label_count(
+        self, capsys, tmp_path, predicted, actual, flags, expected
+    ):
+        paths = tmp_path / "p.txt", tmp_path / "a.txt"
+        paths[0].write_text(predicted)
+        paths[1].write_text(actual)
+        code, out, err = run_cli(capsys, "check", *map(str, paths), *flags)
+        if isinstance(expected, str):
+            assert (code, out, err) == (1, "", expected)
+        else:
+            assert (code, err) == (0, "")
+            assert json.loads(out)["per_state_occurrences"] == expected
+
     def test_bad_labels_validation_error(self, capsys, tmp_path):
         bad = str(tmp_path / "bad.txt")
         open(bad, "w").write("0 1 oops")
@@ -268,6 +297,18 @@ class TestSessionCommand:
         assert (code, err) == (0, "")
         assert out.startswith("Audio File,Speaker State")
 
+    def test_settings_come_from_the_config_alone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["session", "--help"])
+        assert exc.value.code == 0
+        assert set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) == {
+            "--help", "--report-out", "--table-out"
+        }
+        with pytest.raises(SystemExit) as exc:
+            main(["session", "session.json", "--window", "120"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --window 120" in capsys.readouterr().err
+
     def test_invalid_config_schema(self, capsys, tmp_path):
         path = str(tmp_path / "broken.json")
         open(path, "w").write("{\"oracle\": 5}")
@@ -281,11 +322,10 @@ class TestCliEdges:
         config = str(tmp_path / "cfg.json")
         open(config, "w").write(json.dumps({
             "seed": 0, "mode": "argmax", "iterations": 1,
+            "thresholds": {"checker_interval": "sometimes"},
             "oracle": {"kind": "chain", "model": truth_model_path, "length": 30},
         }))
-        code, _, err = run_cli(
-            capsys, "session", config, "--checker-interval", "sometimes"
-        )
+        code, _, err = run_cli(capsys, "session", config)
         assert code == 1
         assert "sometimes" in err
 
@@ -352,27 +392,27 @@ class TestCliEdges:
         assert (result.returncode, result.stdout, result.stderr) == (0, "False\n", "")
 
     @pytest.mark.parametrize(
-        "overrides, argv, field",
+        "overrides, field",
         [
-            ({"oracle": {"kind": "chain"}}, [], "$.oracle.model"),
-            ({"candidate_count": "x"}, [], "$.candidate_count"),
-            ({}, ["--checker-interval", "bernoulli:abc"], "bernoulli:abc"),
-            ({"states": "x"}, [], "$.states"),
-            ({"iterations": [2]}, [], "$.iterations"),
-            ({"window": "wide"}, [], "$.window"),
-            ({"thresholds": {"tpe_threshold": "x"}}, [], "$.thresholds.tpe_threshold"),
-            ({"thresholds": {"epps_threshold": float("nan")}}, [], "$.thresholds.epps_threshold"),
-            ({"thresholds": {"row_diff_min": "x"}}, [], "$.thresholds.row_diff_min"),
-            ({"thresholds": {"checker_interval": 5}}, [], "$.thresholds.checker_interval"),
-            ({"thresholds": 20}, [], "$.thresholds"),
-            ({"states": 2.7}, [], "$.states"),
-            ({"states": True}, [], "$.states"),
-            ({"states": "3"}, [], "$.states"),
-            ({"thresholds": {"tpe_threshold": True}}, [], "$.thresholds.tpe_threshold"),
-            ({"outputs": []}, [], "$.outputs"),
-            ({"outputs": {"report_json": True}}, [], "$.outputs"),
-            ({"thresholds": {"tpe_treshold": 5}}, [], "$.thresholds.tpe_treshold"),
-            ({}, ["--checker-interval", "bernoulli:0.5:3"], "bernoulli:0.5:3"),
+            ({"oracle": {"kind": "chain"}}, "$.oracle.model"),
+            ({"candidate_count": "x"}, "$.candidate_count"),
+            ({"thresholds": {"checker_interval": "bernoulli:abc"}}, "bernoulli:abc"),
+            ({"states": "x"}, "$.states"),
+            ({"iterations": [2]}, "$.iterations"),
+            ({"window": "wide"}, "$.window"),
+            ({"thresholds": {"tpe_threshold": "x"}}, "$.thresholds.tpe_threshold"),
+            ({"thresholds": {"epps_threshold": float("nan")}}, "$.thresholds.epps_threshold"),
+            ({"thresholds": {"row_diff_min": "x"}}, "$.thresholds.row_diff_min"),
+            ({"thresholds": {"checker_interval": 5}}, "$.thresholds.checker_interval"),
+            ({"thresholds": 20}, "$.thresholds"),
+            ({"states": 2.7}, "$.states"),
+            ({"states": True}, "$.states"),
+            ({"states": "3"}, "$.states"),
+            ({"thresholds": {"tpe_threshold": True}}, "$.thresholds.tpe_threshold"),
+            ({"outputs": []}, "$.outputs"),
+            ({"outputs": {"report_json": True}}, "$.outputs"),
+            ({"thresholds": {"tpe_treshold": 5}}, "$.thresholds.tpe_treshold"),
+            ({"thresholds": {"checker_interval": "bernoulli:0.5:3"}}, "bernoulli:0.5:3"),
         ],
         ids=[
             "oracle-without-model", "candidate-count-not-int", "interval-not-a-number",
@@ -384,7 +424,7 @@ class TestCliEdges:
         ],
     )
     def test_malformed_session_input_is_one_line_error(
-        self, capsys, tmp_path, truth_model_path, overrides, argv, field
+        self, capsys, tmp_path, truth_model_path, overrides, field
     ):
         config = {
             "seed": 0, "mode": "sampled", "iterations": 1,
@@ -393,7 +433,7 @@ class TestCliEdges:
         config.update(overrides)
         path = str(tmp_path / "cfg.json")
         open(path, "w").write(json.dumps(config))
-        code, _, err = run_cli(capsys, "session", path, *argv)
+        code, _, err = run_cli(capsys, "session", path)
         assert code == 1
         assert err.startswith("error:") and field in err
         assert err.count("\n") == 1
@@ -438,30 +478,6 @@ class TestCliEdges:
         path = str(tmp_path / "cfg.json")
         open(path, "w").write(json.dumps(config))
         assert run_cli(capsys, "session", path) == (1, "", f"error: {message}\n")
-
-    @pytest.mark.parametrize(
-        "flag, message",
-        [
-            (["--window", "1"], "--window: expected an integer above 1, got 1"),
-            (
-                ["--tpe-threshold", "0"],
-                "--tpe-threshold: expected a positive finite number, got 0.0",
-            ),
-            (
-                ["--epps-threshold", "-1"],
-                "--epps-threshold: expected a positive finite number, got -1.0",
-            ),
-            (["--matrix-diff-max", "nan"], "--matrix-diff-max: expected a finite number, got nan"),
-        ],
-        ids=["window", "tpe-threshold", "epps-threshold", "matrix-diff-max-nan"],
-    )
-    def test_flag_out_of_range_names_the_flag(
-        self, capsys, tmp_path, truth_model_path, flag, message
-    ):
-        config = {"iterations": 2, "oracle": {"kind": "chain", "model": truth_model_path}}
-        path = str(tmp_path / "cfg.json")
-        open(path, "w").write(json.dumps(config))
-        assert run_cli(capsys, "session", path, *flag) == (1, "", f"error: {message}\n")
 
     def test_diarize_sigma_extremes(self, capsys, tmp_path):
         emb = tmp_path / "e.csv"
@@ -555,12 +571,11 @@ class TestCliEdges:
             (["simulate", "embeddings", "--clusters", "2", "--per-cluster", "3", "--dim", "2",
               "--seed", "-1"], None),
             (["diarize", "{emb}", "--seed", "-1"], None),
-            (["session", "{config}", "--seed", "-2"], {}),
             (["session", "{config}"], {"seed": -1}),
             (["session", "{config}"], {"oracle_seed": -1}),
         ],
         ids=[
-            "predict", "simulate-chain", "simulate-embeddings", "diarize", "session-flag",
+            "predict", "simulate-chain", "simulate-embeddings", "diarize",
             "session-config-seed", "session-config-oracle-seed",
         ],
     )

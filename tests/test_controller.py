@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from convstate import controller
 from convstate.controller import (
     Decision,
     FallbackPreviousWindow,
@@ -137,7 +138,7 @@ class TestEvaluatorStep:
     def test_stable_alternation_proceeds(self):
         labels = [0, 1] * 20
         full = estimate_transition(labels, 2)
-        outcome = evaluator_step(labels, 8, 0, full, Thresholds())
+        outcome = evaluator_step(labels[:8], 8, full, Thresholds())
         assert isinstance(outcome, ProceedNextWindow)
         assert outcome.max_abs_diff == pytest.approx(0.0)
 
@@ -145,7 +146,7 @@ class TestEvaluatorStep:
         labels = [0, 1] * 10 + [0] * 8
         full = estimate_transition(labels, 2)
         offset = len(labels) - 8
-        outcome = evaluator_step(labels, 8, offset, full, Thresholds())
+        outcome = evaluator_step(labels[: offset + 8], 8, full, Thresholds())
         assert isinstance(outcome, FallbackPreviousWindow)
         # Tail window is all zeros: its row 0 is [1, 0] against the blended
         # full row 0 of [7/17, 10/17]; the gap is 10/17.
@@ -156,7 +157,7 @@ class TestEvaluatorStep:
     def test_fallback_at_offset_zero_clamps(self):
         labels = [0, 0, 0, 0, 1, 1, 1, 1]
         full = estimate_transition(labels, 2)
-        outcome = evaluator_step(labels, 4, 0, full, Thresholds())
+        outcome = evaluator_step(labels[:4], 4, full, Thresholds())
         assert isinstance(outcome, FallbackPreviousWindow)
         window_zero = estimate_transition(labels[0:4], 2)
         assert outcome.model.probs.tolist() == window_zero.probs.tolist()
@@ -164,8 +165,27 @@ class TestEvaluatorStep:
     def test_fallback_model_is_stochastic(self):
         labels = [0, 1] * 10 + [0] * 8
         full = estimate_transition(labels, 2)
-        outcome = evaluator_step(labels, 8, len(labels) - 8, full, Thresholds())
+        outcome = evaluator_step(labels, 8, full, Thresholds())
         assert np.abs(outcome.model.probs.sum(axis=1) - 1.0).max() < 1e-9
+
+    @given(st.data())
+    def test_reads_only_the_last_two_windows(self, data):
+        n_states = data.draw(st.integers(1, 4))
+        labels = data.draw(st.lists(st.integers(0, n_states - 1), min_size=1, max_size=80))
+        window_len = data.draw(st.integers(1, len(labels)))
+        full = estimate_transition(data.draw(st.permutations(labels)), n_states)
+        thresholds = Thresholds(matrix_diff_max=data.draw(st.sampled_from([0.05, 0.15, 0.9])))
+        outcome = evaluator_step(labels, window_len, full, thresholds)
+        tail = evaluator_step(labels[-2 * window_len :], window_len, full, thresholds)
+        assert type(tail) is type(outcome)
+        assert tail.max_abs_diff == outcome.max_abs_diff
+        assert tail.model.counts.tolist() == outcome.model.counts.tolist()
+        # The window a fallback uses starts one window earlier, clamped at 0.
+        start = len(labels) - window_len
+        if isinstance(outcome, FallbackPreviousWindow):
+            start = max(start - window_len, 0)
+        window = estimate_transition(labels[start : start + window_len], n_states)
+        assert outcome.model.counts.tolist() == window.counts.tolist()
 
 
 class TestRunSession:
@@ -226,6 +246,33 @@ class TestRunSession:
         )
         for record in report.iterations:
             assert record.evaluator is not None
+
+    @pytest.mark.parametrize("window_len", [4, 9])
+    def test_window_must_stay_below_the_observed_length(self, window_len):
+        config = SessionConfig(mode=Argmax(), window_len=window_len)
+        with pytest.raises(ValidationError) as excinfo:
+            run_session([[0, 1, 2, 0], [1, 2]], config, n_states=3)
+        assert str(excinfo.value) == (
+            f"window_len {window_len} must stay below the observed sequence length 4"
+        )
+
+    def test_window_one_below_the_observed_length_runs(self):
+        report = run_session(
+            [[0, 1, 2, 0], [1, 2], [0, 1]], SessionConfig(mode=Argmax(), window_len=3)
+        )
+        assert [rec.evaluator is not None for rec in report.iterations] == [True, True]
+
+    def test_evaluator_gets_at_most_two_windows(self, monkeypatch):
+        lengths = []
+
+        def recording_step(labels, window_len, full_model, thresholds):
+            lengths.append(len(labels))
+            return evaluator_step(labels, window_len, full_model, thresholds)
+
+        monkeypatch.setattr(controller, "evaluator_step", recording_step)
+        oracle = chain_oracle(CYCLE, length=30, initial=0, seed=5, iterations=7)
+        run_session(oracle, SessionConfig(mode=Sampled(0), seed=5, iterations=6, window_len=9))
+        assert lengths == [18] * 6
 
     def test_sampled_sessions_reproducible(self):
         truth = normalize(np.array([[8, 1, 1], [1, 8, 1], [1, 1, 8]]))

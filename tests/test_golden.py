@@ -25,20 +25,20 @@ from convstate.storage import save_model
 
 TRUTH_COUNTS = [[86, 7, 7], [7, 86, 7], [7, 7, 86]]
 
+# Each entry edits the base config of `session_digests`.
 SESSIONS = {
-    "sampled-exact-bootstrap": (
-        {"mode": "sampled", "oracle": {"matched": True, "exact_bootstrap": True}},
-        [],
-    ),
-    "argmax-window": (
-        {"mode": "argmax", "oracle": {"matched": True, "exact_bootstrap": True}},
-        ["--window", "120"],
-    ),
-    "sampled-bernoulli-unmatched": (
-        {"mode": "sampled", "oracle": {"matched": False, "length": 200}},
-        ["--checker-interval", "bernoulli:0.5", "--tpe-threshold", "66",
-         "--epps-threshold", "95"],
-    ),
+    "sampled-exact-bootstrap": {
+        "mode": "sampled", "oracle": {"matched": True, "exact_bootstrap": True},
+    },
+    "argmax-window": {
+        "mode": "argmax", "window": 120, "oracle": {"matched": True, "exact_bootstrap": True},
+    },
+    "sampled-bernoulli-unmatched": {
+        "mode": "sampled",
+        "thresholds": {"tpe_threshold": 66, "epps_threshold": 95,
+                       "checker_interval": "bernoulli:0.5"},
+        "oracle": {"matched": False, "length": 200},
+    },
 }
 
 GOLDEN = {
@@ -97,7 +97,7 @@ def run(capsys, tmp_path, *argv):
 
 
 def session_digests(capsys, tmp_path, name):
-    overrides, flags = SESSIONS[name]
+    edits = SESSIONS[name]
     truth = tmp_path / "truth.json"
     save_model(normalize(np.array(TRUTH_COUNTS)), str(truth))
     config = {
@@ -105,16 +105,15 @@ def session_digests(capsys, tmp_path, name):
         "candidate_count": 5,
         "iterations": 7,
         "thresholds": {"tpe_threshold": 20, "epps_threshold": 30},
-        "mode": overrides["mode"],
+        **edits,
         "oracle": {"kind": "chain", "model": str(truth), "length": 300, "initial": 0,
-                   **overrides["oracle"]},
+                   **edits["oracle"]},
     }
     config_path = tmp_path / "session.json"
     config_path.write_text(json.dumps(config))
     report, table = tmp_path / "report.json", tmp_path / "table.csv"
     code, out, err = run(
-        capsys, tmp_path, "session", config_path,
-        "--report-out", report, "--table-out", table, *flags,
+        capsys, tmp_path, "session", config_path, "--report-out", report, "--table-out", table
     )
     assert (code, err) == (0, "")
     return {

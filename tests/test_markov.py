@@ -19,7 +19,6 @@ from convstate.markov import (
     _validate_labels,
     update_online,
     walk,
-    windowed_transition,
 )
 
 
@@ -384,32 +383,6 @@ class TestWalk:
         with pytest.raises(ValidationError, match="state 2"):
             walk(model, 2, 1)
         assert walk(model, 2, 0) == []
-
-
-class TestWindowedTransition:
-    def test_prefix_window(self):
-        model = windowed_transition([0, 1, 0, 1, 1, 1], 4, 0, 2)
-        assert model.counts.tolist() == [[0, 2], [1, 0]]
-        assert model.probs.tolist() == [[0.0, 1.0], [1.0, 0.0]]
-
-    def test_full_window_equals_estimate(self):
-        labels = [0, 1, 1, 0, 1, 0, 0]
-        full = estimate_transition(labels, 2)
-        window = windowed_transition(labels, len(labels), 0, 2)
-        assert window.probs.tolist() == full.probs.tolist()
-
-    def test_offset_beyond_end(self):
-        with pytest.raises(ValidationError, match="out of bounds"):
-            windowed_transition([0, 1, 0], 2, 5, 2)
-
-    @given(label_sequences(min_len=3), st.data())
-    def test_window_matches_slice_estimate(self, case, data):
-        labels, n_states = case
-        window_len = data.draw(st.integers(1, len(labels)))
-        offset = data.draw(st.integers(0, len(labels) - window_len))
-        window = windowed_transition(labels, window_len, offset, n_states)
-        direct = estimate_transition(labels[offset : offset + window_len], n_states)
-        assert window.probs.tolist() == direct.probs.tolist()
 
 
 class TestInvariants:

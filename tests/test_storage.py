@@ -472,29 +472,16 @@ class TestSessionConfigDocument:
         assert n_states is None
         assert [seq.labels for seq in oracle] == [(0, 1, 0)]
 
-    def test_override_beats_document_beats_default(self, truth_path):
+    def test_document_beats_default(self, truth_path):
         doc = {
             "seed": 4, "mode": "sampled", "window": 10, "states": 3, "iterations": 2,
             "thresholds": {"tpe_threshold": 10, "checker_interval": "fixed:2"},
-            "oracle": {"kind": "chain", "model": truth_path},
+            "oracle": {"kind": "chain", "model": truth_path, "length": 20},
         }
-        config, n_states, _ = session_config_from_document(doc)
+        config, n_states, oracle = session_config_from_document(doc)
         assert (config.seed, config.mode, config.window_len, n_states) == (4, Sampled(4), 10, 3)
         assert config.thresholds == Thresholds(tpe_threshold=10, checker_interval=FixedEvery(2))
-        overrides = {
-            "seed": 5, "window": 12, "tpe_threshold": 15.0, "epps_threshold": None,
-            "checker_interval": "bernoulli:0.5", "config": "not a field",
-        }
-        config, _, _ = session_config_from_document(doc, overrides)
-        assert (config.seed, config.mode, config.window_len) == (5, Sampled(5), 12)
-        assert config.thresholds == Thresholds(
-            tpe_threshold=15.0, checker_interval=RandomBernoulli(0.5)
-        )
-
-    def test_oracle_seed_follows_the_document_not_the_override(self, truth_path):
-        doc = {"seed": 4, "iterations": 2,
-               "oracle": {"kind": "chain", "model": truth_path, "length": 20}}
-        _, _, oracle = session_config_from_document(doc, {"seed": 5})
+        # oracle.seed defaults to the document's seed.
         truth, _ = load_model(truth_path)
         expected = matched_chain_oracle(truth, 20, 0, 4, 3)
         assert [seq.labels for seq in oracle] == [seq.labels for seq in expected]
