@@ -44,6 +44,14 @@ def _require_states(n_states: int) -> None:
         raise ValidationError(f"--states must be >= 1, got {n_states}")
 
 
+def _require_states_within(n_states: int, n_labels: int) -> None:
+    # The count sizes the model or report, so it may not outgrow the input.
+    if n_states > n_labels:
+        raise ValidationError(
+            f"--states must be <= {n_labels}, the number of labels read, got {n_states}"
+        )
+
+
 def _require_seed(seed: int | None) -> None:
     if seed is not None and seed < 0:
         raise ValidationError(f"--seed must be >= 0, got {seed}")
@@ -51,15 +59,15 @@ def _require_seed(seed: int | None) -> None:
 
 def _cmd_vad(args: argparse.Namespace) -> None:
     audio = frontend.load_wav(args.wav)
-    features = frontend.feature_matrix(audio, args.window_s, args.hop_s)
+    features = frontend.feature_matrix(audio)
     if args.weights:
         weights = storage.read_vad_weights(args.weights)
     else:
         weights = _default_vad_weights(features.shape[1])
     mask, _ = frontend.vad_classify(features, weights)
-    segments = frontend.segment(mask, args.hop_s, args.seg_len_s)
+    segments = frontend.segment(mask)
     if args.out:
-        storage.atomic_write_text(args.out, storage.features_to_csv(features, args.hop_s))
+        storage.atomic_write_text(args.out, storage.features_to_csv(features))
     summary = {
         "frames": len(features),
         "speech_frames": int(mask.sum()),
@@ -80,6 +88,7 @@ def _cmd_diarize(args: argparse.Namespace) -> None:
 def _cmd_estimate(args: argparse.Namespace) -> None:
     _require_states(args.states)
     seq = storage.read_labels(args.labels, n_states=args.states)
+    _require_states_within(args.states, len(seq))
     model = markov.estimate_transition(seq, args.states, UnseenRowPolicy(args.policy))
     _emit(storage.json_text(storage.model_to_document(model)) + "\n", args.out)
 
@@ -97,19 +106,19 @@ def _cmd_predict(args: argparse.Namespace) -> None:
 def _cmd_check(args: argparse.Namespace) -> None:
     predicted = storage.read_labels(args.predicted)
     actual = storage.read_labels(args.actual)
-    n_states = args.states
-    if n_states is None:
-        # The count sizes the per-state report, so one stray label may not
-        # make it outgrow the input.
+    length = max(len(predicted), len(actual))
+    if args.states is None:
+        # Like --states, the inferred count may not outgrow the input.
         n_states = max(predicted.n_states, actual.n_states)
-        length = max(len(predicted), len(actual))
         if n_states > length:
             raise ValidationError(
                 f"largest label {n_states - 1} implies {n_states} states for {length} "
                 "labels; pass --states"
             )
     else:
+        n_states = args.states
         _require_states(n_states)
+        _require_states_within(n_states, length)
     thresholds = Thresholds(
         tpe_threshold=args.tpe_threshold, epps_threshold=args.epps_threshold
     )
@@ -165,9 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_vad.add_argument("wav")
     p_vad.add_argument("--out", help="write the per-frame feature CSV here")
     p_vad.add_argument("--weights", help="JSON list of trained VAD weights")
-    p_vad.add_argument("--window-s", type=float, default=0.025, dest="window_s")
-    p_vad.add_argument("--hop-s", type=float, default=0.010, dest="hop_s")
-    p_vad.add_argument("--seg-len-s", type=float, default=0.4, dest="seg_len_s")
     p_vad.set_defaults(func=_cmd_vad)
 
     p_dia = sub.add_parser("diarize", help="cluster embeddings into speaker labels")
@@ -185,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est = sub.add_parser("estimate", help="estimate a transition model from labels")
     p_est.add_argument("labels")
     p_est.add_argument("--states", type=int, required=True)
-    p_est.add_argument("--policy", choices=("uniform", "error"), default="uniform")
+    p_est.add_argument("--policy", choices=[p.value for p in UnseenRowPolicy], default="uniform")
     p_est.add_argument("--out")
     p_est.set_defaults(func=_cmd_estimate)
 
@@ -202,8 +208,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_chk.add_argument("predicted")
     p_chk.add_argument("actual")
     p_chk.add_argument("--states", type=int, default=None)
-    p_chk.add_argument("--tpe-threshold", type=float, default=20.0, dest="tpe_threshold")
-    p_chk.add_argument("--epps-threshold", type=float, default=30.0, dest="epps_threshold")
+    p_chk.add_argument("--tpe-threshold", type=float, default=Thresholds.tpe_threshold,
+                       dest="tpe_threshold")
+    p_chk.add_argument("--epps-threshold", type=float, default=Thresholds.epps_threshold,
+                       dest="epps_threshold")
     p_chk.add_argument("--out")
     p_chk.set_defaults(func=_cmd_check)
 

@@ -30,6 +30,9 @@ PREEMPHASIS = 0.97
 # The cepstrum: 40 mel filters, of whose DCT the first 13 coefficients are kept.
 N_FILTERS = 40
 N_COEFFS = 13
+# The frame geometry: 25 ms windows hopped by 10 ms.
+WINDOW_S = 0.025
+HOP_S = 0.010
 # Frames per feature_matrix block: bounds the block temporaries (about
 # 1 MB each at 16 kHz) while per-block overhead stays negligible.
 _BLOCK_FRAMES = 256
@@ -89,10 +92,6 @@ class SpeakerSegment:
                 f"segment end {self.end_s} must exceed start {self.start_s}"
             )
 
-    @property
-    def duration_s(self) -> float:
-        return self.end_s - self.start_s
-
 
 def load_wav(path: str) -> AudioBuffer:
     """Read a 16-bit PCM RIFF file; multichannel audio is mean-downmixed."""
@@ -124,32 +123,22 @@ def save_wav(path: str, audio: AudioBuffer) -> None:
         handle.writeframes(scaled.tobytes())
 
 
-def _frames(audio: AudioBuffer, window_s: float, hop_s: float) -> np.ndarray:
+def _frames(audio: AudioBuffer) -> np.ndarray:
     """Strided (copy-free) view of the frames; see frame()."""
-    for name, seconds in (("window_s", window_s), ("hop_s", hop_s)):
-        # NaN fails the comparison; an array dimension must fit in int64.
-        if not abs(seconds * audio.sample_rate) < 2**63:
-            raise ValidationError(f"{name} must be finite and under 2**63 samples, got {seconds}")
-    window = int(round(window_s * audio.sample_rate))
-    hop = int(round(hop_s * audio.sample_rate))
-    if window < 2:
-        raise ValidationError(f"window of {window} samples is too short (need >= 2)")
-    if hop < 1:
-        raise ValidationError(f"hop of {hop} samples is too short (need >= 1)")
+    window = int(round(WINDOW_S * audio.sample_rate))
+    hop = int(round(HOP_S * audio.sample_rate))
     if audio.samples.size < window:
         return np.empty((0, window))
     return np.lib.stride_tricks.sliding_window_view(audio.samples, window)[::hop]
 
 
-def frame(
-    audio: AudioBuffer, window_s: float = 0.025, hop_s: float = 0.010
-) -> np.ndarray:
-    """Slice audio into overlapping frames; a trailing partial window is dropped.
+def frame(audio: AudioBuffer) -> np.ndarray:
+    """Slice audio into WINDOW_S frames every HOP_S; a trailing partial window is dropped.
 
     Frame t covers samples [t * hop, t * hop + window). Audio shorter than
     one window yields an empty (0, window) array.
     """
-    return np.ascontiguousarray(_frames(audio, window_s, hop_s))
+    return np.ascontiguousarray(_frames(audio))
 
 
 # The row kernels below take an (n, width) block of frames and return one
@@ -241,13 +230,11 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def feature_matrix(
-    audio: AudioBuffer, window_s: float = 0.025, hop_s: float = 0.010
-) -> np.ndarray:
+def feature_matrix(audio: AudioBuffer) -> np.ndarray:
     """Per-frame features as a (frames, 2 + N_COEFFS) array.
 
     Columns are [log_energy, zcr, mfcc_0 .. mfcc_12]; row t is
-    frame t of frame(audio, window_s, hop_s) and equals the per-frame
+    frame t of frame(audio) and equals the per-frame
     log_energy, zcr and mfcc bit for bit. The frames are processed in
     blocks of _BLOCK_FRAMES rows, one FFT per block, so the framed matrix
     is never materialized. The blocks run on a thread pool of at most one
@@ -255,7 +242,7 @@ def feature_matrix(
     matvec, DCT and ufuncs); each block writes only its own rows, so the
     bytes do not depend on the thread count.
     """
-    frames = _frames(audio, window_s, hop_s)
+    frames = _frames(audio)
     features = np.empty((frames.shape[0], 2 + N_COEFFS))
 
     def fill(start: int) -> None:
@@ -276,18 +263,16 @@ def feature_matrix(
     return features
 
 
-def extract_features(
-    audio: AudioBuffer, window_s: float = 0.025, hop_s: float = 0.010
-) -> list[FrameFeatures]:
+def extract_features(audio: AudioBuffer) -> list[FrameFeatures]:
     """feature_matrix as one FrameFeatures per frame.
 
     Each record's row and mfcc are read-only views of one matrix; the
     records are built in C (tuple.__new__ over zipped columns), so no
     Python frame runs per frame.
     """
-    matrix = feature_matrix(audio, window_s, hop_s)
+    matrix = feature_matrix(audio)
     matrix.setflags(write=False)
-    times = map(mul, range(len(matrix)), repeat(hop_s))
+    times = map(mul, range(len(matrix)), repeat(HOP_S))
     columns = zip(range(len(matrix)), times, matrix[:, 0].tolist(), matrix[:, 1].tolist(),
                   matrix[:, 2:], matrix)
     return list(map(partial(tuple.__new__, FrameFeatures), columns))
@@ -369,7 +354,7 @@ def train_vad(
 
 
 def segment(
-    speech_mask: np.ndarray, hop_s: float = 0.010, seg_len_s: float = 0.4
+    speech_mask: np.ndarray, hop_s: float = HOP_S, seg_len_s: float = 0.4
 ) -> list[SpeakerSegment]:
     """Cut maximal speech runs into consecutive chunks of seg_len_s.
 

@@ -19,7 +19,7 @@ from itertools import filterfalse
 
 import numpy as np
 
-from . import harness
+from . import frontend, harness
 from .clustering import EmbeddingSet
 from .controller import (
     CheckerInterval,
@@ -45,12 +45,6 @@ MODEL_VERSION = 1
 # A plain-text label token; int() alone would also take "1_0" and
 # non-ASCII digits such as "\u0663".
 _LABEL_TOKEN = re.compile(r"[+-]?[0-9]+")
-
-_POLICY_NAMES = {
-    UnseenRowPolicy.UNIFORM: "uniform",
-    UnseenRowPolicy.ERROR_ON_QUERY: "error",
-}
-_POLICY_BY_NAME = {name: policy for policy, name in _POLICY_NAMES.items()}
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -139,7 +133,7 @@ def model_to_document(model: TransitionModel, mode: PredictionMode | None = None
         "version": MODEL_VERSION,
         "s": model.n_states,
         "counts": [int(c) for c in model.counts.reshape(-1)],
-        "policy": _POLICY_NAMES[model.policy],
+        "policy": model.policy.value,
         "mode": mode_to_document(mode),
     }
 
@@ -171,13 +165,12 @@ def model_from_document(doc) -> tuple[TransitionModel, PredictionMode | None]:
                 f"non-negative integer no larger than {limit}, got {value!r}"
             )
     policy_name = doc.get("policy")
-    if not isinstance(policy_name, str) or policy_name not in _POLICY_BY_NAME:
-        raise SchemaError(
-            f"$.policy: expected one of {sorted(_POLICY_BY_NAME)}, got {policy_name!r}"
-        )
+    policy_names = sorted(policy.value for policy in UnseenRowPolicy)
+    if policy_name not in policy_names:
+        raise SchemaError(f"$.policy: expected one of {policy_names}, got {policy_name!r}")
     mode = mode_from_document(doc.get("mode"))
     matrix = np.asarray(counts, dtype=np.int64).reshape(n_states, n_states)
-    return normalize(matrix, _POLICY_BY_NAME[policy_name]), mode
+    return normalize(matrix, UnseenRowPolicy(policy_name)), mode
 
 
 def save_model(
@@ -350,27 +343,29 @@ def session_config_from_document(doc):
     doc = _object(doc, "$", _SESSION_KEYS)
     thresholds_doc = _object(doc.get("thresholds", {}), "$.thresholds", _THRESHOLD_KEYS)
 
-    def threshold(key: str, default: float | None):
+    def threshold(key: str):
+        default = getattr(Thresholds, key)
         return _number_field(thresholds_doc, key, default, f"$.thresholds.{key}", float, above=0)
 
     interval = thresholds_doc.get("checker_interval", "every")
     if not isinstance(interval, str):
         raise SchemaError(f"$.thresholds.checker_interval: expected a string, got {interval!r}")
     thresholds = Thresholds(
-        tpe_threshold=threshold("tpe_threshold", 20.0),
-        epps_threshold=threshold("epps_threshold", 30.0),
-        matrix_diff_max=threshold("matrix_diff_max", 0.15),
-        row_diff_min=threshold("row_diff_min", None),
+        tpe_threshold=threshold("tpe_threshold"),
+        epps_threshold=threshold("epps_threshold"),
+        matrix_diff_max=threshold("matrix_diff_max"),
+        row_diff_min=threshold("row_diff_min"),
         checker_interval=parse_interval(interval),
     )
-    seed = _number_field(doc, "seed", 0, "$.seed", above=-1)
+    seed = _number_field(doc, "seed", SessionConfig.seed, "$.seed", above=-1)
     iterations = _number_field(doc, "iterations", None, "$.iterations", above=-1)
     n_states = _number_field(doc, "states", None, "$.states", above=0)
     config = SessionConfig(
         thresholds=thresholds,
         mode=_mode_from_name(doc.get("mode", "argmax"), seed),
         seed=seed,
-        candidate_count=_number_field(doc, "candidate_count", 5, "$.candidate_count", above=0),
+        candidate_count=_number_field(doc, "candidate_count", SessionConfig.candidate_count,
+                                      "$.candidate_count", above=0),
         window_len=_number_field(doc, "window", None, "$.window", above=1),
         iterations=iterations,
     )
@@ -504,12 +499,13 @@ def embeddings_to_csv(embeddings: EmbeddingSet) -> str:
     return "\n".join(lines) + "\n"
 
 
-def features_to_csv(rows: np.ndarray, hop_s: float) -> str:
-    """One CSV line per feature_matrix row, led by its frame index and time.
+def features_to_csv(rows: np.ndarray) -> str:
+    """One CSV line per feature_matrix row, led by its frame index and time
+    (index * frontend.HOP_S).
 
     Floats are written with repr, so they read back bit for bit.
     """
-    hop_s = float(hop_s)
+    hop_s = frontend.HOP_S
     names = ["log_energy", "zcr"] + [f"mfcc_{i}" for i in range(rows.shape[1] - 2)]
     lines = [",".join(["frame_index", "time_s"] + names)]
     lines += [

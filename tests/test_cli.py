@@ -170,17 +170,26 @@ class TestEstimatePredictCheck:
             ("0\n1\n", "0\n1\n", [], {"0": 1, "1": 1}),
             ("0\n1\n2\n3\n", "3\n0\n", [],
              "error: length mismatch: predicted has 4, actual has 2\n"),
+            ("0\n1\n", "0\n1\n", ["--states", "10000000"],
+             "error: --states must be <= 2, the number of labels read, got 10000000\n"),
+            ("0\n1\n", None, ["--states", "10000000"],
+             "error: --states must be <= 2, the number of labels read, got 10000000\n"),
         ],
         ids=["stray-label", "timed-jsonl", "explicit-states", "labels-up-to-length",
-             "bound-by-the-longer-file"],
+             "bound-by-the-longer-file", "check-states-above-label-count",
+             "estimate-states-above-label-count"],
     )
     def test_check_infers_states_only_up_to_the_label_count(
         self, capsys, tmp_path, predicted, actual, flags, expected
     ):
+        # actual=None runs `estimate` on the predicted file alone.
         paths = tmp_path / "p.txt", tmp_path / "a.txt"
         paths[0].write_text(predicted)
-        paths[1].write_text(actual)
-        code, out, err = run_cli(capsys, "check", *map(str, paths), *flags)
+        if actual is None:
+            code, out, err = run_cli(capsys, "estimate", str(paths[0]), *flags)
+        else:
+            paths[1].write_text(actual)
+            code, out, err = run_cli(capsys, "check", *map(str, paths), *flags)
         if isinstance(expected, str):
             assert (code, out, err) == (1, "", expected)
         else:
@@ -304,10 +313,12 @@ class TestSessionCommand:
         assert set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) == {
             "--help", "--report-out", "--table-out"
         }
-        with pytest.raises(SystemExit) as exc:
-            main(["session", "session.json", "--window", "120"])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --window 120" in capsys.readouterr().err
+        for argv in (["session", "session.json", "--window", "120"],
+                     ["vad", "clip.wav", "--hop-s", "0.02"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {' '.join(argv[2:])}" in capsys.readouterr().err
 
     def test_invalid_config_schema(self, capsys, tmp_path):
         path = str(tmp_path / "broken.json")
@@ -537,16 +548,11 @@ class TestCliEdges:
     @pytest.mark.parametrize(
         "argv, field",
         [
-            (["vad", "{wav}", "--hop-s", "nan"], "hop_s"),
-            (["vad", "{wav}", "--window-s", "inf"], "window_s"),
-            (["vad", "{wav}", "--hop-s", "1e308"], "hop_s"),
-            (["vad", "{wav}", "--seg-len-s", "nan"], "seg_len_s"),
             (["diarize", "{emb}", "--sigma", "nan"], "sigma"),
             (["diarize", "{emb}", "--sigma", "inf"], "sigma"),
             (["check", "{labels}", "{labels}", "--tpe-threshold", "nan"], "tpe_threshold"),
         ],
         ids=[
-            "vad-hop-nan", "vad-window-inf", "vad-hop-overflow", "vad-seg-len-nan",
             "diarize-sigma-nan", "diarize-sigma-inf", "check-threshold-nan",
         ],
     )

@@ -86,7 +86,7 @@ def reference_mfcc(samples, rate, n_filters=40, n_coeffs=13):
     return np.array(coeffs)
 
 
-def per_frame_features(audio, window_s=0.025, hop_s=0.010):
+def per_frame_features(audio):
     """The per-frame loop the frontend ran before feature_matrix, kept verbatim.
 
     One log_energy, zcr and mfcc call (one FFT) per frame; the feature
@@ -113,7 +113,7 @@ def per_frame_features(audio, window_s=0.025, hop_s=0.010):
 
     rows = [
         np.concatenate(([log_energy(x), zcr(x)], mfcc(x)))
-        for x in frame(audio, window_s, hop_s)
+        for x in frame(audio)
     ]
     return np.array(rows).reshape(len(rows), 15)
 
@@ -132,21 +132,10 @@ class TestFrame:
         audio = AudioBuffer(np.zeros(100), 16000)
         assert frame(audio).shape[0] == 0
 
-    def test_hop_equals_window(self):
-        audio = AudioBuffer(np.arange(2000) / 2000.0, 16000)
-        frames = frame(audio, window_s=0.025, hop_s=0.025)
-        assert frames.shape == (5, 400)
-        assert np.array_equal(frames[1], audio.samples[400:800])
-
     def test_frames_cover_hop_offsets(self):
         audio = AudioBuffer(np.arange(1000) / 1000.0, 16000)
         frames = frame(audio)
         assert np.array_equal(frames[2], audio.samples[320:720])
-
-    def test_window_too_small(self):
-        audio = AudioBuffer(np.zeros(100), 16000)
-        with pytest.raises(ValidationError):
-            frame(audio, window_s=0.00001)
 
 
 class TestLogEnergy:
@@ -216,10 +205,6 @@ class TestFeatureMatrix:
     @given(
         data=st.data(),
         rate=st.sampled_from(ACCEPTED_RATES),
-        params=st.one_of(
-            st.just((0.025, 0.010)),
-            st.tuples(st.floats(0.002, 0.04), st.floats(0.001, 0.02)),
-        ),
         frames=st.one_of(
             st.sampled_from([0, 1, _BLOCK_FRAMES - 1, _BLOCK_FRAMES, _BLOCK_FRAMES + 1]),
             st.integers(0, 2 * _BLOCK_FRAMES + 2),
@@ -229,11 +214,10 @@ class TestFeatureMatrix:
     )
     @settings(max_examples=40, deadline=None)
     def test_rows_equal_per_frame_reference(
-        self, data, rate, params, frames, seed, zeros
+        self, data, rate, frames, seed, zeros
     ):
-        window_s, hop_s = params
-        window = int(round(window_s * rate))
-        hop = int(round(hop_s * rate))
+        window = int(round(frontend.WINDOW_S * rate))
+        hop = int(round(frontend.HOP_S * rate))
         if frames == 0:
             length = data.draw(st.integers(1, window - 1), label="length")
         else:
@@ -244,11 +228,11 @@ class TestFeatureMatrix:
         if zeros:
             samples[rng.random(length) < 0.3] = 0.0
         audio = AudioBuffer(samples, rate)
-        matrix = feature_matrix(audio, window_s, hop_s)
+        matrix = feature_matrix(audio)
         assert matrix.shape == (frames, 15)
-        reference = per_frame_features(audio, window_s, hop_s)
+        reference = per_frame_features(audio)
         assert matrix.tobytes() == reference.tobytes()
-        listed = extract_features(audio, window_s, hop_s)
+        listed = extract_features(audio)
         assert [f.frame_index for f in listed] == list(range(frames))
         assert all(
             f.row.tobytes() == row.tobytes() for f, row in zip(listed, matrix)
@@ -507,13 +491,13 @@ class TestSegment:
     def test_half_segment_trailing_merges(self):
         mask = np.array([True] * 100)
         spans = segment(mask, hop_s=0.010, seg_len_s=0.4)
-        durations = [round(s.duration_s, 3) for s in spans]
+        durations = [round(s.end_s - s.start_s, 3) for s in spans]
         assert durations == [0.4, 0.6]
 
     def test_long_trailing_kept(self):
         mask = np.array([True] * 70)
         spans = segment(mask, hop_s=0.010, seg_len_s=0.4)
-        assert [round(s.duration_s, 3) for s in spans] == [0.4, 0.3]
+        assert [round(s.end_s - s.start_s, 3) for s in spans] == [0.4, 0.3]
 
     def test_all_silence(self):
         assert segment(np.zeros(50, dtype=bool), 0.010) == []
@@ -539,8 +523,8 @@ class TestSegment:
         for span in spans:
             assert span.start_s >= previous_end - 1e-9
             previous_end = span.end_s
-            assert span.duration_s >= 0.2 - 1e-9
-            assert span.duration_s < 0.8
+            assert span.end_s - span.start_s >= 0.2 - 1e-9
+            assert span.end_s - span.start_s < 0.8
 
 
 class TestWavIo:

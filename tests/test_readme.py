@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 
 import convstate
+from convstate.cli import build_parser
 from convstate.controller import SessionConfig
 from convstate.markov import Sampled, normalize
 from convstate.storage import save_model, session_config_from_document
@@ -30,6 +31,16 @@ def test_backticked_module_references_resolve():
         if not hasattr(importlib.import_module(f"convstate.{module}"), name)
     ]
     assert missing == []
+
+
+def test_cli_examples_parse():
+    """Every command of the CLI block parses, so a deleted flag cannot linger there."""
+    block = README.read_text().split("## CLI", 1)[1].split("```bash\n", 1)[1].split("\n```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [line.split("#", 1)[0].split() for line in lines if line.strip()]
+    assert commands and all(argv[0] == "convstate" for argv in commands)
+    for argv in commands:
+        build_parser().parse_args(argv[1:])
 
 
 def test_session_config_example_is_read_by_the_one_reader(tmp_path):

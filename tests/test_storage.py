@@ -21,7 +21,7 @@ from convstate.controller import (
     run_session,
 )
 from convstate.errors import SchemaError, ValidationError
-from convstate.frontend import AudioBuffer, extract_features, feature_matrix
+from convstate.frontend import ACCEPTED_RATES, AudioBuffer, extract_features, feature_matrix
 from convstate.harness import chain_oracle, matched_chain_oracle
 from convstate.markov import (
     Argmax,
@@ -342,7 +342,7 @@ def test_is_number(value, kind, accepted):
 class TestFeaturesCsv:
     def test_header_and_rows(self):
         rows = np.concatenate(([-1.5, 0.25], np.arange(13, dtype=float)))[None, :]
-        text = features_to_csv(rows, 0.01)
+        text = features_to_csv(rows)
         lines = text.splitlines()
         assert lines[0].startswith("frame_index,time_s,log_energy,zcr,mfcc_0")
         assert lines[0].endswith("mfcc_12")
@@ -352,15 +352,15 @@ class TestFeaturesCsv:
     @given(
         seed=st.integers(0, 2**32 - 1),
         length=st.integers(0, 3000),
-        hop_s=st.sampled_from([0.010, 0.0125, 0.015, 0.02]),
+        rate=st.sampled_from(ACCEPTED_RATES),
     )
     @settings(max_examples=25, deadline=None)
-    def test_matches_the_csv_writer_serializer(self, seed, length, hop_s):
+    def test_matches_the_csv_writer_serializer(self, seed, length, rate):
         samples = np.random.default_rng(seed).uniform(-1, 1, length + 1)
-        audio = AudioBuffer(samples, 16000)
-        rows = feature_matrix(audio, hop_s=hop_s)
-        features = extract_features(audio, hop_s=hop_s)
-        assert features_to_csv(rows, hop_s) == csv_writer_features(features)
+        audio = AudioBuffer(samples, rate)
+        assert features_to_csv(feature_matrix(audio)) == csv_writer_features(
+            extract_features(audio)
+        )
 
 
 JSON_SCALARS = st.one_of(
