@@ -104,8 +104,11 @@ def _cmd_predict(args: argparse.Namespace) -> None:
 
 
 def _cmd_check(args: argparse.Namespace) -> None:
-    predicted = storage.read_labels(args.predicted)
-    actual = storage.read_labels(args.actual)
+    if args.states is not None:
+        _require_states(args.states)
+    # With --states, a label at or above it is an error, as in `estimate`.
+    predicted = storage.read_labels(args.predicted, n_states=args.states)
+    actual = storage.read_labels(args.actual, n_states=args.states)
     length = max(len(predicted), len(actual))
     if args.states is None:
         # Like --states, the inferred count may not outgrow the input.
@@ -117,7 +120,6 @@ def _cmd_check(args: argparse.Namespace) -> None:
             )
     else:
         n_states = args.states
-        _require_states(n_states)
         _require_states_within(n_states, length)
     thresholds = Thresholds(
         tpe_threshold=args.tpe_threshold, epps_threshold=args.epps_threshold

@@ -4,6 +4,10 @@ Frames audio into 25 ms windows hopped by 10 ms, computes log-energy,
 zero-crossing rate, and 13 MFCCs per frame, classifies frames
 speech/non-speech with a single logistic unit, and cuts speech runs into
 fixed-length non-overlapping segments.
+
+scipy (scipy.fft.dct for the cepstrum, scipy.special.expit for the VAD)
+is imported on first feature use, through _scipy, not with this module,
+so a program that computes no feature never loads it.
 """
 
 from __future__ import annotations
@@ -16,11 +20,10 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import repeat
 from operator import mul
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.fft import dct
-from scipy.special import expit
 
 from .errors import ValidationError
 
@@ -36,6 +39,20 @@ HOP_S = 0.010
 # Frames per feature_matrix block: bounds the block temporaries (about
 # 1 MB each at 16 kHz) while per-block overhead stays negligible.
 _BLOCK_FRAMES = 256
+
+
+@lru_cache(maxsize=1)
+def _scipy() -> SimpleNamespace:
+    """scipy's dct and expit, imported on the first call and cached after it.
+
+    Importing scipy.fft and scipy.special takes about 0.4 s and 26 MiB, so
+    it waits until a feature is computed. A cached call takes about 0.1 us
+    (an import statement about 1 us), so the per-frame path calls this.
+    """
+    from scipy.fft import dct
+    from scipy.special import expit
+
+    return SimpleNamespace(dct=dct, expit=expit)
 
 
 @dataclass(frozen=True)
@@ -168,7 +185,7 @@ def _mfccs(frames: np.ndarray, sample_rate: int) -> np.ndarray:
     magnitude = np.abs(np.fft.rfft(emphasized, n_fft, axis=1))
     energies = np.matvec(_mel_filterbank(n_fft, sample_rate), magnitude)
     log_energies = np.log(np.maximum(energies, ENERGY_FLOOR))
-    return dct(log_energies, type=2, norm="ortho", axis=1)[:, :N_COEFFS]
+    return _scipy().dct(log_energies, type=2, norm="ortho", axis=1)[:, :N_COEFFS]
 
 
 def log_energy(frame_samples: np.ndarray) -> float:
@@ -240,8 +257,11 @@ def feature_matrix(audio: AudioBuffer) -> np.ndarray:
     is never materialized. The blocks run on a thread pool of at most one
     worker per usable CPU (NumPy and SciPy release the GIL in the FFT,
     matvec, DCT and ufuncs); each block writes only its own rows, so the
-    bytes do not depend on the thread count.
+    bytes do not depend on the thread count. scipy is imported here, before
+    the pool starts, on the first call in the process, so no worker
+    thread imports.
     """
+    _scipy()
     frames = _frames(audio)
     features = np.empty((frames.shape[0], 2 + N_COEFFS))
 
@@ -298,7 +318,7 @@ def vad_classify(
             f"got {w.size}"
         )
     # vecdot, unlike X @ w or matvec, reproduces the per-row np.dot bits.
-    probabilities = expit(np.vecdot(x, w[:-1]) + w[-1])
+    probabilities = _scipy().expit(np.vecdot(x, w[:-1]) + w[-1])
     if x.ndim == 1:
         return bool(probabilities > 0.5), float(probabilities)
     return probabilities > 0.5, probabilities
@@ -332,6 +352,7 @@ def train_vad(
             raise ValidationError(f"training data has no {name} frames")
     rng = np.random.default_rng(seed)
     raw = rng.normal(0.0, 0.01, x.shape[1] + 1)
+    expit = _scipy().expit
 
     def loss_for(weights: np.ndarray) -> float:
         return _binary_cross_entropy(expit(x @ weights[:-1] + weights[-1]), y)

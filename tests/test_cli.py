@@ -166,7 +166,10 @@ class TestEstimatePredictCheck:
              "error: largest label 1000000 implies 1000001 states for 2 labels; pass --states\n"),
             ('{"start_s": 0, "end_s": 1, "state": 0}\n{"start_s": 1, "end_s": 2, "state": 7}\n',
              "0\n1\n", [], "error: largest label 7 implies 8 states for 2 labels; pass --states\n"),
-            ("0\n1000000\n", "0\n1000000\n", ["--states", "2"], {"0": 1, "1": 0}),
+            ("0\n1000000\n", "0\n1\n", ["--states", "2"],
+             "error: label 1000000 at index 1 outside 0..1\n"),
+            ("0\n1\n", "0\n1000000\n", ["--states", "2"],
+             "error: label 1000000 at index 1 outside 0..1\n"),
             ("0\n1\n", "0\n1\n", [], {"0": 1, "1": 1}),
             ("0\n1\n2\n3\n", "3\n0\n", [],
              "error: length mismatch: predicted has 4, actual has 2\n"),
@@ -175,7 +178,8 @@ class TestEstimatePredictCheck:
             ("0\n1\n", None, ["--states", "10000000"],
              "error: --states must be <= 2, the number of labels read, got 10000000\n"),
         ],
-        ids=["stray-label", "timed-jsonl", "explicit-states", "labels-up-to-length",
+        ids=["stray-label", "timed-jsonl", "explicit-states", "explicit-states-reversed",
+             "labels-up-to-length",
              "bound-by-the-longer-file", "check-states-above-label-count",
              "estimate-states-above-label-count"],
     )
@@ -392,15 +396,57 @@ class TestCliEdges:
             1, "", "error: affinity contains NaN or Inf\n"
         )
 
-    def test_cli_import_leaves_scipy_signal_unloaded(self):
-        # scipy.signal alone took about 0.8 s of every command's start-up.
+    def test_cold_start_loads_scipy_only_on_feature_use(
+        self, tmp_path, truth_model_path, wav_path
+    ):
+        # scipy.fft and scipy.special took most of every command's start-up;
+        # only a command that computes a feature may load them.
+        def path(name):
+            return str(tmp_path / name)
+
+        Path(path("session.json")).write_text(json.dumps({
+            "seed": 0, "mode": "sampled", "iterations": 1,
+            "oracle": {"kind": "chain", "model": truth_model_path, "length": 30},
+        }))
+        commands = [
+            ["simulate", "chain", "--model", truth_model_path, "--length", "20",
+             "--out", path("labels.txt")],
+            ["simulate", "embeddings", "--clusters", "2", "--per-cluster", "5", "--dim", "3",
+             "--out", path("emb.csv")],
+            ["diarize", path("emb.csv"), "--out", path("dia.txt")],
+            ["estimate", path("labels.txt"), "--states", "3", "--out", path("model.json")],
+            ["predict", path("model.json"), "--initial", "0", "--length", "20",
+             "--out", path("pred.txt")],
+            ["check", path("pred.txt"), path("labels.txt"), "--out", path("check.json")],
+            ["session", path("session.json"), "--report-out", path("report.json"),
+             "--table-out", path("table.csv")],
+            ["vad", wav_path, "--out", path("features.csv")],
+        ]
+        script = """
+import contextlib, io, json, sys
+from convstate import cli
+def loaded():
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+stages = [["import", 0, loaded()]]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    stages.append([argv[0], code, loaded()])
+print(json.dumps(stages))
+"""
         src = str(Path(__file__).resolve().parents[1] / "src")
         result = subprocess.run(
-            [sys.executable, "-c",
-             "import convstate.cli, sys; print('scipy.signal' in sys.modules)"],
+            [sys.executable, "-c", script, json.dumps(commands)],
             env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
         )
-        assert (result.returncode, result.stdout, result.stderr) == (0, "False\n", "")
+        assert (result.returncode, result.stderr) == (0, "")
+        stages = json.loads(result.stdout)
+        names = ["import", "simulate", "simulate", "diarize", "estimate", "predict", "check",
+                 "session"]
+        assert stages[:-1] == [[name, 0, []] for name in names]
+        name, code, after_vad = stages[-1]
+        assert (name, code) == ("vad", 0)
+        assert {"scipy.fft", "scipy.special"} <= set(after_vad)
 
     @pytest.mark.parametrize(
         "overrides, field",

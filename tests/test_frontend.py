@@ -1,6 +1,8 @@
+import json
 import math
 import os
 import pickle
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -368,6 +370,46 @@ class TestFeatureBlockThreads:
             sys.setswitchinterval(interval)
         assert pools == [8]
         assert threaded == serial
+
+    def test_first_feature_call_imports_scipy_before_the_pool(self):
+        # A fresh interpreter whose first frontend call is a multi-block
+        # feature_matrix: scipy must be loaded before the pool starts, so no
+        # worker imports, and the bytes must not depend on who imported.
+        script = """
+import json, sys
+from concurrent.futures import ThreadPoolExecutor
+import numpy as np
+from convstate import frontend
+
+pools = []
+def recording_pool(workers):
+    pools.append([workers, "scipy.fft" in sys.modules, "scipy.special" in sys.modules])
+    return ThreadPoolExecutor(workers)
+
+frontend._usable_cpus = lambda: 4
+frontend.ThreadPoolExecutor = recording_pool
+before = "scipy.fft" in sys.modules
+window, hop = 400, 160
+audio = frontend.AudioBuffer(
+    np.random.default_rng(5).uniform(-1, 1, window + (3 * 256 + 6) * hop), 16000)
+first = frontend.feature_matrix(audio)
+second = frontend.feature_matrix(audio)
+rows = np.array([[frontend.log_energy(f), frontend.zcr(f), *frontend.mfcc(f, 16000)]
+                 for f in frontend.frame(audio)])
+print(json.dumps({"before": before, "pools": pools, "frames": len(first),
+                  "repeat": first.tobytes() == second.tobytes(),
+                  "per_frame": first.tobytes() == rows.tobytes()}))
+"""
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+        assert json.loads(result.stdout) == {
+            "before": False, "pools": [[4, True, True], [4, True, True]],
+            "frames": 3 * _BLOCK_FRAMES + 7, "repeat": True, "per_frame": True,
+        }
 
     @pytest.mark.parametrize("count, expected", [(6, 6), (None, 1)])
     def test_cpu_count_fallback_without_affinity(self, monkeypatch, count, expected):
