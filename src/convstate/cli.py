@@ -10,7 +10,6 @@ import argparse
 import functools
 import json
 import sys
-import wave
 
 import numpy as np
 
@@ -258,7 +257,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _require_seed(getattr(args, "seed", None))
         args.func(args)
-    except (ValidationError, wave.Error) as exc:
+    except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -111,18 +111,33 @@ class SpeakerSegment:
 
 
 def load_wav(path: str) -> AudioBuffer:
-    """Read a 16-bit PCM RIFF file; multichannel audio is mean-downmixed."""
-    with wave.open(str(path), "rb") as handle:
-        if handle.getsampwidth() != 2:
-            raise ValidationError(
-                f"only 16-bit PCM is supported, got sample width "
-                f"{handle.getsampwidth()} bytes"
-            )
-        if handle.getcomptype() != "NONE":
-            raise ValidationError(f"compressed WAV ({handle.getcomptype()}) not supported")
-        rate = handle.getframerate()
-        channels = handle.getnchannels()
-        raw = handle.readframes(handle.getnframes())
+    """Read a 16-bit PCM RIFF file; multichannel audio is mean-downmixed.
+
+    A file in another format, or one whose header or data is cut short,
+    is a ValidationError that names the file; a missing file is an OSError.
+    """
+    try:
+        with wave.open(str(path), "rb") as handle:
+            width = handle.getsampwidth()
+            rate = handle.getframerate()
+            channels = handle.getnchannels()
+            raw = handle.readframes(handle.getnframes())
+    except wave.Error as exc:
+        # wave reads only PCM and names any other format tag.
+        _, unknown, tag = str(exc).partition("unknown format: ")
+        message = f"only 16-bit PCM is read, got format tag {tag}" if unknown else exc
+        raise ValidationError(f"{path}: {message}") from None
+    except EOFError:
+        raise ValidationError(f"{path}: WAV header is cut short") from None
+    except RuntimeError:
+        # wave's chunk seek: a chunk size runs past the end of the RIFF data.
+        raise ValidationError(f"{path}: a chunk runs past the end of the file") from None
+    if width != 2:
+        raise ValidationError(
+            f"{path}: only 16-bit PCM is read, got sample width {width} bytes"
+        )
+    if len(raw) % (2 * channels):
+        raise ValidationError(f"{path}: data ends mid-frame after {len(raw)} bytes")
     data = np.frombuffer(raw, dtype="<i2").astype(np.float64)
     data /= 32768.0
     if channels > 1:

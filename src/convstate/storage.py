@@ -503,14 +503,19 @@ def features_to_csv(rows: np.ndarray) -> str:
     """One CSV line per feature_matrix row, led by its frame index and time
     (index * frontend.HOP_S).
 
-    Floats are written with repr, so they read back bit for bit.
+    Every float is written with six decimals (``%.6f``). The features come
+    from NumPy's SIMD-dispatched log, cos and power and from BLAS, so their
+    last bits follow the host's vector extensions; at six decimals those
+    differences (about 1e-15) almost never reach a printed digit, so the
+    file has the same bytes on every host. Bit-exact features come from
+    frontend.feature_matrix.
     """
-    hop_s = frontend.HOP_S
     names = ["log_energy", "zcr"] + [f"mfcc_{i}" for i in range(rows.shape[1] - 2)]
+    line = "%d" + ",%.6f" * (rows.shape[1] + 1)
+    index = np.arange(len(rows))
+    table = np.column_stack((index, index * frontend.HOP_S, rows)).tolist()
     lines = [",".join(["frame_index", "time_s"] + names)]
-    lines += [
-        f"{t},{t * hop_s!r},{','.join(map(repr, row))}" for t, row in enumerate(rows.tolist())
-    ]
+    lines += [line % tuple(row) for row in table]
     return "\n".join(lines) + "\n"
 
 

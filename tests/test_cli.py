@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 import warnings
@@ -12,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from convstate.cli import main
-from convstate.frontend import AudioBuffer, save_wav
+from convstate.frontend import ACCEPTED_RATES, AudioBuffer, save_wav
 from convstate.markov import Sampled, normalize
 from convstate.storage import model_to_document, save_model
 
@@ -910,3 +911,62 @@ class TestInputFileFuzz:
         path = tmp_path / "emb.csv"
         path.write_text("".join(",".join(row) + "\n" for row in cells))
         self.run_on(capsys, ["diarize", str(path), *flags])
+
+
+def wav_bytes(channels: int, rate: int, junk: bytes | None) -> tuple[bytes, list[int]]:
+    """A valid 0.05 s 16-bit PCM file, with an unknown chunk before `data` if
+    junk is given, and the offsets of its chunk-size fields."""
+    t = np.arange(rate // 20 * channels) / rate
+    data = (8000 * np.sin(2 * np.pi * 300 * t)).astype("<i2").tobytes()
+    fmt = struct.pack("<HHIIHH", 1, channels, rate, rate * 2 * channels, 2 * channels, 16)
+    chunks = [b"fmt " + struct.pack("<I", len(fmt)) + fmt]
+    if junk is not None:
+        chunks.append(b"junk" + struct.pack("<I", len(junk)) + junk + b"\0" * (len(junk) % 2))
+    chunks.append(b"data" + struct.pack("<I", len(data)) + data)
+    body = b"WAVE" + b"".join(chunks)
+    size_fields, offset = [4], 12
+    for chunk in chunks:
+        size_fields.append(offset + 4)
+        offset += len(chunk)
+    return b"RIFF" + struct.pack("<I", len(body)) + body, size_fields
+
+
+CHUNK_SIZES = st.one_of(
+    st.integers(0, 64), st.integers(0, 2**32 - 1), st.sampled_from([2**31, 2**32 - 1])
+)
+
+
+class TestWavFuzz:
+    """Damaged WAVs through `convstate vad`: edited header bytes and chunk
+    sizes, an unknown chunk, and a file cut at any point."""
+
+    @given(
+        st.sampled_from([1, 2]),
+        st.sampled_from(ACCEPTED_RATES),
+        st.one_of(st.none(), st.binary(max_size=9)),
+        st.lists(st.tuples(st.integers(0, 3), CHUNK_SIZES), max_size=2),
+        st.lists(st.tuples(st.integers(0, 63), st.integers(0, 255)), max_size=3),
+        st.one_of(st.none(), st.integers(0, 2**20)),
+    )
+    @FUZZ_SETTINGS
+    def test_vad_on_a_damaged_wav(
+        self, capsys, tmp_path, channels, rate, junk, sizes, edits, cut
+    ):
+        raw, size_fields = wav_bytes(channels, rate, junk)
+        raw = bytearray(raw)
+        for which, size in sizes:
+            field = size_fields[which % len(size_fields)]
+            raw[field:field + 4] = struct.pack("<I", size)
+        header_end = size_fields[-1] + 4
+        for offset, value in edits:
+            raw[offset % header_end] = value
+        if cut is not None:
+            del raw[cut % (len(raw) + 1):]
+        path = tmp_path / "clip.wav"
+        path.write_bytes(bytes(raw))
+        code, _, err = run_cli(capsys, "vad", str(path), "--out", str(tmp_path / "f.csv"))
+        assert code in (0, 1, 2)
+        assert (code == 0) == (err == "")
+        assert err == "" or (
+            err.startswith(("error: ", "i/o error: ")) and err.count("\n") == 1
+        )

@@ -649,3 +649,30 @@ class TestWavValidation:
             handle.writeframes(bytes(100))
         with pytest.raises(ValidationError, match="16-bit"):
             load_wav(path)
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            ("cut inside fmt", "WAV header is cut short"),
+            ("unknown chunk past the end", "a chunk runs past the end of the file"),
+            ("cut mid-sample", "data ends mid-frame after 1599 bytes"),
+            ("float format", "only 16-bit PCM is read, got format tag 3"),
+        ],
+    )
+    def test_damaged_file_is_named(self, tmp_path, damage, message):
+        path = str(tmp_path / "clip.wav")
+        save_wav(path, AudioBuffer(np.zeros(800), 16000))
+        raw = bytearray(open(path, "rb").read())
+        if damage == "cut inside fmt":
+            raw = raw[:24]
+        elif damage == "unknown chunk past the end":
+            raw[12:12] = b"junk\xff\xff\x00\x00"
+        elif damage == "cut mid-sample":
+            raw = raw[:-1]
+        else:
+            raw[20:22] = (3).to_bytes(2, "little")
+        with open(path, "wb") as handle:
+            handle.write(raw)
+        with pytest.raises(ValidationError) as caught:
+            load_wav(path)
+        assert str(caught.value) == f"{path}: {message}"

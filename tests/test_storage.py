@@ -21,7 +21,13 @@ from convstate.controller import (
     run_session,
 )
 from convstate.errors import SchemaError, ValidationError
-from convstate.frontend import ACCEPTED_RATES, AudioBuffer, extract_features, feature_matrix
+from convstate.frontend import (
+    ACCEPTED_RATES,
+    HOP_S,
+    AudioBuffer,
+    extract_features,
+    feature_matrix,
+)
 from convstate.harness import chain_oracle, matched_chain_oracle
 from convstate.markov import (
     Argmax,
@@ -58,17 +64,15 @@ def model():
 
 
 def csv_writer_features(features):
-    """The feature CSV serializer from before features_to_csv took a matrix."""
+    """The feature CSV through csv.writer: every float with six decimals."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(
         ["frame_index", "time_s", "log_energy", "zcr"] + [f"mfcc_{i}" for i in range(13)]
     )
     for feat in features:
-        writer.writerow(
-            [feat.frame_index, repr(float(feat.time_s)), repr(feat.log_energy), repr(feat.zcr)]
-            + [repr(float(c)) for c in feat.mfcc]
-        )
+        values = [feat.time_s, feat.log_energy, feat.zcr, *feat.mfcc.tolist()]
+        writer.writerow([feat.frame_index] + [f"{v:.6f}" for v in values])
     return buffer.getvalue()
 
 
@@ -346,7 +350,7 @@ class TestFeaturesCsv:
         lines = text.splitlines()
         assert lines[0].startswith("frame_index,time_s,log_energy,zcr,mfcc_0")
         assert lines[0].endswith("mfcc_12")
-        assert lines[1].split(",")[2] == "-1.5"
+        assert lines[1].split(",")[2] == "-1.500000"
 
 
     @given(
@@ -358,9 +362,16 @@ class TestFeaturesCsv:
     def test_matches_the_csv_writer_serializer(self, seed, length, rate):
         samples = np.random.default_rng(seed).uniform(-1, 1, length + 1)
         audio = AudioBuffer(samples, rate)
-        assert features_to_csv(feature_matrix(audio)) == csv_writer_features(
-            extract_features(audio)
-        )
+        matrix = feature_matrix(audio)
+        text = features_to_csv(matrix)
+        assert text == csv_writer_features(extract_features(audio))
+        # Each field reads back to within half a unit of the sixth decimal.
+        parsed = np.array(
+            [line.split(",") for line in text.splitlines()[1:]], dtype=float
+        ).reshape(len(matrix), 17)
+        index = np.arange(len(matrix))
+        expected = np.column_stack((index, index * HOP_S, matrix))
+        assert np.all(np.abs(parsed - expected) <= 5e-7 + np.spacing(np.abs(expected)))
 
 
 JSON_SCALARS = st.one_of(
