@@ -113,7 +113,8 @@ class SpeakerSegment:
 def load_wav(path: str) -> AudioBuffer:
     """Read a 16-bit PCM RIFF file; multichannel audio is mean-downmixed.
 
-    A file in another format, or one whose header or data is cut short,
+    A file in another format, one whose header or data is cut short, or
+    one whose audio AudioBuffer rejects (no samples, an unsupported rate)
     is a ValidationError that names the file; a missing file is an OSError.
     """
     try:
@@ -121,6 +122,7 @@ def load_wav(path: str) -> AudioBuffer:
             width = handle.getsampwidth()
             rate = handle.getframerate()
             channels = handle.getnchannels()
+            declared = handle.getnframes() * width * channels
             raw = handle.readframes(handle.getnframes())
     except wave.Error as exc:
         # wave reads only PCM and names any other format tag.
@@ -138,11 +140,18 @@ def load_wav(path: str) -> AudioBuffer:
         )
     if len(raw) % (2 * channels):
         raise ValidationError(f"{path}: data ends mid-frame after {len(raw)} bytes")
+    if len(raw) < declared:
+        raise ValidationError(
+            f"{path}: data chunk declares {declared} bytes of frames, the file holds {len(raw)}"
+        )
     data = np.frombuffer(raw, dtype="<i2").astype(np.float64)
     data /= 32768.0
     if channels > 1:
         data = data.reshape(-1, channels).mean(axis=1)
-    return AudioBuffer(samples=data, sample_rate=rate)
+    try:
+        return AudioBuffer(samples=data, sample_rate=rate)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def save_wav(path: str, audio: AudioBuffer) -> None:

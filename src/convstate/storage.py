@@ -9,6 +9,7 @@ never observe a partial document.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -16,6 +17,7 @@ import os
 import re
 import tempfile
 from itertools import filterfalse
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -503,20 +505,103 @@ def features_to_csv(rows: np.ndarray) -> str:
     """One CSV line per feature_matrix row, led by its frame index and time
     (index * frontend.HOP_S).
 
-    Every float is written with six decimals (``%.6f``). The features come
-    from NumPy's SIMD-dispatched log, cos and power and from BLAS, so their
-    last bits follow the host's vector extensions; at six decimals those
-    differences (about 1e-15) almost never reach a printed digit, so the
-    file has the same bytes on every host. Bit-exact features come from
-    frontend.feature_matrix.
+    Every float is written with six decimals, byte for byte as ``%.6f``
+    would write it. The features come from NumPy's SIMD-dispatched log, cos
+    and power and from BLAS, so their last bits follow the host's vector
+    extensions; at six decimals those differences (about 1e-15) almost
+    never reach a printed digit, so the file has the same bytes on every
+    host. Bit-exact features come from frontend.feature_matrix.
+
+    The lines are built by a table-driven writer, _CSV_BLOCK rows at a time
+    (see _csv_rows). A row holding a value that writer cannot round exactly
+    (NaN, an infinity, a magnitude of 1e6 or more, or a value within 2**-12
+    of a tie at the sixth decimal) is written with ``%`` instead.
     """
     names = ["log_energy", "zcr"] + [f"mfcc_{i}" for i in range(rows.shape[1] - 2)]
-    line = "%d" + ",%.6f" * (rows.shape[1] + 1)
-    index = np.arange(len(rows))
-    table = np.column_stack((index, index * frontend.HOP_S, rows)).tolist()
-    lines = [",".join(["frame_index", "time_s"] + names)]
-    lines += [line % tuple(row) for row in table]
-    return "\n".join(lines) + "\n"
+    parts = [",".join(["frame_index", "time_s"] + names) + "\n"]
+    for start in range(0, len(rows), _CSV_BLOCK):
+        parts.append(_csv_rows(rows[start:start + _CSV_BLOCK], start))
+    return "".join(parts)
+
+
+# Rows per block of the feature-CSV writer: large enough that NumPy's
+# per-call cost vanishes, small enough that the block's word buffer stays
+# far below the size of the CSV.
+_CSV_BLOCK = 2048
+
+
+@functools.lru_cache(maxsize=1)
+def _csv_words() -> SimpleNamespace:
+    """The feature-CSV writer's tables of 4-byte NUL-padded ASCII words,
+    one uint32 each, indexed by a 3-digit group plus 1000 times a flag."""
+
+    def words(texts) -> np.ndarray:
+        return np.frombuffer(b"".join(t.encode().ljust(4, b"\0") for t in texts), np.uint32)
+
+    lead = [str(k) if k else "" for k in range(1000)]  # a leading group; 0 prints nothing
+    bare = [str(k) for k in range(1000)]
+    padded = [f"{k:03d}" for k in range(1000)]
+    return SimpleNamespace(
+        thousands=words(lead + ["-" + t for t in lead]),  # + 1000 * sign
+        units=words(bare + padded),  # + 1000 * (thousands > 0)
+        milli=words("." + t for t in padded),
+        micro=words([t + "," for t in padded] + [t + "\n" for t in padded]),  # + 1000 * last
+        index_group=words(lead + padded),  # + 1000 * (a higher group > 0)
+        index_units=words([t + "," for t in bare] + [t + "," for t in padded]),
+    )
+
+
+def _csv_rows(rows: np.ndarray, first: int) -> str:
+    """features_to_csv's lines for `rows`, whose frame indices start at `first`.
+
+    Each value x is written from N = rint(|x| * 1e6). Below 1e12 the product
+    is off the exact one by at most 2**-14, so where its fraction is more
+    than 2**-12 away from one half, N is the correctly rounded sixth-decimal
+    integer that ``%.6f`` prints. N splits into 3-digit groups, each group
+    picks a word from _csv_words, and the NUL padding is dropped. The sign
+    comes from signbit, so -0.0 and -4e-7 print as -0.000000. A row holding
+    a value outside that rule is written with ``%`` instead.
+    """
+    index = np.arange(first, first + len(rows))
+    values = np.column_stack((index * frontend.HOP_S, rows)).astype(np.float64, copy=False)
+    n_rows, n_values = values.shape
+    table = _csv_words()
+    with np.errstate(over="ignore", invalid="ignore"):  # NaN and infinities fall back
+        scaled = np.abs(values) * 1e6
+        rounded = np.rint(scaled)
+        exact = (rounded < 1e12) & (np.abs(scaled - np.floor(scaled) - 0.5) > 2.0**-12)
+    inexact = np.flatnonzero(~exact.all(axis=1))
+    rounded[inexact] = 0.0  # their lines are replaced below
+    whole, fraction = np.divmod(rounded.astype(np.int64), 1_000_000)
+    thousands, units = np.divmod(whole, 1000)
+    milli, micro = np.divmod(fraction, 1000)
+    groups = max(1, -(-len(str(max(first + n_rows - 1, 0))) // 3))
+    buffer = np.empty((n_rows, groups + 4 * n_values), np.uint32)
+    for g in range(groups):
+        scale = 1000 ** (groups - 1 - g)
+        higher = index // (scale * 1000) > 0
+        words = table.index_units if g == groups - 1 else table.index_group
+        buffer[:, g] = words[index // scale % 1000 + 1000 * higher]
+    fields = buffer[:, groups:].reshape(n_rows, n_values, 4)
+    fields[..., 0] = table.thousands[thousands + 1000 * np.signbit(values)]
+    fields[..., 1] = table.units[units + 1000 * (thousands > 0)]
+    fields[..., 2] = table.milli[milli]
+    micro[:, -1] += 1000
+    fields[..., 3] = table.micro[micro]
+    flat = buffer.view(np.uint8).reshape(-1)
+    packed = np.compress(flat != 0, flat)
+    text = packed.tobytes().decode("ascii")
+    if not inexact.size:
+        return text
+    # Swap each inexact row's line for the ``%`` line.
+    line = "%d" + ",%.6f" * n_values + "\n"
+    starts = [0, *(np.flatnonzero(packed == ord("\n")) + 1).tolist()]
+    parts, done = [], 0
+    for row in inexact.tolist():
+        parts += [text[done:starts[row]], line % (first + row, *values[row].tolist())]
+        done = starts[row + 1]
+    parts.append(text[done:])
+    return "".join(parts)
 
 
 def table_to_csv(session: SessionReport) -> str:

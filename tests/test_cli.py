@@ -60,6 +60,23 @@ class TestVadCommand:
         assert code == 2
         assert "i/o error" in err
 
+    @pytest.mark.parametrize(
+        "rate, frames, held, message",
+        [
+            (16000, 0, 0, "samples must be a non-empty 1-D array"),
+            (44140, 800, 1600, "sample rate 44140 not supported; expected one of (16000, 44100)"),
+            (16000, 800, 1000, "data chunk declares 1600 bytes of frames, the file holds 1000"),
+        ],
+    )
+    def test_rejected_audio_names_the_file(self, capsys, tmp_path, rate, frames, held, message):
+        # A mono header whose data chunk declares `frames` frames, then `held` data bytes.
+        header = wav_bytes(1, rate, None)[0][:40] + struct.pack("<I", 2 * frames)
+        path = tmp_path / "clip.wav"
+        path.write_bytes(header + bytes(held))
+        code, out, err = run_cli(capsys, "vad", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}: {message}\n"
+
 
 class TestSimulateAndDiarize:
     def test_embeddings_then_diarize_recovers_labels(self, capsys, tmp_path):

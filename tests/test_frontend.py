@@ -656,6 +656,7 @@ class TestWavValidation:
             ("cut inside fmt", "WAV header is cut short"),
             ("unknown chunk past the end", "a chunk runs past the end of the file"),
             ("cut mid-sample", "data ends mid-frame after 1599 bytes"),
+            ("cut on a frame boundary", "data chunk declares 1600 bytes of frames, the file holds 1000"),
             ("float format", "only 16-bit PCM is read, got format tag 3"),
         ],
     )
@@ -669,6 +670,8 @@ class TestWavValidation:
             raw[12:12] = b"junk\xff\xff\x00\x00"
         elif damage == "cut mid-sample":
             raw = raw[:-1]
+        elif damage == "cut on a frame boundary":
+            raw = raw[:44 + 1000]
         else:
             raw[20:22] = (3).to_bytes(2, "little")
         with open(path, "wb") as handle:

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import re
 
 import numpy as np
@@ -38,6 +39,8 @@ from convstate.markov import (
 )
 from convstate.metrics import EvaluationReport
 from convstate.storage import (
+    _CSV_BLOCK,
+    _csv_rows,
     atomic_write_text,
     embeddings_to_csv,
     features_to_csv,
@@ -343,7 +346,59 @@ def test_is_number(value, kind, accepted):
     assert is_number(value, kind) is accepted
 
 
+def percent_lines(rows, first=0):
+    """features_to_csv's lines below the header, one ``%`` per line."""
+    line = "%d" + ",%.6f" * (rows.shape[1] + 1) + "\n"
+    return "".join(line % (i, i * HOP_S, *row) for i, row in enumerate(rows.tolist(), first))
+
+
+# Values the six-decimal writer must round like %.6f, or leave to it.
+CSV_FLOATS = st.one_of(
+    st.floats(),  # NaN, both infinities, -0.0, subnormals and huge values
+    st.floats(-2e6, 2e6),
+    st.sampled_from([-0.0, -4e-7, 4e-7, -5e-7, 1e6, -1e6, 999999.9999995, 999999.9999994]),
+    st.integers(-(2**27), 2**27).map(lambda k: (2 * k + 1) / 128),  # exact ties
+    st.tuples(st.integers(-(10**12), 10**12), st.floats(-1e-7, 1e-7)).map(
+        lambda pair: (pair[0] + 0.5) / 1e6 + pair[1]  # within 1e-7 of a half-micro
+    ),
+    st.tuples(st.integers(-(10**12), 10**12), st.integers(-3, 3)).map(
+        lambda pair: (pair[0] + 0.5) / 1e6 + pair[1] * math.ulp((pair[0] + 0.5) / 1e6)
+    ),  # a few ulps from a half-micro
+)
+
+
 class TestFeaturesCsv:
+    @given(
+        n_rows=st.sampled_from([0, 1, 2, _CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1]),
+        n_columns=st.integers(0, 16),
+        pool=st.lists(CSV_FLOATS, min_size=1, max_size=40),
+        share=st.sampled_from([0.0, 0.01, 0.3, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_percent_per_line(self, n_rows, n_columns, pool, share, seed):
+        # Features of every magnitude, a share of them replaced by drawn values.
+        rng = np.random.default_rng(seed)
+        shape = (n_rows, n_columns)
+        rows = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 5, shape)
+        drawn = rng.random(shape) < share
+        rows[drawn] = rng.choice(pool, np.count_nonzero(drawn))
+        header, body = features_to_csv(rows).split("\n", 1)
+        assert header.startswith("frame_index,time_s")
+        assert body == percent_lines(rows)
+
+    @given(
+        first=st.one_of(
+            st.sampled_from([999, 10**6 - 1, 10**6, 10**9 - 2, 10**12]),
+            st.integers(0, 2**53 - 8),
+        ),
+        rows=st.lists(st.lists(CSV_FLOATS, min_size=3, max_size=3), min_size=1, max_size=6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_frame_indices_past_a_million(self, first, rows):
+        rows = np.array(rows)
+        assert _csv_rows(rows, first) == percent_lines(rows, first)
+
     def test_header_and_rows(self):
         rows = np.concatenate(([-1.5, 0.25], np.arange(13, dtype=float)))[None, :]
         text = features_to_csv(rows)
