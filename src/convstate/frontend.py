@@ -1,13 +1,9 @@
-"""Frame-level speech features and voice activity detection.
+"""Frame-level speech features and voice activity detection, in NumPy alone.
 
 Frames audio into 25 ms windows hopped by 10 ms, computes log-energy,
-zero-crossing rate, and 13 MFCCs per frame, classifies frames
-speech/non-speech with a single logistic unit, and cuts speech runs into
-fixed-length non-overlapping segments.
-
-scipy (scipy.fft.dct for the cepstrum, scipy.special.expit for the VAD)
-is imported on first feature use, through _scipy, not with this module,
-so a program that computes no feature never loads it.
+zero-crossing rate, and 13 MFCCs per frame (the DCT-II is the fixed matrix
+_DCT_II), classifies frames speech/non-speech with a single logistic unit,
+and cuts speech runs into fixed-length non-overlapping segments.
 """
 
 from __future__ import annotations
@@ -20,7 +16,6 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import repeat
 from operator import mul
-from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -41,18 +36,10 @@ HOP_S = 0.010
 _BLOCK_FRAMES = 256
 
 
-@lru_cache(maxsize=1)
-def _scipy() -> SimpleNamespace:
-    """scipy's dct and expit, imported on the first call and cached after it.
-
-    Importing scipy.fft and scipy.special takes about 0.4 s and 26 MiB, so
-    it waits until a feature is computed. A cached call takes about 0.1 us
-    (an import statement about 1 us), so the per-frame path calls this.
-    """
-    from scipy.fft import dct
-    from scipy.special import expit
-
-    return SimpleNamespace(dct=dct, expit=expit)
+# The first N_COEFFS rows of the orthonormal DCT-II over N_FILTERS points.
+_DCT_II = np.cos(np.pi / N_FILTERS * np.outer(np.arange(N_COEFFS), np.arange(N_FILTERS) + 0.5))
+_DCT_II *= np.sqrt(2.0 / N_FILTERS)
+_DCT_II[0] /= np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -185,9 +172,9 @@ def frame(audio: AudioBuffer) -> np.ndarray:
 # The row kernels below take an (n, width) block of frames and return one
 # value (or one cepstrum) per row. feature_matrix runs them block by block;
 # the per-frame functions are one-row calls, so both share one copy of the
-# numerics. Each reproduces the per-frame arithmetic bit for bit: the energy
-# is a per-row pairwise np.sum (einsum differs in the last bits at 44.1 kHz)
-# and the filterbank is np.matvec (a GEMM such as mag @ bank.T differs).
+# numerics. Up to the DCT they keep the earlier per-frame bits: the energy is a
+# per-row pairwise np.sum (einsum differs in the last bits at 44.1 kHz) and
+# the filterbank is np.matvec (a GEMM such as mag @ bank.T differs).
 
 
 def _log_energies(frames: np.ndarray) -> np.ndarray:
@@ -200,6 +187,9 @@ def _zcrs(frames: np.ndarray) -> np.ndarray:
 
 
 def _mfccs(frames: np.ndarray, sample_rate: int) -> np.ndarray:
+    """Each row's cepstrum (see mfcc). Rows k >= 1 of _DCT_II sum to zero, so centring
+    the log energies on the first filter leaves them unchanged in exact arithmetic
+    and gives a flat spectrum exactly +0.0; mfcc_0 gets the removed level back."""
     width = frames.shape[1]
     emphasized = np.empty_like(frames)
     emphasized[:, 0] = frames[:, 0]
@@ -209,7 +199,9 @@ def _mfccs(frames: np.ndarray, sample_rate: int) -> np.ndarray:
     magnitude = np.abs(np.fft.rfft(emphasized, n_fft, axis=1))
     energies = np.matvec(_mel_filterbank(n_fft, sample_rate), magnitude)
     log_energies = np.log(np.maximum(energies, ENERGY_FLOOR))
-    return _scipy().dct(log_energies, type=2, norm="ortho", axis=1)[:, :N_COEFFS]
+    cepstrum = np.matvec(_DCT_II, log_energies - log_energies[:, :1])
+    cepstrum[:, 0] += math.sqrt(N_FILTERS) * log_energies[:, 0]
+    return cepstrum
 
 
 def log_energy(frame_samples: np.ndarray) -> float:
@@ -279,13 +271,10 @@ def feature_matrix(audio: AudioBuffer) -> np.ndarray:
     log_energy, zcr and mfcc bit for bit. The frames are processed in
     blocks of _BLOCK_FRAMES rows, one FFT per block, so the framed matrix
     is never materialized. The blocks run on a thread pool of at most one
-    worker per usable CPU (NumPy and SciPy release the GIL in the FFT,
-    matvec, DCT and ufuncs); each block writes only its own rows, so the
-    bytes do not depend on the thread count. scipy is imported here, before
-    the pool starts, on the first call in the process, so no worker
-    thread imports.
+    worker per usable CPU (NumPy releases the GIL in the FFT, matvec and
+    ufuncs); each block writes only its own rows, so the bytes do not
+    depend on the thread count.
     """
-    _scipy()
     frames = _frames(audio)
     features = np.empty((frames.shape[0], 2 + N_COEFFS))
 
@@ -342,10 +331,15 @@ def vad_classify(
             f"got {w.size}"
         )
     # vecdot, unlike X @ w or matvec, reproduces the per-row np.dot bits.
-    probabilities = _scipy().expit(np.vecdot(x, w[:-1]) + w[-1])
+    probabilities = _logistic(np.vecdot(x, w[:-1]) + w[-1])
     if x.ndim == 1:
         return bool(probabilities > 0.5), float(probabilities)
     return probabilities > 0.5, probabilities
+
+
+def _logistic(z):
+    """1 / (1 + e**-z), written with tanh so that no z overflows."""
+    return 0.5 + 0.5 * np.tanh(0.5 * z)
 
 
 def _binary_cross_entropy(probabilities: np.ndarray, targets: np.ndarray) -> float:
@@ -376,10 +370,9 @@ def train_vad(
             raise ValidationError(f"training data has no {name} frames")
     rng = np.random.default_rng(seed)
     raw = rng.normal(0.0, 0.01, x.shape[1] + 1)
-    expit = _scipy().expit
 
     def loss_for(weights: np.ndarray) -> float:
-        return _binary_cross_entropy(expit(x @ weights[:-1] + weights[-1]), y)
+        return _binary_cross_entropy(_logistic(x @ weights[:-1] + weights[-1]), y)
 
     if epochs == 0:
         return raw, loss_for(raw)
@@ -391,7 +384,7 @@ def train_vad(
     w = raw[:-1] * sigma
     b = raw[-1] + float(raw[:-1] @ mu)
     for _ in range(epochs):
-        residual = expit(z @ w + b) - y
+        residual = _logistic(z @ w + b) - y
         w -= learning_rate * (z.T @ residual) / y.size
         b -= learning_rate * float(residual.mean())
     final = np.concatenate((w / sigma, [b - float((w / sigma) @ mu)]))

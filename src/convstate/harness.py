@@ -8,6 +8,7 @@ Gaussian cluster embeddings with known ground truth.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -153,8 +154,9 @@ def generate_synthetic_embeddings(
     """
     if n_clusters < 1 or per_cluster < 1:
         raise ValidationError("n_clusters and per_cluster must be >= 1")
-    if separation <= 0 or noise_sigma <= 0:
-        raise ValidationError("separation and noise_sigma must be positive")
+    if not (0 < separation < math.inf and 0 < noise_sigma < math.inf):
+        raise ValidationError("separation and noise_sigma must be positive and finite, "
+                              f"got {separation} and {noise_sigma}")
     if dim < n_clusters:
         raise ValidationError(
             f"dim {dim} too small to place {n_clusters} simplex corners"

@@ -47,6 +47,9 @@ MODEL_VERSION = 1
 # A plain-text label token; int() alone would also take "1_0" and
 # non-ASCII digits such as "\u0663".
 _LABEL_TOKEN = re.compile(r"[+-]?[0-9]+")
+# An embedding CSV cell such as -1.5, .5, 2. or 3e-7; float() alone would
+# also take "1_0", "nan", "1e400" (as inf) and non-ASCII digits.
+_DECIMAL_TOKEN = re.compile(r"[ \t]*[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?[ \t]*")
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -470,7 +473,7 @@ def labels_to_text(seq: StateSequence) -> str:
 
 
 def read_embeddings(path: str) -> EmbeddingSet:
-    """CSV rows of floats, or JSONL records with start_s/end_s/vector."""
+    """CSV rows of finite decimal floats, or JSONL records with start_s/end_s/vector."""
     with open(path, "r") as handle:
         text = handle.read()
     stripped = text.strip()
@@ -484,10 +487,12 @@ def read_embeddings(path: str) -> EmbeddingSet:
             line = line.strip()
             if not line:
                 continue
-            try:
-                rows.append([float(tok) for tok in line.split(",")])
-            except ValueError as exc:
-                raise SchemaError(f"line {lineno}: non-numeric value ({exc})") from exc
+            tokens = line.split(",")
+            row = [float(tok) if _DECIMAL_TOKEN.fullmatch(tok) else math.nan for tok in tokens]
+            bad = next((tok for tok, v in zip(tokens, row) if not math.isfinite(v)), None)
+            if bad is not None:
+                raise SchemaError(f"line {lineno}: {bad.strip()!r} is not a finite decimal number")
+            rows.append(row)
     widths = {len(row) for row in rows}
     if len(widths) != 1:
         raise SchemaError(f"embedding rows have mixed dimensions {sorted(widths)}")

@@ -1,9 +1,8 @@
-import json
 import math
 import os
 import pickle
-import subprocess
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -32,6 +31,7 @@ from convstate.frontend import (
     vad_classify,
     zcr,
 )
+from convstate.storage import features_to_csv
 
 
 def reference_mfcc(samples, rate, n_filters=40, n_coeffs=13):
@@ -91,8 +91,9 @@ def reference_mfcc(samples, rate, n_filters=40, n_coeffs=13):
 def per_frame_features(audio):
     """The per-frame loop the frontend ran before feature_matrix, kept verbatim.
 
-    One log_energy, zcr and mfcc call (one FFT) per frame; the feature
-    matrix must reproduce its rows bit for bit.
+    One log_energy, zcr and mfcc call (one FFT) per frame, with scipy's
+    DCT-II; the feature matrix must reproduce its energy and zcr bit for
+    bit and its cepstrum to rounding.
     """
 
     def log_energy(x):
@@ -180,6 +181,22 @@ class TestMfcc:
         assert coeffs[0] == pytest.approx(math.log(1e-10) * math.sqrt(40))
         assert np.abs(coeffs[1:]).max() < 1e-12
 
+    @pytest.mark.parametrize("rate", ACCEPTED_RATES)
+    @pytest.mark.parametrize("amplitude", [0.0, 1e-15], ids=["silent", "floored"])
+    def test_flat_spectrum_gives_exact_zeros(self, rate, amplitude):
+        # Digital silence, or noise so faint that all 40 filter energies are
+        # floored: the log spectrum is flat, so mfcc_1..12 are exactly +0.0
+        # (never -0.0, which the CSV would print as -0.000000).
+        samples = np.random.default_rng(0).uniform(-amplitude, amplitude, rate // 10)
+        matrix = feature_matrix(AudioBuffer(samples, rate))
+        assert matrix[:, 3:].tobytes() == np.zeros_like(matrix[:, 3:]).tobytes()
+        lines = features_to_csv(matrix).splitlines()[1:]
+        assert len(lines) == 8
+        for line in lines:
+            fields = line.split(",")
+            assert fields[2] == "-23.025851"
+            assert fields[4:] == ["-145.628268"] + ["0.000000"] * 12
+
     def test_output_length(self):
         assert mfcc(tone(440), 16000).shape == (13,)
 
@@ -233,7 +250,10 @@ class TestFeatureMatrix:
         matrix = feature_matrix(audio)
         assert matrix.shape == (frames, 15)
         reference = per_frame_features(audio)
-        assert matrix.tobytes() == reference.tobytes()
+        assert matrix[:, :2].tobytes() == reference[:, :2].tobytes()
+        # The cepstrum is one matvec with a fixed DCT-II matrix, not scipy's
+        # FFT-based DCT, so it agrees to rounding rather than bit for bit.
+        np.testing.assert_allclose(matrix[:, 2:], reference[:, 2:], atol=1e-12, rtol=0)
         listed = extract_features(audio)
         assert [f.frame_index for f in listed] == list(range(frames))
         assert all(
@@ -371,46 +391,6 @@ class TestFeatureBlockThreads:
         assert pools == [8]
         assert threaded == serial
 
-    def test_first_feature_call_imports_scipy_before_the_pool(self):
-        # A fresh interpreter whose first frontend call is a multi-block
-        # feature_matrix: scipy must be loaded before the pool starts, so no
-        # worker imports, and the bytes must not depend on who imported.
-        script = """
-import json, sys
-from concurrent.futures import ThreadPoolExecutor
-import numpy as np
-from convstate import frontend
-
-pools = []
-def recording_pool(workers):
-    pools.append([workers, "scipy.fft" in sys.modules, "scipy.special" in sys.modules])
-    return ThreadPoolExecutor(workers)
-
-frontend._usable_cpus = lambda: 4
-frontend.ThreadPoolExecutor = recording_pool
-before = "scipy.fft" in sys.modules
-window, hop = 400, 160
-audio = frontend.AudioBuffer(
-    np.random.default_rng(5).uniform(-1, 1, window + (3 * 256 + 6) * hop), 16000)
-first = frontend.feature_matrix(audio)
-second = frontend.feature_matrix(audio)
-rows = np.array([[frontend.log_energy(f), frontend.zcr(f), *frontend.mfcc(f, 16000)]
-                 for f in frontend.frame(audio)])
-print(json.dumps({"before": before, "pools": pools, "frames": len(first),
-                  "repeat": first.tobytes() == second.tobytes(),
-                  "per_frame": first.tobytes() == rows.tobytes()}))
-"""
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        result = subprocess.run(
-            [sys.executable, "-c", script],
-            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
-        )
-        assert (result.returncode, result.stderr) == (0, "")
-        assert json.loads(result.stdout) == {
-            "before": False, "pools": [[4, True, True], [4, True, True]],
-            "frames": 3 * _BLOCK_FRAMES + 7, "repeat": True, "per_frame": True,
-        }
-
     @pytest.mark.parametrize("count, expected", [(6, 6), (None, 1)])
     def test_cpu_count_fallback_without_affinity(self, monkeypatch, count, expected):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
@@ -424,6 +404,17 @@ class TestVadClassify:
         speech, probability = vad_classify(features, np.zeros(16))
         assert probability == 0.5
         assert not speech
+
+    @pytest.mark.parametrize("logit, expected", [(-1e4, 0.0), (0.0, 0.5), (1e4, 1.0)])
+    def test_extreme_logits_saturate_without_warning(self, logit, expected):
+        # np.exp(1e4) overflows; the logistic must not, and 0.5 is non-speech.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            speech, probability = vad_classify(np.array([1.0]), np.array([logit, 0.0]))
+            mask, probabilities = vad_classify(np.array([[1.0], [2.0]]), np.array([logit, 0.0]))
+        assert (speech, probability) == (expected == 1.0, expected)
+        assert probabilities.tolist() == [expected, expected]
+        assert mask.tolist() == [expected == 1.0] * 2
 
     def test_energy_weight_drives_decision(self):
         loud = np.concatenate(([3.0, 0.1], np.zeros(13)))
