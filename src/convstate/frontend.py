@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import repeat
 from operator import mul
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -131,8 +131,8 @@ def load_wav(path: str) -> AudioBuffer:
         raise ValidationError(
             f"{path}: data chunk declares {declared} bytes of frames, the file holds {len(raw)}"
         )
-    data = np.frombuffer(raw, dtype="<i2").astype(np.float64)
-    data /= 32768.0
+    # One pass: the int16 values convert exactly and 2**-15 scales exactly.
+    data = np.multiply(np.frombuffer(raw, dtype="<i2"), 1.0 / 32768.0)
     if channels > 1:
         data = data.reshape(-1, channels).mean(axis=1)
     try:
@@ -151,13 +151,14 @@ def save_wav(path: str, audio: AudioBuffer) -> None:
         handle.writeframes(scaled.tobytes())
 
 
-def _frames(audio: AudioBuffer) -> np.ndarray:
-    """Strided (copy-free) view of the frames; see frame()."""
-    window = int(round(WINDOW_S * audio.sample_rate))
-    hop = int(round(HOP_S * audio.sample_rate))
-    if audio.samples.size < window:
-        return np.empty((0, window))
-    return np.lib.stride_tricks.sliding_window_view(audio.samples, window)[::hop]
+def _windows(x: np.ndarray, window: int, hop: int) -> np.ndarray:
+    """Strided (copy-free) view of the windows of x starting every hop samples."""
+    return np.lib.stride_tricks.sliding_window_view(x, window)[::hop]
+
+
+def _geometry(audio: AudioBuffer) -> tuple[int, int]:
+    """(window, hop) in samples at the audio's rate."""
+    return int(round(WINDOW_S * audio.sample_rate)), int(round(HOP_S * audio.sample_rate))
 
 
 def frame(audio: AudioBuffer) -> np.ndarray:
@@ -166,38 +167,55 @@ def frame(audio: AudioBuffer) -> np.ndarray:
     Frame t covers samples [t * hop, t * hop + window). Audio shorter than
     one window yields an empty (0, window) array.
     """
-    return np.ascontiguousarray(_frames(audio))
+    window, hop = _geometry(audio)
+    if audio.samples.size < window:
+        return np.empty((0, window))
+    return np.ascontiguousarray(_windows(audio.samples, window, hop))
 
 
-# The row kernels below take an (n, width) block of frames and return one
-# value (or one cepstrum) per row. feature_matrix runs them block by block;
-# the per-frame functions are one-row calls, so both share one copy of the
-# numerics. Up to the DCT they keep the earlier per-frame bits: the energy is a
-# per-row pairwise np.sum (einsum differs in the last bits at 44.1 kHz) and
-# the filterbank is np.matvec (a GEMM such as mag @ bank.T differs).
+# The row kernels below take a contiguous sample range x and return one value
+# (or one cepstrum) per frame of it, frame t covering x[t * hop : t * hop +
+# window]. Each pass over the signal (squares, sign changes, pre-emphasis)
+# runs once per sample, not once per framed value, and each frame then reads
+# its window of the result. feature_matrix runs them on one block's range;
+# the per-frame functions are one-frame calls, so both share one copy of the
+# numerics. Up to the mel filterbank they keep the per-frame bits: the energy
+# is a per-row pairwise np.sum (einsum differs in the last bits at 44.1 kHz)
+# and the FFT input is written zero-padded to n_fft, as rfft(x, n_fft) pads
+# it. The filterbank is banded (see _mel_bands), one gemv per row and band,
+# so a frame's cepstrum does not depend on the other rows of its block.
 
 
-def _log_energies(frames: np.ndarray) -> np.ndarray:
-    return np.log(np.maximum(np.sum(frames * frames, axis=1), ENERGY_FLOOR))
+def _log_energies(x: np.ndarray, window: int, hop: int) -> np.ndarray:
+    return np.log(np.maximum(np.sum(_windows(x * x, window, hop), axis=1), ENERGY_FLOOR))
 
 
-def _zcrs(frames: np.ndarray) -> np.ndarray:
-    nonneg = frames >= 0.0
-    return np.count_nonzero(nonneg[:, 1:] != nonneg[:, :-1], axis=1) / (frames.shape[1] - 1)
+def _zcrs(x: np.ndarray, window: int, hop: int) -> np.ndarray:
+    nonneg = x >= 0.0
+    changes = _windows(nonneg[1:] != nonneg[:-1], window - 1, hop)
+    return np.count_nonzero(changes, axis=1) / (window - 1)
 
 
-def _mfccs(frames: np.ndarray, sample_rate: int) -> np.ndarray:
-    """Each row's cepstrum (see mfcc). Rows k >= 1 of _DCT_II sum to zero, so centring
+def _mfccs(x: np.ndarray, window: int, hop: int, sample_rate: int) -> np.ndarray:
+    """Each frame's cepstrum (see mfcc). Rows k >= 1 of _DCT_II sum to zero, so centring
     the log energies on the first filter leaves them unchanged in exact arithmetic
     and gives a flat spectrum exactly +0.0; mfcc_0 gets the removed level back."""
-    width = frames.shape[1]
-    emphasized = np.empty_like(frames)
-    emphasized[:, 0] = frames[:, 0]
-    np.subtract(frames[:, 1:], PREEMPHASIS * frames[:, :-1], out=emphasized[:, 1:])
-    emphasized *= np.hanning(width)
-    n_fft = 1 << (width - 1).bit_length()
-    magnitude = np.abs(np.fft.rfft(emphasized, n_fft, axis=1))
-    energies = np.matvec(_mel_filterbank(n_fft, sample_rate), magnitude)
+    emphasized = np.empty_like(x)
+    emphasized[0] = x[0]
+    np.multiply(x[:-1], PREEMPHASIS, out=emphasized[1:])
+    np.subtract(x[1:], emphasized[1:], out=emphasized[1:])
+    hann = np.hanning(window)
+    n_fft = 1 << (window - 1).bit_length()
+    frames = _windows(emphasized, window, hop)
+    padded = np.empty((frames.shape[0], n_fft))
+    np.multiply(frames, hann, out=padded[:, :window])
+    padded[:, window:] = 0.0
+    # A frame's first sample is not pre-emphasized.
+    np.multiply(x[::hop][: frames.shape[0]], hann[0], out=padded[:, 0])
+    magnitude = np.abs(np.fft.rfft(padded, axis=1))
+    energies = np.empty((frames.shape[0], N_FILTERS))
+    for filters, bins, bank in _mel_bands(n_fft, sample_rate):
+        np.matvec(bank, magnitude[:, bins], out=energies[:, filters])
     log_energies = np.log(np.maximum(energies, ENERGY_FLOOR))
     cepstrum = np.matvec(_DCT_II, log_energies - log_energies[:, :1])
     cepstrum[:, 0] += math.sqrt(N_FILTERS) * log_energies[:, 0]
@@ -209,7 +227,7 @@ def log_energy(frame_samples: np.ndarray) -> float:
     x = np.asarray(frame_samples, dtype=np.float64)
     if x.size == 0:
         raise ValidationError("frame is empty")
-    return float(_log_energies(x.reshape(1, -1))[0])
+    return float(_log_energies(x, x.size, x.size)[0])
 
 
 def zcr(frame_samples: np.ndarray) -> float:
@@ -217,7 +235,7 @@ def zcr(frame_samples: np.ndarray) -> float:
     x = np.asarray(frame_samples, dtype=np.float64)
     if x.size < 2:
         raise ValidationError(f"zcr needs at least 2 samples, got {x.size}")
-    return float(_zcrs(x.reshape(1, -1))[0])
+    return float(_zcrs(x, x.size, x.size)[0])
 
 
 @lru_cache(maxsize=8)
@@ -242,6 +260,25 @@ def _mel_filterbank(n_fft: int, sample_rate: int) -> np.ndarray:
     return bank
 
 
+# Filters per band of _mel_bands: each band is one gemv over the bins its
+# filters touch, about 22 % of the dense bank's multiply-adds at either rate.
+_BAND_FILTERS = 8
+
+
+@lru_cache(maxsize=8)
+def _mel_bands(n_fft: int, sample_rate: int) -> tuple[tuple[slice, slice, np.ndarray], ...]:
+    """_mel_filterbank as (filters, bins, bank[filters, bins]) runs of _BAND_FILTERS
+    filters, bins spanning every nonzero weight of those filters."""
+    bank = _mel_filterbank(n_fft, sample_rate)
+    bands = []
+    for first in range(0, N_FILTERS, _BAND_FILTERS):
+        filters = slice(first, first + _BAND_FILTERS)
+        touched = np.flatnonzero(bank[filters].any(axis=0))
+        bins = slice(int(touched[0]), int(touched[-1]) + 1) if touched.size else slice(0, 0)
+        bands.append((filters, bins, np.ascontiguousarray(bank[filters, bins])))
+    return tuple(bands)
+
+
 def mfcc(frame_samples: np.ndarray, sample_rate: int) -> np.ndarray:
     """The N_COEFFS mel-frequency cepstral coefficients of one frame.
 
@@ -252,7 +289,7 @@ def mfcc(frame_samples: np.ndarray, sample_rate: int) -> np.ndarray:
     x = np.asarray(frame_samples, dtype=np.float64)
     if x.size < 2:
         raise ValidationError(f"mfcc needs at least 2 samples, got {x.size}")
-    return _mfccs(x.reshape(1, -1), sample_rate)[0]
+    return _mfccs(x, x.size, x.size, sample_rate)[0]
 
 
 def _usable_cpus() -> int:
@@ -263,36 +300,44 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _map_blocks(fn: Callable[[int], object], starts: range) -> list:
+    """[fn(start) for start in starts], the calls spread over a thread pool.
+
+    The pool has at most one worker per usable CPU and one per start; with
+    one of either the calls run inline. Each call must touch only its own
+    block (NumPy releases the GIL in its FFTs, matvecs and ufuncs), so the
+    results do not depend on the thread count.
+    """
+    workers = min(_usable_cpus(), len(starts))
+    if workers <= 1:
+        return [fn(start) for start in starts]
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(fn, starts))
+
+
 def feature_matrix(audio: AudioBuffer) -> np.ndarray:
     """Per-frame features as a (frames, 2 + N_COEFFS) array.
 
     Columns are [log_energy, zcr, mfcc_0 .. mfcc_12]; row t is
     frame t of frame(audio) and equals the per-frame
     log_energy, zcr and mfcc bit for bit. The frames are processed in
-    blocks of _BLOCK_FRAMES rows, one FFT per block, so the framed matrix
-    is never materialized. The blocks run on a thread pool of at most one
-    worker per usable CPU (NumPy releases the GIL in the FFT, matvec and
-    ufuncs); each block writes only its own rows, so the bytes do not
-    depend on the thread count.
+    blocks of _BLOCK_FRAMES rows, each from its own contiguous range of
+    samples with one FFT, so the framed matrix is never materialized. The
+    blocks run through _map_blocks and each writes only its own rows.
     """
-    frames = _frames(audio)
-    features = np.empty((frames.shape[0], 2 + N_COEFFS))
+    window, hop = _geometry(audio)
+    samples = audio.samples
+    n_frames = max(0, (samples.size - window) // hop + 1)
+    features = np.empty((n_frames, 2 + N_COEFFS))
 
     def fill(start: int) -> None:
-        block = frames[start : start + _BLOCK_FRAMES]
         rows = features[start : start + _BLOCK_FRAMES]
-        rows[:, 0] = _log_energies(block)
-        rows[:, 1] = _zcrs(block)
-        rows[:, 2:] = _mfccs(block, audio.sample_rate)
+        x = samples[start * hop : (start + len(rows) - 1) * hop + window]
+        rows[:, 0] = _log_energies(x, window, hop)
+        rows[:, 1] = _zcrs(x, window, hop)
+        rows[:, 2:] = _mfccs(x, window, hop, audio.sample_rate)
 
-    starts = range(0, frames.shape[0], _BLOCK_FRAMES)
-    workers = min(_usable_cpus(), len(starts))
-    if workers <= 1:
-        for start in starts:
-            fill(start)
-    else:
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(fill, starts))
+    _map_blocks(fill, range(0, n_frames, _BLOCK_FRAMES))
     return features
 
 

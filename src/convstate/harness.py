@@ -138,6 +138,12 @@ def sequence_with_exact_counts(counts: np.ndarray) -> StateSequence:
     return StateSequence(labels=tuple(circuit), n_states=matrix.shape[0])
 
 
+# The largest separation or noise_sigma generate_synthetic_embeddings accepts.
+# A coordinate then stays below about 1e151, so every squared norm and dot
+# product the cosine affinity forms (about dim * 1e302) stays finite.
+MAX_SCALE = 1e150
+
+
 def generate_synthetic_embeddings(
     n_clusters: int,
     per_cluster: int,
@@ -150,13 +156,17 @@ def generate_synthetic_embeddings(
 
     Cluster means sit at ``(separation / sqrt(2)) * e_i``, which makes every
     pair of means exactly `separation` apart. Labels come back grouped:
-    ``[0] * per_cluster + [1] * per_cluster + ...``.
+    ``[0] * per_cluster + [1] * per_cluster + ...``. Both scales must be
+    positive and at most MAX_SCALE.
     """
     if n_clusters < 1 or per_cluster < 1:
         raise ValidationError("n_clusters and per_cluster must be >= 1")
     if not (0 < separation < math.inf and 0 < noise_sigma < math.inf):
         raise ValidationError("separation and noise_sigma must be positive and finite, "
                               f"got {separation} and {noise_sigma}")
+    for name, value in (("separation", separation), ("noise_sigma", noise_sigma)):
+        if value > MAX_SCALE:
+            raise ValidationError(f"{name} must be at most {MAX_SCALE:g}, got {value}")
     if dim < n_clusters:
         raise ValidationError(
             f"dim {dim} too small to place {n_clusters} simplex corners"

@@ -518,15 +518,18 @@ def features_to_csv(rows: np.ndarray) -> str:
     host. Bit-exact features come from frontend.feature_matrix.
 
     The lines are built by a table-driven writer, _CSV_BLOCK rows at a time
-    (see _csv_rows). A row holding a value that writer cannot round exactly
-    (NaN, an infinity, a magnitude of 1e6 or more, or a value within 2**-12
-    of a tie at the sixth decimal) is written with ``%`` instead.
+    (see _csv_rows), the blocks spread over frontend._map_blocks and joined
+    in order. A row holding a value that writer cannot round exactly (NaN,
+    an infinity, a magnitude of 1e6 or more, or a value within 2**-12 of a
+    tie at the sixth decimal) is written with ``%`` instead.
     """
     names = ["log_energy", "zcr"] + [f"mfcc_{i}" for i in range(rows.shape[1] - 2)]
-    parts = [",".join(["frame_index", "time_s"] + names) + "\n"]
-    for start in range(0, len(rows), _CSV_BLOCK):
-        parts.append(_csv_rows(rows[start:start + _CSV_BLOCK], start))
-    return "".join(parts)
+    header = ",".join(["frame_index", "time_s"] + names) + "\n"
+    blocks = frontend._map_blocks(
+        lambda start: _csv_rows(rows[start:start + _CSV_BLOCK], start),
+        range(0, len(rows), _CSV_BLOCK),
+    )
+    return header + "".join(blocks)
 
 
 # Rows per block of the feature-CSV writer: large enough that NumPy's

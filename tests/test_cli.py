@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import struct
@@ -670,6 +671,34 @@ print(json.dumps(stages))
         assert code == 1 and out == ""
         assert err.startswith("error: separation and noise_sigma must be positive and finite")
         assert err.count("\n") == 1
+
+    @given(
+        separation=st.one_of(st.floats(1e100, 1.7976931348623157e308), st.just(5.0),
+                             st.sampled_from([1e150, math.nextafter(1e150, math.inf)])),
+        noise_sigma=st.one_of(st.floats(1e100, 1.7976931348623157e308), st.just(1.0),
+                              st.sampled_from([1e150, math.nextafter(1e150, math.inf)])),
+    )
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_simulate_embeddings_huge_scale_is_rejected_or_diarizes(
+        self, capsys, tmp_path, separation, noise_sigma
+    ):
+        # A finite scale either names itself in a one-line error or gives
+        # vectors whose affinity stays finite, so diarize accepts them.
+        emb = str(tmp_path / "huge.csv")
+        code, out, err = run_cli(
+            capsys, "simulate", "embeddings", "--clusters", "2", "--per-cluster", "10",
+            "--dim", "3", f"--separation={separation!r}", f"--noise-sigma={noise_sigma!r}",
+            "--out", emb,
+        )
+        if code == 1:
+            named = "separation" if separation > 1e150 else "noise_sigma"
+            assert err.startswith(f"error: {named} must be at most 1e+150")
+            assert err.count("\n") == 1
+        else:
+            assert code == 0, err
+            code, _, err = run_cli(capsys, "diarize", emb, "--out", str(tmp_path / "l.txt"))
+            assert code == 0, err
 
     @pytest.mark.parametrize(
         "argv, config",

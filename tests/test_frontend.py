@@ -18,6 +18,7 @@ from convstate.frontend import (
     ACCEPTED_RATES,
     AudioBuffer,
     FrameFeatures,
+    _mel_bands,
     _mel_filterbank,
     extract_features,
     feature_matrix,
@@ -218,6 +219,53 @@ class TestMfcc:
     def test_too_short_frame(self):
         with pytest.raises(ValidationError):
             mfcc(np.array([0.5]), 16000)
+
+
+class TestMelBands:
+    @staticmethod
+    def geometries():
+        for rate in ACCEPTED_RATES:
+            window = int(round(frontend.WINDOW_S * rate))
+            yield 1 << (window - 1).bit_length(), rate
+
+    def test_every_weight_lies_inside_its_band(self):
+        for n_fft, rate in self.geometries():
+            bank = _mel_filterbank(n_fft, rate)
+            covered = np.zeros(bank.shape, dtype=bool)
+            for filters, bins, weights in _mel_bands(n_fft, rate):
+                covered[filters, bins] = True
+                assert weights.tobytes() == np.ascontiguousarray(bank[filters, bins]).tobytes()
+            assert not bank[~covered].any()
+            assert covered.any(axis=1).all()
+
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 40))
+    @settings(max_examples=20, deadline=None)
+    def test_banded_energies_match_the_dense_bank(self, seed, rows):
+        rng = np.random.default_rng(seed)
+        for n_fft, rate in self.geometries():
+            magnitude = rng.uniform(0.0, 100.0, (rows, n_fft // 2 + 1))
+            dense = magnitude @ _mel_filterbank(n_fft, rate).T
+            banded = np.empty_like(dense)
+            for filters, bins, weights in _mel_bands(n_fft, rate):
+                np.matvec(weights, magnitude[:, bins], out=banded[:, filters])
+            np.testing.assert_allclose(banded, dense, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("rate", ACCEPTED_RATES)
+    def test_first_fill_under_fast_switching(self, monkeypatch, rate):
+        # The bands are built by whichever worker needs them first.
+        audio = clip_of(6 * _BLOCK_FRAMES + 3, rate)
+        monkeypatch.setattr(frontend, "_usable_cpus", lambda: 1)
+        serial = feature_matrix(audio).tobytes()
+        monkeypatch.setattr(frontend, "_usable_cpus", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _mel_bands.cache_clear()
+            _mel_filterbank.cache_clear()
+            threaded = feature_matrix(audio).tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
 
 
 class TestFeatureMatrix:
@@ -585,6 +633,27 @@ class TestWavIo:
             handle.writeframes(interleaved.tobytes())
         loaded = load_wav(path)
         assert loaded.samples == pytest.approx(np.full(100, 0.25), abs=1e-4)
+
+    @given(
+        pcm=st.lists(st.integers(-32768, 32767), min_size=2, max_size=400),
+        channels=st.sampled_from([1, 2]),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_samples_keep_the_two_pass_conversion_bytes(self, tmp_path_factory, pcm, channels):
+        import wave as wave_module
+
+        ints = np.array(pcm[: len(pcm) // channels * channels], dtype="<i2")
+        path = str(tmp_path_factory.mktemp("pcm") / "clip.wav")
+        with wave_module.open(path, "wb") as handle:
+            handle.setnchannels(channels)
+            handle.setsampwidth(2)
+            handle.setframerate(16000)
+            handle.writeframes(ints.tobytes())
+        expected = ints.astype(np.float64)
+        expected /= 32768.0
+        if channels > 1:
+            expected = expected.reshape(-1, channels).mean(axis=1)
+        assert load_wav(path).samples.tobytes() == expected.tobytes()
 
     def test_rejects_unsupported_rate(self):
         with pytest.raises(ValidationError, match="8000"):

@@ -3,6 +3,8 @@ import io
 import json
 import math
 import re
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from convstate.controller import (
     Thresholds,
     run_session,
 )
+from convstate import frontend
 from convstate.errors import SchemaError, ValidationError
 from convstate.frontend import (
     ACCEPTED_RATES,
@@ -41,6 +44,7 @@ from convstate.metrics import EvaluationReport
 from convstate.storage import (
     _CSV_BLOCK,
     _csv_rows,
+    _csv_words,
     atomic_write_text,
     embeddings_to_csv,
     features_to_csv,
@@ -398,6 +402,36 @@ class TestFeaturesCsv:
     def test_frame_indices_past_a_million(self, first, rows):
         rows = np.array(rows)
         assert _csv_rows(rows, first) == percent_lines(rows, first)
+
+    def test_bytes_do_not_depend_on_thread_count(self, monkeypatch):
+        # Three full blocks and a partial one, a ``%`` fallback row (NaN)
+        # in the second; the blocks are joined in order whatever the pool.
+        rng = np.random.default_rng(11)
+        rows = rng.standard_normal((3 * _CSV_BLOCK + 5, 15)) * 10.0
+        rows[_CSV_BLOCK + 17, 4] = np.nan
+        texts, pools = {}, []
+
+        def recording_pool(workers):
+            pools.append(workers)
+            return ThreadPoolExecutor(workers)
+
+        monkeypatch.setattr(frontend, "ThreadPoolExecutor", recording_pool)
+        monkeypatch.setattr(frontend, "_usable_cpus", lambda: 1)
+        texts[1] = features_to_csv(rows)
+        # One worker per block, switching often, and the writer's tables
+        # filled by whichever worker comes first.
+        monkeypatch.setattr(frontend, "_usable_cpus", lambda: 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _csv_words.cache_clear()
+            texts[4] = features_to_csv(rows)
+        finally:
+            sys.setswitchinterval(interval)
+        assert pools == [4]
+        assert texts[1] == texts[4]
+        assert texts[1].split("\n", 1)[1] == percent_lines(rows)
+        assert "nan" in texts[1].splitlines()[_CSV_BLOCK + 18]
 
     def test_header_and_rows(self):
         rows = np.concatenate(([-1.5, 0.25], np.arange(13, dtype=float)))[None, :]
