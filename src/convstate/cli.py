@@ -16,7 +16,7 @@ import numpy as np
 from . import clustering, frontend, harness, markov, storage
 from .controller import Thresholds, check_iteration, run_session
 from .errors import ConvergenceError, ValidationError
-from .markov import Argmax, Sampled, StateSequence, UnseenRowPolicy
+from .markov import Argmax, Sampled, StateSequence
 
 # Energy gate used when no trained weights are supplied: speech iff the
 # frame's log-energy clears -15, which sits between the silence floor
@@ -88,7 +88,7 @@ def _cmd_estimate(args: argparse.Namespace) -> None:
     _require_states(args.states)
     seq = storage.read_labels(args.labels, n_states=args.states)
     _require_states_within(args.states, len(seq))
-    model = markov.estimate_transition(seq, args.states, UnseenRowPolicy(args.policy))
+    model = markov.estimate_transition(seq, args.states)
     _emit(storage.json_text(storage.model_to_document(model)) + "\n", args.out)
 
 
@@ -192,7 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_est = sub.add_parser("estimate", help="estimate a transition model from labels")
     p_est.add_argument("labels")
     p_est.add_argument("--states", type=int, required=True)
-    p_est.add_argument("--policy", choices=[p.value for p in UnseenRowPolicy], default="uniform")
     p_est.add_argument("--out")
     p_est.set_defaults(func=_cmd_estimate)
 

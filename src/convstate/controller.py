@@ -186,15 +186,15 @@ def evaluator_step(
     window instead: ``labels[-2 * window_len:][:window_len]``, which starts
     at the first label when fewer than ``2 * window_len`` are given.
     """
-    n_states, policy = full_model.n_states, full_model.policy
-    windowed = markov.estimate_transition(labels[-window_len:], n_states, policy)
+    n_states = full_model.n_states
+    windowed = markov.estimate_transition(labels[-window_len:], n_states)
     gap, diff_ok = matrix_diff(full_model, windowed, thresholds.matrix_diff_max)
     _, rows_ok = row_diff_check(windowed, thresholds.row_diff_min)
     if diff_ok and rows_ok:
         return ProceedNextWindow(model=windowed, max_abs_diff=gap)
     previous = labels[-2 * window_len :][:window_len]
     return FallbackPreviousWindow(
-        model=markov.estimate_transition(previous, n_states, policy), max_abs_diff=gap
+        model=markov.estimate_transition(previous, n_states), max_abs_diff=gap
     )
 
 
@@ -366,4 +366,4 @@ def update_from_labels(
 ) -> TransitionModel:
     """Record the transitions anchor -> labels[0] and each adjacent pair."""
     added = markov.count_transitions(np.append(anchor, _as_labels(labels)), model.n_states)
-    return markov.normalize(model.counts + added, model.policy)
+    return markov.normalize(model.counts + added)

@@ -9,10 +9,6 @@ class ValidationError(ValueError):
     """Input violates a documented precondition (bad label, shape, range)."""
 
 
-class UnseenStateError(ValidationError):
-    """A prediction was requested from a state with no outgoing observations."""
-
-
 class SchemaError(ValidationError):
     """A persisted document failed schema validation; message names the field."""
 

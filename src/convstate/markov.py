@@ -10,19 +10,11 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import UnseenStateError, ValidationError
-
-
-class UnseenRowPolicy(Enum):
-    """Behaviour for states that were never observed leaving."""
-
-    UNIFORM = "uniform"
-    ERROR_ON_QUERY = "error"
+from .errors import ValidationError
 
 
 @dataclass(frozen=True)
@@ -87,14 +79,12 @@ class TransitionModel:
     """Bigram counts plus the row-stochastic matrix estimated from them.
 
     ``probs[i][j]`` is the probability that state ``j`` follows state ``i``.
-    Rows with zero observations are uniform under ``UnseenRowPolicy.UNIFORM``
-    and all-zero (query raises) under ``ERROR_ON_QUERY``.
+    A row with zero observations (a state never seen leaving) is uniform.
     """
 
     n_states: int
     counts: np.ndarray
     probs: np.ndarray
-    policy: UnseenRowPolicy = UnseenRowPolicy.UNIFORM
 
     def __post_init__(self):
         counts = np.ascontiguousarray(self.counts, dtype=np.int64)
@@ -111,10 +101,6 @@ class TransitionModel:
         probs.setflags(write=False)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "probs", probs)
-
-    def row_observed(self, state: int) -> bool:
-        """True when `state` has at least one outgoing observation."""
-        return bool(self.counts[state].sum() > 0)
 
 
 def _as_labels(seq: StateSequence | Sequence[int] | Iterable[int]) -> np.ndarray:
@@ -146,14 +132,8 @@ def count_transitions(seq: StateSequence | Sequence[int], n_states: int) -> np.n
     return np.bincount(pairs, minlength=n_states * n_states).reshape(n_states, n_states)
 
 
-def normalize(
-    counts: np.ndarray, policy: UnseenRowPolicy = UnseenRowPolicy.UNIFORM
-) -> TransitionModel:
-    """Divide each row of a count matrix by its sum.
-
-    Zero-sum rows become uniform under the UNIFORM policy; under
-    ERROR_ON_QUERY they stay zero and the error surfaces at prediction time.
-    """
+def normalize(counts: np.ndarray) -> TransitionModel:
+    """Divide each row of a count matrix by its sum; a zero-sum row is uniform."""
     counts = np.asarray(counts)
     if counts.ndim != 2 or counts.shape[0] != counts.shape[1]:
         raise ValidationError(f"counts must be square, got shape {counts.shape}")
@@ -162,18 +142,13 @@ def normalize(
     counts = counts.astype(np.int64)
     n = counts.shape[0]
     totals = counts.sum(axis=1, keepdims=True)
-    unseen = 1.0 / n if policy is UnseenRowPolicy.UNIFORM else 0.0
-    probs = np.divide(counts, totals, out=np.full((n, n), unseen), where=totals > 0)
-    return TransitionModel(n_states=n, counts=counts, probs=probs, policy=policy)
+    probs = np.divide(counts, totals, out=np.full((n, n), 1.0 / n), where=totals > 0)
+    return TransitionModel(n_states=n, counts=counts, probs=probs)
 
 
-def estimate_transition(
-    seq: StateSequence | Sequence[int],
-    n_states: int,
-    policy: UnseenRowPolicy = UnseenRowPolicy.UNIFORM,
-) -> TransitionModel:
+def estimate_transition(seq: StateSequence | Sequence[int], n_states: int) -> TransitionModel:
     """Maximum-likelihood bigram estimate of the transition matrix."""
-    return normalize(count_transitions(seq, n_states), policy)
+    return normalize(count_transitions(seq, n_states))
 
 
 def update_online(model: TransitionModel, from_state: int, to_state: int) -> TransitionModel:
@@ -188,7 +163,7 @@ def update_online(model: TransitionModel, from_state: int, to_state: int) -> Tra
             raise ValidationError(f"{name} {state} outside 0..{n - 1}")
     counts = model.counts.copy()
     counts[from_state, to_state] += 1
-    return normalize(counts, model.policy)
+    return normalize(counts)
 
 
 def walk(
@@ -205,9 +180,7 @@ def walk(
     generators yield equal paths even across models whose rows differ only
     slightly. The sampling table holds each row's cumulative sum without its
     last entry, so a draw above the row's rounded total lands on the last
-    state. Under ERROR_ON_QUERY the states the walk leaves are queried in
-    first-visit order, so an unseen-row error names the first such state
-    the walk reaches.
+    state.
     """
     if steps > 0 and not 0 <= start < model.n_states:
         raise ValidationError(f"state {start} outside 0..{model.n_states - 1}")
@@ -218,12 +191,7 @@ def walk(
         rows, draws = model.probs, rng.random(steps).tolist()
     table = np.cumsum(rows, axis=1)[:, :-1].tolist()
     state = start
-    path = [state := bisect_right(table[state], u) for u in draws]
-    if path and model.policy is UnseenRowPolicy.ERROR_ON_QUERY:
-        for visited in dict.fromkeys([start, *path[:-1]]):
-            if not model.row_observed(visited):
-                raise UnseenStateError(f"state {visited} has no outgoing observations")
-    return path
+    return [state := bisect_right(table[state], u) for u in draws]
 
 
 def predict_next(

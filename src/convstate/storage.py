@@ -38,12 +38,13 @@ from .markov import (
     Sampled,
     StateSequence,
     TransitionModel,
-    UnseenRowPolicy,
     normalize,
 )
 from .metrics import EvaluationReport
 
 MODEL_VERSION = 1
+# A row with no observations is always uniform; the model file names that rule.
+_POLICY = "uniform"
 # A plain-text label token; int() alone would also take "1_0" and
 # non-ASCII digits such as "\u0663".
 _LABEL_TOKEN = re.compile(r"[+-]?[0-9]+")
@@ -138,7 +139,7 @@ def model_to_document(model: TransitionModel, mode: PredictionMode | None = None
         "version": MODEL_VERSION,
         "s": model.n_states,
         "counts": [int(c) for c in model.counts.reshape(-1)],
-        "policy": model.policy.value,
+        "policy": _POLICY,
         "mode": mode_to_document(mode),
     }
 
@@ -169,13 +170,12 @@ def model_from_document(doc) -> tuple[TransitionModel, PredictionMode | None]:
                 f"$.counts[{flat_index}] (row {row}, col {col}): expected a "
                 f"non-negative integer no larger than {limit}, got {value!r}"
             )
-    policy_name = doc.get("policy")
-    policy_names = sorted(policy.value for policy in UnseenRowPolicy)
-    if policy_name not in policy_names:
-        raise SchemaError(f"$.policy: expected one of {policy_names}, got {policy_name!r}")
+    policy = doc.get("policy")
+    if policy != _POLICY:
+        raise SchemaError(f"$.policy: expected one of {[_POLICY]}, got {policy!r}")
     mode = mode_from_document(doc.get("mode"))
     matrix = np.asarray(counts, dtype=np.int64).reshape(n_states, n_states)
-    return normalize(matrix, UnseenRowPolicy(policy_name)), mode
+    return normalize(matrix), mode
 
 
 def save_model(
@@ -187,11 +187,10 @@ def save_model(
 def read_json(path: str):
     """Parse one JSON document from `path`; invalid JSON is a SchemaError."""
     with open(path, "r") as handle:
-        text = handle.read()
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
+        try:
+            return json.loads(handle.read())
+        except ValueError as exc:  # also text that is not UTF-8, or an int too long
+            raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
 
 
 def load_model(path: str) -> tuple[TransitionModel, PredictionMode | None]:
@@ -209,14 +208,19 @@ def is_number(value, kind: type) -> bool:
 
 def read_vad_weights(path: str) -> np.ndarray:
     """A JSON list of finite numbers: VAD weights per feature, then the bias."""
-    with open(path) as handle:
+    weights = read_json(path)
+    if not isinstance(weights, list):
+        raise SchemaError(
+            f"{path}: expected a JSON list of finite numbers, got {type(weights).__name__}"
+        )
+    for i, value in enumerate(weights):
         try:
-            weights = np.asarray(json.load(handle), dtype=np.float64)
-        except (json.JSONDecodeError, TypeError, ValueError) as exc:
-            raise SchemaError(f"{path}: not a JSON list of numbers ({exc})") from None
-    if not np.isfinite(weights).all():
-        raise SchemaError(f"{path}: weights must be finite numbers, got NaN or Infinity")
-    return weights
+            weights[i] = _number(value)
+        except (ValueError, OverflowError):  # OverflowError: an int too large for a float
+            raise SchemaError(
+                f"{path}: weights[{i}]: expected a finite number, got {json.dumps(value)}"
+            ) from None
+    return np.asarray(weights, dtype=np.float64)
 
 
 # The keys each object of a session config may hold; any other is an error.
@@ -519,9 +523,9 @@ def features_to_csv(rows: np.ndarray) -> str:
 
     The lines are built by a table-driven writer, _CSV_BLOCK rows at a time
     (see _csv_rows), the blocks spread over frontend._map_blocks and joined
-    in order. A row holding a value that writer cannot round exactly (NaN,
-    an infinity, a magnitude of 1e6 or more, or a value within 2**-12 of a
-    tie at the sixth decimal) is written with ``%`` instead.
+    in order. A block holding a value that writer cannot round exactly (NaN,
+    an infinity, a value that rounds to 1e6 or more, or an exact tie at the
+    sixth decimal) is written with ``%`` instead.
     """
     names = ["log_energy", "zcr"] + [f"mfcc_{i}" for i in range(rows.shape[1] - 2)]
     header = ",".join(["frame_index", "time_s"] + names) + "\n"
@@ -562,24 +566,27 @@ def _csv_words() -> SimpleNamespace:
 def _csv_rows(rows: np.ndarray, first: int) -> str:
     """features_to_csv's lines for `rows`, whose frame indices start at `first`.
 
-    Each value x is written from N = rint(|x| * 1e6). Below 1e12 the product
-    is off the exact one by at most 2**-14, so where its fraction is more
-    than 2**-12 away from one half, N is the correctly rounded sixth-decimal
-    integer that ``%.6f`` prints. N splits into 3-digit groups, each group
-    picks a word from _csv_words, and the NUL padding is dropped. The sign
-    comes from signbit, so -0.0 and -4e-7 print as -0.000000. A row holding
-    a value outside that rule is written with ``%`` instead.
+    Each value x is written from N = rint(|x| * 1e6). Below 2**52 every
+    half-integer is a double and rounding is monotonic, so the product and
+    the exact ``|x| * 10**6`` lie on the same side of every half-integer
+    unless the product is one; otherwise N is the correctly rounded
+    sixth-decimal integer that ``%.6f`` prints. N splits into 3-digit
+    groups, each group picks a word from _csv_words, and the NUL padding is
+    dropped. The sign comes from signbit, so -0.0 and -4e-7 print as
+    -0.000000. A block holding a value outside that rule (N of 1e12 or
+    more, NaN, or a half-integer product) is written with ``%`` instead.
     """
     index = np.arange(first, first + len(rows))
     values = np.column_stack((index * frontend.HOP_S, rows)).astype(np.float64, copy=False)
     n_rows, n_values = values.shape
-    table = _csv_words()
     with np.errstate(over="ignore", invalid="ignore"):  # NaN and infinities fall back
         scaled = np.abs(values) * 1e6
         rounded = np.rint(scaled)
-        exact = (rounded < 1e12) & (np.abs(scaled - np.floor(scaled) - 0.5) > 2.0**-12)
-    inexact = np.flatnonzero(~exact.all(axis=1))
-    rounded[inexact] = 0.0  # their lines are replaced below
+        exact = (rounded < 1e12) & (scaled - np.floor(scaled) != 0.5)
+    if not exact.all():
+        line = "%d" + ",%.6f" * n_values + "\n"
+        return "".join(line % (i, *row) for i, row in enumerate(values.tolist(), first))
+    table = _csv_words()
     whole, fraction = np.divmod(rounded.astype(np.int64), 1_000_000)
     thousands, units = np.divmod(whole, 1000)
     milli, micro = np.divmod(fraction, 1000)
@@ -597,19 +604,7 @@ def _csv_rows(rows: np.ndarray, first: int) -> str:
     micro[:, -1] += 1000
     fields[..., 3] = table.micro[micro]
     flat = buffer.view(np.uint8).reshape(-1)
-    packed = np.compress(flat != 0, flat)
-    text = packed.tobytes().decode("ascii")
-    if not inexact.size:
-        return text
-    # Swap each inexact row's line for the ``%`` line.
-    line = "%d" + ",%.6f" * n_values + "\n"
-    starts = [0, *(np.flatnonzero(packed == ord("\n")) + 1).tolist()]
-    parts, done = [], 0
-    for row in inexact.tolist():
-        parts += [text[done:starts[row]], line % (first + row, *values[row].tolist())]
-        done = starts[row + 1]
-    parts.append(text[done:])
-    return "".join(parts)
+    return np.compress(flat != 0, flat).tobytes().decode("ascii")
 
 
 def table_to_csv(session: SessionReport) -> str:

@@ -567,8 +567,17 @@ print(json.dumps(stages))
 
     @pytest.mark.parametrize(
         "text, reason",
-        [("[NaN, 0, 15]", "finite"), ("[1, Infinity]", "finite"), ("{}", "JSON list")],
-        ids=["nan", "infinity", "object"],
+        [
+            ("[NaN, 0, 15]", "finite"), ("[1, Infinity]", "finite"), ("{}", "JSON list"),
+            ("[1, true]", "weights[1]: expected a finite number, got true"),
+            ('["1.5", 2]', 'weights[0]: expected a finite number, got "1.5"'),
+            ("5", "expected a JSON list of finite numbers"),
+            ("[[1, 2]]", "weights[0]: expected a finite number, got [1, 2]"),
+            ("[null]", "weights[0]: expected a finite number, got null"),
+            ("[1" + "0" * 400 + "]", "weights[0]: expected a finite number, got 1000"),
+        ],
+        ids=["nan", "infinity", "object", "bool", "string", "scalar", "nested", "null",
+             "huge-int"],
     )
     def test_vad_rejects_malformed_weights_file(self, capsys, wav_path, tmp_path, text, reason):
         weights = tmp_path / "w.json"
@@ -805,6 +814,18 @@ class TestModelFileFuzz:
         assert "Traceback" not in err
         assert err == "" or (err.startswith("error: ") and err.count("\n") == 1)
         assert (code == 0) == (err == "")
+
+    @pytest.mark.parametrize("command", ["predict", "session"])
+    @pytest.mark.parametrize(
+        "data", [b"\xff\xfe{}", b'{"s": ' + b"1" * 5000 + b"}"], ids=["not-utf8", "huge-int"]
+    )
+    def test_unparsable_document_is_one_line_error(self, capsys, tmp_path, command, data):
+        path = tmp_path / "doc.json"
+        path.write_bytes(data)
+        extra = ["--initial", "0", "--length", "5"] if command == "predict" else []
+        code, out, err = run_cli(capsys, command, str(path), *extra)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {path}: not valid JSON (") and err.count("\n") == 1
 
 
 SESSION_BASES = {

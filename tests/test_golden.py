@@ -26,7 +26,7 @@ from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 import convstate
 from convstate.cli import main
 from convstate.frontend import AudioBuffer, extract_features, save_wav, segment, vad_classify
-from convstate.markov import Sampled, UnseenRowPolicy, normalize
+from convstate.markov import Sampled, normalize
 from convstate.storage import save_model
 
 TRUTH_COUNTS = [[86, 7, 7], [7, 86, 7], [7, 7, 86]]
@@ -59,11 +59,10 @@ GOLDEN = {
     "session/sampled-exact-bootstrap/stdout": "c63712ff4d318bfca2eed3c2d5298169043361000f4207433f1226ae8eb44414",
     "simulate-chain/stdout": "b8e3e5d4164a7ac9e66d2f69405644b7434e97de67f94e6263b2deafce5d7857",
     "predict-sample/stdout": "e52f58cba9ea4f0c55c894bc094b231033842a44e16505ef357f3bb17676b220",
-    "predict-error-policy/stderr": "bf5bea4b100cb16ed821ab17ff501aedabadaa4c05f851251d061033a4da7e12",
     "estimate/model": "b371cf8d7d83f37ef81964986668eb07afbcecd490fb69872bc6d42c1d2ebc55",
     "check/stdout": "a394b1d23657a0dda31679fb07031a4bf8a5f92cc3ae81301cf1d9da38be184e",
     "check/out": "173adc6b699c5db12d6c00bf3f1ad159f34f83779e1349d016cd7b43983772de",
-    "save-model/sampled-error-policy": "28fc42d7c93fc2ee1239bff3b178aaa9983d5aff31625c4d334af3a36e9913cc",
+    "save-model/sampled": "4a1face0acc2a28e22e76b03313c08130d48d18fa46092387726388be17da2ac",
     "vad/16000/stdout": "0b111ac576ed181f1f5441f4639ac3a807378f00644ac9c154edf916b95035f2",
     "vad/44100/stdout": "0b111ac576ed181f1f5441f4639ac3a807378f00644ac9c154edf916b95035f2",
     "per-frame/16000": "ca9970d87ac55d7b7d758da2767451fbd863ccebb921afa6cc5691d576e88151",
@@ -141,18 +140,9 @@ def test_simulate_chain_and_predict(capsys, tmp_path):
         "--mode", "sample", "--seed", 4,
     )
     assert code == 0
-    partial = tmp_path / "partial.json"
-    partial_counts = np.array([[0, 4, 1], [0, 0, 0], [3, 2, 0]])
-    save_model(normalize(partial_counts, UnseenRowPolicy.ERROR_ON_QUERY), str(partial))
-    code, _, err = run(
-        capsys, tmp_path, "predict", partial, "--initial", 2, "--length", 50,
-        "--mode", "sample", "--seed", 1,
-    )
-    assert code == 1
     digests = {
         "simulate-chain/stdout": sha256(chain),
         "predict-sample/stdout": sha256(predicted),
-        "predict-error-policy/stderr": sha256(err),
     }
     assert digests == {key: GOLDEN[key] for key in digests}
 
@@ -176,12 +166,12 @@ def test_estimate_check_and_saved_model(capsys, tmp_path):
     assert code == 0
     saved = tmp_path / "saved.json"
     counts = np.array([[0, 4, 1], [0, 0, 0], [3, 2, 0]])
-    save_model(normalize(counts, UnseenRowPolicy.ERROR_ON_QUERY), str(saved), Sampled(7))
+    save_model(normalize(counts), str(saved), Sampled(7))
     digests = {
         "estimate/model": sha256(model.read_text()),
         "check/stdout": sha256(check_stdout),
         "check/out": sha256(check_out.read_text()),
-        "save-model/sampled-error-policy": sha256(saved.read_text()),
+        "save-model/sampled": sha256(saved.read_text()),
     }
     assert digests == {key: GOLDEN[key] for key in digests}
 

@@ -3,13 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convstate.errors import UnseenStateError, ValidationError
+from convstate.errors import ValidationError
 from convstate.markov import (
     Argmax,
     Sampled,
     StateSequence,
     TransitionModel,
-    UnseenRowPolicy,
     count_transitions,
     estimate_transition,
     normalize,
@@ -140,16 +139,12 @@ class TestNormalize:
         assert model.probs.tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
     def test_zero_row_uniform_policy(self):
-        model = normalize(np.array([[2, 0], [0, 0]]), UnseenRowPolicy.UNIFORM)
+        model = normalize(np.array([[2, 0], [0, 0]]))
         assert model.probs.tolist() == [[1.0, 0.0], [0.5, 0.5]]
 
     def test_plain_division(self):
         model = normalize(np.array([[1, 1], [3, 1]]))
         assert model.probs.tolist() == [[0.5, 0.5], [0.75, 0.25]]
-
-    def test_error_policy_keeps_zero_rows(self):
-        model = normalize(np.array([[2, 0], [0, 0]]), UnseenRowPolicy.ERROR_ON_QUERY)
-        assert model.probs[1].tolist() == [0.0, 0.0]
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValidationError):
@@ -200,14 +195,12 @@ class TestUpdateOnline:
         assert incremental.probs.tolist() == batch.probs.tolist()
 
 
-def per_row_normalized(count_row, policy):
+def per_row_normalized(count_row):
     """The per-row normalization loop body from before `normalize` was one division."""
     total = count_row.sum()
     if total > 0:
         return count_row / total
-    if policy is UnseenRowPolicy.UNIFORM:
-        return np.full(count_row.shape, 1.0 / count_row.shape[0])
-    return np.zeros(count_row.shape, dtype=np.float64)
+    return np.full(count_row.shape, 1.0 / count_row.shape[0])
 
 
 @st.composite
@@ -220,27 +213,26 @@ def count_matrices(draw):
 
 
 class TestNormalizeReference:
-    @given(count_matrices(), st.sampled_from(UnseenRowPolicy))
+    @given(count_matrices())
     @settings(max_examples=300, deadline=None)
-    def test_normalize_matches_per_row_loop(self, counts, policy):
-        expected = np.stack([per_row_normalized(row, policy) for row in counts])
-        assert normalize(counts, policy).probs.tobytes() == expected.tobytes()
+    def test_normalize_matches_per_row_loop(self, counts):
+        expected = np.stack([per_row_normalized(row) for row in counts])
+        assert normalize(counts).probs.tobytes() == expected.tobytes()
 
-    @given(count_matrices(), st.sampled_from(UnseenRowPolicy), st.data())
+    @given(count_matrices(), st.data())
     @settings(max_examples=300, deadline=None)
-    def test_update_online_matches_one_row_update(self, counts, policy, data):
+    def test_update_online_matches_one_row_update(self, counts, data):
         n = counts.shape[0]
         from_state = data.draw(st.integers(0, n - 1))
         to_state = data.draw(st.integers(0, n - 1))
-        probs = np.stack([per_row_normalized(row, policy) for row in counts])
+        probs = np.stack([per_row_normalized(row) for row in counts])
         counts_after = counts.copy()
         counts_after[from_state, to_state] += 1
-        probs[from_state] = per_row_normalized(counts_after[from_state], policy)
+        probs[from_state] = per_row_normalized(counts_after[from_state])
 
-        updated = update_online(normalize(counts, policy), from_state, to_state)
+        updated = update_online(normalize(counts), from_state, to_state)
         assert updated.counts.tolist() == counts_after.tolist()
         assert updated.probs.tobytes() == probs.tobytes()
-        assert updated.policy is policy
 
 
 class TestPredictNext:
@@ -257,11 +249,6 @@ class TestPredictNext:
         model = normalize(np.array([[0, 3], [3, 0]]))
         for seed in (0, 1, 99):
             assert predict_next(model, 0, Sampled(seed)) == 1
-
-    def test_error_policy_unseen_row(self):
-        model = normalize(np.array([[2, 0], [0, 0]]), UnseenRowPolicy.ERROR_ON_QUERY)
-        with pytest.raises(UnseenStateError, match="state 1"):
-            predict_next(model, 1, Argmax())
 
     @given(st.integers(0, 2**32 - 1))
     def test_argmax_scale_invariance(self, multiplier_seed):
@@ -306,8 +293,6 @@ def query_row(model, state):
     """Reference: the per-state row query walk made before the comprehension kernel."""
     if not 0 <= state < model.n_states:
         raise ValidationError(f"state {state} outside 0..{model.n_states - 1}")
-    if model.policy is UnseenRowPolicy.ERROR_ON_QUERY and not model.row_observed(state):
-        raise UnseenStateError(f"state {state} has no outgoing observations")
     return model.probs[state]
 
 
@@ -327,12 +312,9 @@ def per_step_walk(model, start, steps, rng):
 
 
 def run_walker(walker, model, start, steps, seed):
-    """Path and final generator state, or the unseen-row error message."""
+    """Path and final generator state."""
     rng = None if seed is None else np.random.default_rng(seed)
-    try:
-        path = walker(model, start, steps, rng)
-    except UnseenStateError as exc:
-        return "unseen", str(exc)
+    path = walker(model, start, steps, rng)
     return path, None if rng is None else rng.bit_generator.state
 
 
@@ -344,8 +326,7 @@ class TestWalk:
         cells = data.draw(st.lists(st.integers(0, 4), min_size=n * n, max_size=n * n))
         observed = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
         counts = np.array(cells).reshape(n, n) * np.array(observed)[:, None]
-        policy = data.draw(st.sampled_from(UnseenRowPolicy))
-        model = normalize(counts, policy)
+        model = normalize(counts)
         start = data.draw(st.integers(0, n - 1))
         steps = data.draw(st.integers(0, 60))
         seed = data.draw(st.none() | st.integers(0, 2**32 - 1))

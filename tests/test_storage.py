@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from convstate.cli import main
 from convstate.clustering import EmbeddingSet
 from convstate.controller import (
     CheckDecision,
@@ -37,7 +38,6 @@ from convstate.markov import (
     Argmax,
     Sampled,
     StateSequence,
-    UnseenRowPolicy,
     normalize,
 )
 from convstate.metrics import EvaluationReport
@@ -90,7 +90,7 @@ class TestModelPersistence:
         loaded, mode = load_model(path)
         assert loaded.counts.tolist() == model.counts.tolist()
         assert loaded.n_states == 3
-        assert loaded.policy is UnseenRowPolicy.UNIFORM
+        assert json.loads(open(path).read())["policy"] == "uniform"
         assert mode == Sampled(7)
 
     def test_probs_recomputed_not_trusted(self, model, tmp_path):
@@ -151,15 +151,20 @@ class TestModelPersistence:
         with pytest.raises(SchemaError, match="9 integers"):
             model_from_document(doc)
 
-    def test_error_policy_round_trip(self, tmp_path):
-        model = normalize(
-            np.array([[2, 0], [0, 0]]), UnseenRowPolicy.ERROR_ON_QUERY
-        )
+    def test_error_policy_file_is_rejected(self, tmp_path, capsys):
+        """A row with no observations is always uniform; a model file that
+        names any other rule is a schema error, and `predict` says so in one
+        line."""
+        doc = model_to_document(normalize(np.array([[2, 0], [0, 0]])))
+        doc["policy"] = "error"
         path = str(tmp_path / "model.json")
-        save_model(model, path)
-        loaded, mode = load_model(path)
-        assert loaded.policy is UnseenRowPolicy.ERROR_ON_QUERY
-        assert mode is None
+        atomic_write_text(path, json.dumps(doc))
+        message = "$.policy: expected one of ['uniform'], got 'error'"
+        with pytest.raises(SchemaError, match=re.escape(message)):
+            load_model(path)
+        assert main(["predict", path, "--initial", "1", "--length", "5"]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {message}\n")
 
     def test_argmax_mode_round_trip(self, model, tmp_path):
         path = str(tmp_path / "model.json")
@@ -403,9 +408,34 @@ class TestFeaturesCsv:
         rows = np.array(rows)
         assert _csv_rows(rows, first) == percent_lines(rows, first)
 
+    @given(
+        ties=st.lists(
+            st.tuples(
+                st.one_of(
+                    st.integers(-(2**26), 2**26).map(lambda k: (2 * k + 1) / 128),  # exact ties
+                    st.integers(-(10**12), 10**12 - 1).map(lambda n: (n + 0.5) / 1e6),
+                ),
+                st.sampled_from([-math.inf, None, math.inf]),  # a neighbour, or the value
+            ),
+            min_size=1, max_size=12,
+        ),
+        n_rows=st.sampled_from([1, 7, _CSV_BLOCK + 3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_ties_and_neighbours_match_percent(self, ties, n_rows, seed):
+        # Values on or next to a tie at the sixth decimal, in rows among
+        # ordinary ones, in the first block or the second.
+        rng = np.random.default_rng(seed)
+        rows = rng.standard_normal((n_rows, 5)) * 100.0
+        for value, toward in ties:
+            cell = rng.integers(n_rows), rng.integers(5)
+            rows[cell] = value if toward is None else math.nextafter(value, toward)
+        assert features_to_csv(rows).split("\n", 1)[1] == percent_lines(rows)
+
     def test_bytes_do_not_depend_on_thread_count(self, monkeypatch):
-        # Three full blocks and a partial one, a ``%`` fallback row (NaN)
-        # in the second; the blocks are joined in order whatever the pool.
+        # Three full blocks and a partial one, the second written with ``%``
+        # for its NaN; the blocks are joined in order whatever the pool.
         rng = np.random.default_rng(11)
         rows = rng.standard_normal((3 * _CSV_BLOCK + 5, 15)) * 10.0
         rows[_CSV_BLOCK + 17, 4] = np.nan
