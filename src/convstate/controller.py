@@ -277,8 +277,10 @@ def run_session(
         if isinstance(first, StateSequence):
             n_states = first.n_states
         else:
-            n_states = int(max(first)) + 1
-    bootstrap = StateSequence(labels=_as_labels(first).tolist(), n_states=n_states)
+            n_states = int(max(first, default=0)) + 1
+    bootstrap = StateSequence(
+        labels=_oracle_labels(first, 0, n_states).tolist(), n_states=n_states
+    )
 
     model = markov.estimate_transition(bootstrap, n_states)
     window = config.window_len
@@ -297,11 +299,8 @@ def run_session(
             actual_raw = next(source)
         except StopIteration:
             break
-        actual = _as_labels(actual_raw)
-        markov._validate_labels(actual, n_states)
+        actual = _oracle_labels(actual_raw, iteration, n_states)
         length = int(actual.size)
-        if length == 0:
-            raise ValidationError(f"oracle sequence {iteration} is empty")
 
         outcome: EvaluatorOutcome | None = None
         basis = model
@@ -320,23 +319,22 @@ def run_session(
             checked = bool(bernoulli_rng.random() < interval.p)
 
         if isinstance(config.mode, Argmax):
-            candidates = [markov.walk(basis, anchor, length)]
+            predicted = _as_labels(markov.walk(basis, anchor, length))
+        elif checked:
+            predicted = _closest_walk(
+                basis, anchor, actual, config.seed, iteration, config.candidate_count
+            )
         else:
-            count = config.candidate_count if checked else 1
-            rngs = (np.random.default_rng([config.seed, iteration, j]) for j in range(count))
-            candidates = [markov.walk(basis, anchor, length, rng) for rng in rngs]
+            rng = np.random.default_rng([config.seed, iteration, 0])
+            predicted = _as_labels(markov.walk(basis, anchor, length, rng))
+        predicted_labels = predicted.tolist()
 
-        rows = _as_labels(candidates)
-        best, verdict = 0, None
+        verdict = None
         if checked:
-            # Candidates share the oracle's length, so the fewest mismatches
-            # is the lowest TPE; argmin keeps the lowest index among ties.
-            best = int(np.count_nonzero(rows != actual, axis=1).argmin())
-            verdict = check_iteration(rows[best], actual, config.thresholds, n_states)
-        predicted_labels = candidates[best]
+            verdict = check_iteration(predicted, actual, config.thresholds, n_states)
         accepted = verdict is None or verdict.decision is Decision.ACCEPT
         if accepted:
-            model = update_from_labels(model, anchor, rows[best])
+            model = update_from_labels(model, anchor, predicted)
         else:
             model = markov.estimate_transition(actual, n_states)
         if window is not None:
@@ -359,6 +357,41 @@ def run_session(
     return SessionReport(
         bootstrap=bootstrap, iterations=tuple(records), final_model=model
     )
+
+
+def _oracle_labels(raw: StateSequence | Sequence[int], index: int, n_states: int) -> np.ndarray:
+    """Oracle sequence `index` as an array, rejected when empty or out of range."""
+    labels = _as_labels(raw)
+    if labels.size == 0:
+        raise ValidationError(f"oracle sequence {index} is empty")
+    try:
+        markov._validate_labels(labels, n_states)
+    except ValidationError as exc:
+        raise ValidationError(f"oracle sequence {index}: {exc}") from None
+    return labels
+
+
+def _closest_walk(
+    basis: TransitionModel, anchor: int, actual: np.ndarray, seed: int, iteration: int, count: int
+) -> np.ndarray:
+    """The sampled candidate with the fewest mismatches (lowest TPE) against `actual`.
+
+    Candidate ``j`` walks from `anchor` with ``default_rng([seed, iteration, j])``.
+    The result equals walking all `count` candidates whole and taking the
+    argmin of their mismatch counts, the lowest index among ties: a
+    candidate stops walking once its mismatches reach the fewest so far,
+    since it can then at best tie, and an exact match ends the sampling.
+    Candidate 0 always walks whole, as no walk reaches ``len(actual) + 1``.
+    """
+    best, fewest = actual[:0], len(actual) + 1
+    for j in range(count):
+        rng = np.random.default_rng([seed, iteration, j])
+        labels, misses = markov.walk_within(basis, anchor, rng, actual, fewest)
+        if misses < fewest:
+            best, fewest = labels, misses
+        if fewest == 0:
+            break
+    return best
 
 
 def update_from_labels(

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convstate import controller
+from convstate import controller, storage
 from convstate.controller import (
     Decision,
     FallbackPreviousWindow,
@@ -21,7 +21,7 @@ from convstate.controller import (
 )
 from convstate.errors import ValidationError
 from convstate.harness import chain_oracle
-from convstate.markov import Argmax, Sampled, estimate_transition, normalize
+from convstate.markov import Argmax, Sampled, estimate_transition, normalize, walk
 from convstate.metrics import EvaluationReport
 
 
@@ -239,6 +239,22 @@ class TestRunSession:
         with pytest.raises(ValidationError, match="bootstrap"):
             run_session([], SessionConfig())
 
+    @pytest.mark.parametrize(
+        "oracle, n_states, message",
+        [
+            ([[], [0]], None, "oracle sequence 0 is empty"),
+            ([[], [0]], 2, "oracle sequence 0 is empty"),
+            ([[0, 1], [0, 1], []], None, "oracle sequence 2 is empty"),
+            ([[0, 1], [0, 1], [0, 5]], None, "oracle sequence 2: label 5 at index 1 outside 0..1"),
+            ([[0, 1], [-1]], None, "oracle sequence 1: label -1 at index 0 outside 0..1"),
+            ([[0, 2, 1]], 2, "oracle sequence 0: label 2 at index 1 outside 0..1"),
+        ],
+    )
+    def test_bad_oracle_sequence_is_named(self, oracle, n_states, message):
+        with pytest.raises(ValidationError) as excinfo:
+            run_session(oracle, SessionConfig(mode=Sampled(0)), n_states=n_states)
+        assert str(excinfo.value) == message
+
     def test_windowed_evaluator_recorded(self):
         oracle = chain_oracle(CYCLE, length=30, initial=0, seed=5, iterations=4)
         report = run_session(
@@ -286,6 +302,128 @@ class TestRunSession:
         for a, b in zip(first.iterations, second.iterations):
             assert a.predicted.labels == b.predicted.labels
         assert first.final_model.counts.tolist() == second.final_model.counts.tolist()
+
+
+def full_walk_argmin(basis, anchor, actual, seed, iteration, count):
+    """Reference candidate choice: walk every candidate whole, then argmin."""
+    walks = [
+        walk(basis, anchor, len(actual), np.random.default_rng([seed, iteration, j]))
+        for j in range(count)
+    ]
+    misses = np.count_nonzero(np.array(walks) != np.array(actual), axis=1)
+    return np.array(walks[int(misses.argmin())], dtype=np.int64)
+
+
+@st.composite
+def chain_models(draw, n_states):
+    """Random count rows, or one-hot rows that make every walk deterministic."""
+    if draw(st.booleans()):
+        targets = draw(st.lists(st.integers(0, n_states - 1), min_size=n_states, max_size=n_states))
+        return normalize(np.eye(n_states, dtype=np.int64)[targets])
+    cells = draw(st.lists(st.integers(0, 4), min_size=n_states**2, max_size=n_states**2))
+    return normalize(np.array(cells).reshape(n_states, n_states))
+
+
+@st.composite
+def oracle_labels(draw, model, anchor, seed, iteration, count):
+    """Labels the candidates are scored against, `length` 1-300 (chunk edges 16, 48, 112).
+
+    Random labels; a walk of an independent chain; or candidate j's own walk
+    with a few labels changed, so that later candidates win and ties occur.
+    """
+    n_states = model.n_states
+    length = draw(st.integers(1, 300))
+    kind = draw(st.sampled_from(["random", "independent", "candidate"]))
+    if kind == "random":
+        return draw(st.lists(st.integers(0, n_states - 1), min_size=length, max_size=length))
+    if kind == "independent":
+        other = draw(chain_models(n_states))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        return walk(other, draw(st.integers(0, n_states - 1)), length, rng)
+    j = draw(st.integers(0, count - 1))
+    labels = walk(model, anchor, length, np.random.default_rng([seed, iteration, j]))
+    for position in draw(st.lists(st.integers(0, length - 1), max_size=4)):
+        labels[position] = (labels[position] + 1) % n_states
+    return labels
+
+
+class TestCandidateChoice:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_full_walk_argmin(self, data):
+        n_states = data.draw(st.integers(1, 5))
+        model = data.draw(chain_models(n_states))
+        anchor = data.draw(st.integers(0, n_states - 1))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        iteration = data.draw(st.integers(1, 50))
+        count = data.draw(st.integers(1, 6))
+        actual = data.draw(oracle_labels(model, anchor, seed, iteration, count))
+        args = (model, anchor, actual, seed, iteration, count)
+        chosen = controller._closest_walk(*args)
+        assert chosen.dtype == np.int64
+        assert chosen.tolist() == full_walk_argmin(*args).tolist()
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_session_report_equals_full_walk_argmin(self, data):
+        n_states = data.draw(st.integers(1, 5))
+        truth = data.draw(chain_models(n_states))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        count = data.draw(st.integers(1, 6))
+        every = data.draw(st.integers(1, 2))
+        bootstrap = walk(
+            truth, data.draw(st.integers(0, n_states - 1)), data.draw(st.integers(1, 40)),
+            np.random.default_rng(seed),
+        )
+        # Candidate walks are drawn from the bootstrap estimate, which is the
+        # session's basis on its first iteration and drifts from it later.
+        estimate = estimate_transition(bootstrap, n_states)
+        oracle = [bootstrap]
+        for iteration in range(1, data.draw(st.integers(1, 4)) + 1):
+            oracle.append(
+                data.draw(oracle_labels(estimate, oracle[-1][-1], seed, iteration, count))
+            )
+        config = SessionConfig(
+            thresholds=Thresholds(checker_interval=FixedEvery(every)),
+            mode=Sampled(0),
+            seed=seed,
+            candidate_count=count,
+        )
+
+        def report_text():
+            report = run_session(oracle, config, n_states=n_states)
+            return storage.json_text(storage.session_to_document(report))
+
+        chosen = report_text()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(controller, "_closest_walk", full_walk_argmin)
+            assert chosen == report_text()
+
+    def test_one_mismatch_does_not_end_the_search(self):
+        """Only an exact match stops sampling: a later exact candidate still wins."""
+        model = normalize(np.array([[1, 1], [1, 1]]))
+        for iteration in range(1, 100):
+            first, second = (
+                walk(model, 0, 1, np.random.default_rng([3, iteration, j])) for j in (0, 1)
+            )
+            if first != second:
+                break
+        assert controller._closest_walk(model, 0, second, 3, iteration, 2).tolist() == second
+
+    def test_exact_match_samples_no_further_candidate(self, monkeypatch):
+        model = normalize(np.array([[6, 2, 2], [1, 8, 1], [3, 3, 4]]))
+        actual = walk(model, 0, 200, np.random.default_rng([9, 1, 0]))
+        generators = []
+        real_default_rng = np.random.default_rng
+
+        def counting_default_rng(seed):
+            generators.append(seed)
+            assert len(generators) == 1, f"candidate {seed} sampled after an exact match"
+            return real_default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counting_default_rng)
+        # A count far too large to list: only candidate 0 is ever built.
+        assert controller._closest_walk(model, 0, actual, 9, 1, 10**12).tolist() == actual
 
 
 class TestThresholdsValidation:

@@ -18,6 +18,7 @@ from convstate.markov import (
     _validate_labels,
     update_online,
     walk,
+    walk_within,
 )
 
 
@@ -358,6 +359,64 @@ class TestWalk:
         draws = np.random.default_rng(seed).random(80)
         totals = np.cumsum(probs, axis=1)[:, -1][[start, *path[:-1]]]
         assert all(p == n - 1 for p, u, t in zip(path, draws, totals) if u >= t)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_walks_in_pieces_continue_one_stream(self, data):
+        """Drawing `steps` uniforms in pieces equals one ``random(steps)``.
+
+        The session's candidate choice walks a candidate chunk by chunk on
+        one generator, so each piece's walk from the carried state must
+        join into the walk one call would give.
+        """
+        n = data.draw(st.integers(1, 5))
+        cells = data.draw(st.lists(st.integers(0, 4), min_size=n * n, max_size=n * n))
+        model = normalize(np.array(cells).reshape(n, n))
+        start = data.draw(st.integers(0, n - 1))
+        steps = data.draw(st.integers(0, 300))
+        cuts = sorted(data.draw(st.lists(st.integers(0, steps), max_size=8)))
+        seed = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3))
+        bounds = list(zip([0, *cuts], [*cuts, steps]))
+
+        rng = np.random.default_rng(seed)
+        pieces = [rng.random(stop - begin) for begin, stop in bounds]
+        whole = np.random.default_rng(seed)
+        assert np.concatenate(pieces).tolist() == whole.random(steps).tolist()
+        assert rng.bit_generator.state == whole.bit_generator.state
+
+        rng, path, state = np.random.default_rng(seed), [], start
+        for begin, stop in bounds:
+            piece = walk(model, state, stop - begin, rng)
+            path += piece
+            state = path[-1] if path else start
+        assert path == walk(model, start, steps, np.random.default_rng(seed))
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_walk_within_stops_at_the_first_chunk_reaching_the_bound(self, data):
+        n = data.draw(st.integers(1, 5))
+        cells = data.draw(st.lists(st.integers(0, 4), min_size=n * n, max_size=n * n))
+        model = normalize(np.array(cells).reshape(n, n))
+        start = data.draw(st.integers(0, n - 1))
+        labels = data.draw(st.lists(st.integers(0, n - 1), max_size=300))
+        bound = data.draw(st.integers(0, len(labels) + 1))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+
+        walked, misses = walk_within(model, start, np.random.default_rng(seed), labels, bound)
+        assert walked.dtype == np.int64
+        walked = walked.tolist()
+        whole = walk(model, start, len(labels), np.random.default_rng(seed))
+        assert walked == whole[: len(walked)]
+        assert misses == sum(a != b for a, b in zip(walked, labels))
+        # Chunks of b, 2b, 4b, ... steps (b = max(16, bound)) end at b, 3b, 7b, ...
+        first = max(16, bound)
+        edges = [e for e in (first * (2**k - 1) for k in range(1, 10)) if e < len(labels)]
+        edges.append(len(labels))
+        stop = next(e for e in edges if e == len(labels) or
+                    sum(a != b for a, b in zip(whole[:e], labels)) >= bound)
+        assert len(walked) == (0 if bound == 0 else stop)
+        if misses < bound:
+            assert walked == whole
 
     def test_out_of_range_start(self):
         model = normalize(np.array([[1, 1], [1, 1]]))
