@@ -278,9 +278,11 @@ def run_session(
             n_states = first.n_states
         else:
             n_states = int(max(first, default=0)) + 1
-    bootstrap = StateSequence(
-        labels=_oracle_labels(first, 0, n_states).tolist(), n_states=n_states
-    )
+    if _checked(first, n_states) and first.labels:
+        labels = first.labels
+    else:
+        labels = tuple(_oracle_labels(first, 0, n_states).tolist())
+    bootstrap = StateSequence._known(labels, n_states)
 
     model = markov.estimate_transition(bootstrap, n_states)
     window = config.window_len
@@ -347,7 +349,7 @@ def run_session(
         records.append(
             IterationRecord(
                 index=iteration,
-                predicted=StateSequence(labels=tuple(predicted_labels), n_states=n_states),
+                predicted=StateSequence._known(tuple(predicted_labels), n_states),
                 checked=checked,
                 decision=verdict,
                 evaluator=outcome,
@@ -359,15 +361,25 @@ def run_session(
     )
 
 
+def _checked(raw: StateSequence | Sequence[int], n_states: int) -> bool:
+    """Whether `raw` is a StateSequence whose labels its constructor put in ``0..n_states-1``."""
+    return isinstance(raw, StateSequence) and raw.n_states <= n_states
+
+
 def _oracle_labels(raw: StateSequence | Sequence[int], index: int, n_states: int) -> np.ndarray:
-    """Oracle sequence `index` as an array, rejected when empty or out of range."""
+    """Oracle sequence `index` as an array, rejected when empty or out of range.
+
+    A StateSequence whose alphabet fits the session's was range-checked when
+    it was built, so only its length is checked here.
+    """
     labels = _as_labels(raw)
     if labels.size == 0:
         raise ValidationError(f"oracle sequence {index} is empty")
-    try:
-        markov._validate_labels(labels, n_states)
-    except ValidationError as exc:
-        raise ValidationError(f"oracle sequence {index}: {exc}") from None
+    if not _checked(raw, n_states):
+        try:
+            markov._validate_labels(labels, n_states)
+        except ValidationError as exc:
+            raise ValidationError(f"oracle sequence {index}: {exc}") from None
     return labels
 
 

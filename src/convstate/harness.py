@@ -37,16 +37,19 @@ def _chain_chunks(
     """Continue one trajectory in chunks; chunk `count` draws from ``rng_for(count)``.
 
     Chunk 0 starts at `current` itself, every later chunk at the successor
-    of the previous chunk's last label. Each chunk holds `length` labels.
+    of the previous chunk's last label. Each chunk holds `length` labels,
+    walked states, so they are boxed without a second check.
     """
     if length < 1:
         raise ValidationError(f"length must be >= 1, got {length}")
+    n_states = truth_chain.n_states
+    current = markov._state(current, n_states, "initial")
     while iterations is None or count < iterations:
         labels = [current] if count == 0 else []
         labels += markov.walk(truth_chain, current, length - len(labels), rng_for(count))
         current = labels[-1]
         count += 1
-        yield StateSequence(labels=tuple(labels), n_states=truth_chain.n_states)
+        yield StateSequence._known(tuple(labels), n_states)
 
 
 def chain_oracle(
@@ -135,7 +138,7 @@ def sequence_with_exact_counts(counts: np.ndarray) -> StateSequence:
     if len(circuit) != matrix.sum() + 1:
         raise ValidationError("bigram graph is not connected; no single circuit")
     circuit.reverse()
-    return StateSequence(labels=tuple(circuit), n_states=matrix.shape[0])
+    return StateSequence._known(tuple(circuit), matrix.shape[0])
 
 
 # The largest separation or noise_sigma generate_synthetic_embeddings accepts.

@@ -8,6 +8,7 @@ batch re-estimation stay exactly equivalent.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -36,6 +37,9 @@ PredictionMode = Argmax | Sampled
 class StateSequence:
     """Ordered speaker-state labels, optionally time-aligned.
 
+    The constructor stores each label as ``operator.index(label)``, a Python
+    int (a float or a string is rejected), and range-checks it.
+
     Attributes:
         labels: state ids, each in ``0..n_states-1``.
         n_states: size of the state alphabet.
@@ -50,7 +54,7 @@ class StateSequence:
     def __post_init__(self):
         if self.n_states < 1:
             raise ValidationError(f"n_states must be >= 1, got {self.n_states}")
-        object.__setattr__(self, "labels", tuple(map(int, self.labels)))
+        object.__setattr__(self, "labels", _index_labels(self.labels))
         _validate_labels(self.labels, self.n_states)
         if self.times is not None:
             times = tuple((float(a), float(b)) for a, b in self.times)
@@ -66,6 +70,18 @@ class StateSequence:
                 if start < prev_end:
                     raise ValidationError(f"times[{i}] overlaps its predecessor")
                 prev_end = end
+
+    @classmethod
+    def _known(cls, labels: tuple[int, ...], n_states: int) -> StateSequence:
+        """Untimed labels the program produced itself, stored with no check.
+
+        The caller guarantees a tuple of Python ints in ``0..n_states-1``.
+        """
+        seq = object.__new__(cls)
+        object.__setattr__(seq, "labels", labels)
+        object.__setattr__(seq, "n_states", n_states)
+        object.__setattr__(seq, "times", None)
+        return seq
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -104,9 +120,34 @@ class TransitionModel:
 
 
 def _as_labels(seq: StateSequence | Sequence[int] | Iterable[int]) -> np.ndarray:
+    if isinstance(seq, StateSequence):
+        return np.fromiter(seq.labels, np.int64, len(seq))
     if not isinstance(seq, (np.ndarray, list, tuple)):
-        seq = list(seq)  # a StateSequence iterates its labels
+        seq = list(seq)
     return np.asarray(seq, dtype=np.int64)
+
+
+def _state(value, n_states: int, name: str = "state", used: bool = True) -> int:
+    """`value` as a Python int by ``operator.index``, range-checked when `used`."""
+    try:
+        state = operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} {value!r} is not an integer") from None
+    if used and not 0 <= state < n_states:
+        raise ValidationError(f"{name} {state} outside 0..{n_states - 1}")
+    return state
+
+
+def _index_labels(labels: Iterable) -> tuple[int, ...]:
+    """The labels as a tuple of Python ints; a non-integer label is named by its index."""
+    labels = tuple(labels)
+    try:
+        return tuple(map(operator.index, labels))
+    except TypeError:
+        for i, lab in enumerate(labels):
+            if not hasattr(type(lab), "__index__"):
+                raise ValidationError(f"label {lab!r} at index {i} is not an integer") from None
+        raise
 
 
 def _validate_labels(labels: Sequence[int], n_states: int) -> None:
@@ -158,9 +199,7 @@ def update_online(model: TransitionModel, from_state: int, to_state: int) -> Tra
     one label.
     """
     n = model.n_states
-    for name, state in (("from_state", from_state), ("to_state", to_state)):
-        if not 0 <= state < n:
-            raise ValidationError(f"{name} {state} outside 0..{n - 1}")
+    from_state, to_state = _state(from_state, n, "from_state"), _state(to_state, n, "to_state")
     counts = model.counts.copy()
     counts[from_state, to_state] += 1
     return normalize(counts)
@@ -182,8 +221,7 @@ def walk(
     last entry, so a draw above the row's rounded total lands on the last
     state.
     """
-    if steps > 0 and not 0 <= start < model.n_states:
-        raise ValidationError(f"state {start} outside 0..{model.n_states - 1}")
+    start = _state(start, model.n_states, used=steps > 0)
     if rng is None:
         # Argmax is the same walk over one-hot rows with every draw at 0.5.
         rows, draws = np.eye(model.n_states)[np.argmax(model.probs, axis=1)], [0.5] * steps
@@ -211,8 +249,7 @@ def walk_within(
     `bound` equals ``walk(model, start, len(labels), rng)``.
     """
     labels = _as_labels(labels)
-    if labels.size and not 0 <= start < model.n_states:
-        raise ValidationError(f"state {start} outside 0..{model.n_states - 1}")
+    start = _state(start, model.n_states, used=labels.size > 0)
     table = _table(model.probs)
     walked = [labels[:0]]
     misses, state, done, chunk = 0, start, 0, max(16, bound)
@@ -262,9 +299,8 @@ def predict_sequence(
     """Roll the chain forward: output[0] = initial, then `length - 1` steps."""
     if length < 1:
         raise ValidationError(f"length must be >= 1, got {length}")
-    if not 0 <= initial < model.n_states:
-        raise ValidationError(f"initial {initial} outside 0..{model.n_states - 1}")
+    initial = _state(initial, model.n_states, "initial")
     rng = None if isinstance(mode, Argmax) else np.random.default_rng(mode.seed)
-    labels = [initial, *walk(model, initial, length - 1, rng)]
-    return StateSequence(labels=tuple(labels), n_states=model.n_states)
+    labels = (initial, *walk(model, initial, length - 1, rng))
+    return StateSequence._known(labels, model.n_states)
 

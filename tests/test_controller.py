@@ -20,8 +20,8 @@ from convstate.controller import (
     run_session,
 )
 from convstate.errors import ValidationError
-from convstate.harness import chain_oracle
-from convstate.markov import Argmax, Sampled, estimate_transition, normalize, walk
+from convstate.harness import chain_oracle, matched_chain_oracle
+from convstate.markov import Argmax, Sampled, StateSequence, estimate_transition, normalize, walk
 from convstate.metrics import EvaluationReport
 
 
@@ -254,6 +254,42 @@ class TestRunSession:
         with pytest.raises(ValidationError) as excinfo:
             run_session(oracle, SessionConfig(mode=Sampled(0)), n_states=n_states)
         assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    def test_wider_oracle_sequence_is_range_checked(self, index):
+        """A sequence checked against 5 states is checked again against the session's 3."""
+        oracle = [StateSequence(labels=(0, 1, 2), n_states=3)] * 3
+        oracle[index] = StateSequence(labels=(0, 1, 4, 2), n_states=5)
+        with pytest.raises(ValidationError) as excinfo:
+            run_session(oracle, SessionConfig(mode=Sampled(0)), n_states=3)
+        assert str(excinfo.value) == f"oracle sequence {index}: label 4 at index 2 outside 0..2"
+
+    @pytest.mark.parametrize("n_states", [None, 3])
+    def test_empty_sequence_bootstrap_is_rejected(self, n_states):
+        oracle = [StateSequence(labels=(), n_states=3), StateSequence(labels=(0,), n_states=3)]
+        with pytest.raises(ValidationError) as excinfo:
+            run_session(oracle, SessionConfig(mode=Sampled(0)), n_states=n_states)
+        assert str(excinfo.value) == "oracle sequence 0 is empty"
+
+    @pytest.mark.parametrize("make_oracle", [chain_oracle, matched_chain_oracle])
+    def test_length_one_chain_oracle_checks_its_initial(self, make_oracle):
+        """Chunk 0 of a length-1 oracle is not walked, so its initial is checked alone."""
+        with pytest.raises(ValidationError) as excinfo:
+            next(make_oracle(CYCLE, 1, 5, 0, iterations=1))
+        assert str(excinfo.value) == "initial 5 outside 0..2"
+        with pytest.raises(ValidationError):
+            run_session(make_oracle(CYCLE, 1, 5, 0, iterations=3), SessionConfig(mode=Sampled(0)))
+
+    def test_narrower_oracle_sequences_equal_plain_labels(self):
+        """Sequences over 2 states in a 3-state session run as the same labels as lists."""
+        labels = [[0, 1, 1, 0, 1], [1, 1, 0], [0, 0, 1, 1], [1, 0]]
+        config = SessionConfig(mode=Sampled(3), seed=3)
+        plain = run_session(labels, config, n_states=3)
+        boxed = run_session([StateSequence(labels=x, n_states=2) for x in labels], config, n_states=3)
+        assert boxed.bootstrap == plain.bootstrap == StateSequence(labels=labels[0], n_states=3)
+        assert [r.predicted for r in boxed.iterations] == [r.predicted for r in plain.iterations]
+        assert [r.decision for r in boxed.iterations] == [r.decision for r in plain.iterations]
+        assert boxed.final_model.counts.tolist() == plain.final_model.counts.tolist()
 
     def test_windowed_evaluator_recorded(self):
         oracle = chain_oracle(CYCLE, length=30, initial=0, seed=5, iterations=4)

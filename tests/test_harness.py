@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from convstate.controller import FixedEvery, SessionConfig, Thresholds, run_session
 from convstate.errors import ValidationError
 from convstate.harness import (
     align_labels,
@@ -15,10 +16,13 @@ from convstate.harness import (
     sequence_with_exact_counts,
 )
 from convstate.markov import (
+    Argmax,
+    Sampled,
     StateSequence,
     count_transitions,
     estimate_transition,
     normalize,
+    predict_sequence,
     walk,
 )
 
@@ -73,6 +77,14 @@ class TestChainOracles:
         )
         assert pieces[0].labels == bootstrap.labels
         assert len(pieces) == 3
+
+    @pytest.mark.parametrize("length", [1, 3])
+    @pytest.mark.parametrize("initial", [1.0, np.float64(1.0), "1"])
+    def test_non_integer_initial_rejected(self, length, initial):
+        for make_oracle in (chain_oracle, matched_chain_oracle):
+            with pytest.raises(ValidationError) as excinfo:
+                next(make_oracle(STICKY, length, initial, seed=1, iterations=2))
+            assert str(excinfo.value) == f"initial {initial!r} is not an integer"
 
     @pytest.mark.parametrize("length", [0, -3])
     def test_length_below_one_rejected(self, length):
@@ -158,6 +170,65 @@ class TestSequenceWithExactCounts:
         balanced = base + base.T  # symmetric counts are always balanced
         seq = sequence_with_exact_counts(balanced)
         assert count_transitions(seq, 3).tolist() == balanced.tolist()
+
+
+def assert_boxed_once(seq):
+    """`seq` equals its checked rebuild and holds a tuple of Python ints."""
+    assert seq == StateSequence(labels=seq.labels, n_states=seq.n_states)
+    assert type(seq.labels) is tuple
+    assert all(type(x) is int for x in seq.labels)
+
+
+@st.composite
+def walked_cases(draw):
+    """A random chain over 1-5 states, a length 1-300, a start of any integer kind."""
+    n = draw(st.integers(1, 5))
+    cells = draw(st.lists(st.integers(0, 4), min_size=n * n, max_size=n * n))
+    model = normalize(np.array(cells).reshape(n, n))
+    start = draw(st.sampled_from([int, np.int64, np.uint8]))(draw(st.integers(0, n - 1)))
+    length = draw(st.integers(1, 300))
+    return model, start, length, draw(st.integers(0, 2**32 - 1))
+
+
+class TestUncheckedProducers:
+    """Walks and Euler circuits skip StateSequence's checks; their output must pass them."""
+
+    @given(walked_cases(), st.booleans())
+    @settings(deadline=None)
+    def test_predict_sequence(self, case, sampled):
+        model, start, length, seed = case
+        assert_boxed_once(predict_sequence(model, start, length, Sampled(seed) if sampled else Argmax()))
+
+    @given(walked_cases(), st.data())
+    @settings(deadline=None)
+    def test_chain_oracles_and_exact_counts(self, case, data):
+        model, start, length, seed = case
+        circuit = data.draw(st.lists(st.integers(0, model.n_states - 1), min_size=1, max_size=300))
+        bootstrap = sequence_with_exact_counts(count_transitions([*circuit, circuit[0]], model.n_states))
+        assert_boxed_once(bootstrap)
+        oracles = [
+            chain_oracle(model, length, start, seed, iterations=3),
+            matched_chain_oracle(model, length, start, seed, iterations=3),
+            matched_chain_oracle(model, length, start, seed, iterations=3, bootstrap=bootstrap),
+        ]
+        for oracle in oracles:
+            for piece in oracle:
+                assert_boxed_once(piece)
+
+    @given(walked_cases(), st.booleans(), st.integers(1, 2))
+    @settings(deadline=None)
+    def test_run_session_records_and_bootstrap(self, case, sampled, check_every):
+        model, start, length, seed = case
+        config = SessionConfig(
+            thresholds=Thresholds(checker_interval=FixedEvery(check_every)),
+            mode=Sampled(seed) if sampled else Argmax(), seed=seed, iterations=2,
+        )
+        first, *_ = oracle = list(matched_chain_oracle(model, length, start, seed, iterations=3))
+        report = run_session(oracle, config)
+        assert_boxed_once(report.bootstrap)
+        assert report.bootstrap.labels == first.labels
+        for record in report.iterations:
+            assert_boxed_once(record.predicted)
 
 
 class TestGenerateSyntheticEmbeddings:

@@ -44,6 +44,20 @@ class TestStateSequence:
         with pytest.raises(ValidationError):
             StateSequence(labels=(0,), n_states=1, times=((0.0, 1.0), (1.0, 2.0)))
 
+    @pytest.mark.parametrize(
+        "labels, index",
+        [((1.7,), 0), ((0, "2"), 1), ((0, 1, 1.0), 2), ((np.float64(2.0),), 0), ([0, None], 1)],
+    )
+    def test_rejects_non_integer_labels(self, labels, index):
+        with pytest.raises(ValidationError, match=f" at index {index} is not an integer$"):
+            StateSequence(labels=labels, n_states=3)
+
+    def test_integer_kinds_are_stored_as_python_ints(self):
+        labels = (True, np.int64(2), np.uint8(0), np.int32(1), 2)
+        seq = StateSequence(labels=labels, n_states=3)
+        assert seq.labels == (1, 2, 0, 1, 2)
+        assert all(type(x) is int for x in seq.labels)
+
 
 class TestCountTransitions:
     def test_alternating_pairs(self):
@@ -178,6 +192,11 @@ class TestUpdateOnline:
         model = normalize(np.array([[1, 0], [0, 1]]))
         with pytest.raises(ValidationError):
             update_online(model, 2, 0)
+
+    def test_non_integer_state(self):
+        model = normalize(np.array([[1, 0], [0, 1]]))
+        with pytest.raises(ValidationError, match=r"^to_state 1\.0 is not an integer$"):
+            update_online(model, 0, 1.0)
 
     def test_original_model_untouched(self):
         model = normalize(np.array([[1, 0], [0, 1]]))
@@ -423,6 +442,26 @@ class TestWalk:
         with pytest.raises(ValidationError, match="state 2"):
             walk(model, 2, 1)
         assert walk(model, 2, 0) == []
+
+    @pytest.mark.parametrize("start", [1.0, np.float64(1.0), "1", None])
+    def test_non_integer_start_is_rejected(self, start):
+        model = normalize(np.array([[1, 1], [1, 1]]))
+        calls = [
+            (lambda: walk(model, start, 3), "state"),
+            (lambda: walk_within(model, start, np.random.default_rng(0), [0, 1], 2), "state"),
+            (lambda: predict_sequence(model, start, 3), "initial"),
+            (lambda: predict_sequence(model, start, 3, Sampled(0)), "initial"),
+        ]
+        for call, name in calls:
+            with pytest.raises(ValidationError) as excinfo:
+                call()
+            assert str(excinfo.value) == f"{name} {start!r} is not an integer"
+
+    def test_integer_kinds_start_a_walk(self):
+        model = normalize(np.array([[0, 1], [1, 0]]))
+        for start in (1, True, np.int64(1), np.uint8(1)):
+            assert walk(model, start, 3) == [0, 1, 0]
+            assert predict_sequence(model, start, 3).labels == (1, 0, 1)
 
 
 class TestInvariants:

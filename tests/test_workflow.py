@@ -1,0 +1,54 @@
+"""The CI workflow's benchmark smoke step: where it runs and what it gates on."""
+
+import json
+import os
+import re
+import subprocess
+import sys
+
+import pytest
+import yaml
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+WORKFLOW = os.path.join(ROOT, ".github", "workflows", "tests.yml")
+
+
+def smoke_step():
+    with open(WORKFLOW) as handle:
+        workflow = yaml.safe_load(handle)
+    steps = workflow["jobs"]["tier1"]["steps"]
+    return next(step for step in steps if step.get("name") == "Benchmark smoke")
+
+
+def test_runs_every_workload_traced_on_ubuntu_python_3_11():
+    with open(WORKFLOW) as handle:
+        entries = yaml.safe_load(handle)["jobs"]["tier1"]["strategy"]["matrix"]["include"]
+    step = smoke_step()
+    assert step["if"] == "matrix.os == 'ubuntu-latest' && matrix.python-version == '3.11'"
+    assert sum(e["os"] == "ubuntu-latest" and e["python-version"] == "3.11" for e in entries) == 1
+    assert "for workload in session pipeline vad; do" in step["run"]
+    assert ('python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 2 --trace 1'
+            in step["run"])
+
+
+def last_line(correct=True, failed=0, absent=0.0):
+    return json.dumps({"correct": correct, "attempted": 3, "failed": failed,
+                       "metrics": {"trace.absent_targets": {"value": absent, "unit": "count"}}})
+
+
+@pytest.mark.parametrize(
+    "line, passes",
+    [
+        (last_line(), True),
+        (last_line(correct=False), False),
+        (last_line(failed=1), False),
+        (last_line(absent=1.0), False),
+    ],
+)
+def test_gate_fails_on_a_failed_check_or_an_absent_target(tmp_path, line, passes):
+    program = re.search(r'python3 -c "\n(.*?)\n" ', smoke_step()["run"], re.S).group(1)
+    output = tmp_path / "bench.txt"
+    output.write_text("metrics header\n" + line + "\n")
+    result = subprocess.run([sys.executable, "-c", program, str(output)],
+                            capture_output=True, text=True, timeout=60)
+    assert (result.returncode == 0) == passes, result.stdout + result.stderr
