@@ -154,7 +154,7 @@ def _cmd_simulate_embeddings(args: argparse.Namespace) -> None:
     )
     _emit(storage.embeddings_to_csv(embeddings), args.out)
     if args.labels_out:
-        truth = StateSequence(labels=tuple(labels), n_states=args.clusters)
+        truth = StateSequence(labels=labels, n_states=args.clusters)
         storage.atomic_write_text(args.labels_out, storage.labels_to_text(truth))
 
 

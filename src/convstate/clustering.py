@@ -340,8 +340,4 @@ def spectral_cluster(
         raise ValidationError(f"k must be in 1..{len(embeddings)}, got {k}")
     spectral = eigenvectors[:, :k]
     labels = kmeans(spectral, k, seed)
-    return StateSequence(
-        labels=tuple(int(x) for x in labels),
-        n_states=int(k),
-        times=embeddings.times,
-    )
+    return StateSequence(labels=labels, n_states=int(k), times=embeddings.times)

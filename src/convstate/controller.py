@@ -205,7 +205,8 @@ class SessionConfig:
     ``seed`` drives all candidate sampling: candidate ``j`` of iteration
     ``i`` uses ``numpy.random.default_rng([seed, i, j])``. The synthetic
     matched oracle relies on this derivation to replay candidate 0's
-    stream.
+    stream. A ``Sampled`` mode only selects sampling: ``run_session`` never
+    reads its ``seed``.
     """
 
     thresholds: Thresholds = Thresholds()
@@ -273,18 +274,15 @@ def run_session(
         first = next(source)
     except StopIteration:
         raise ValidationError("oracle yielded no bootstrap sequence") from None
+    if n_states is None and isinstance(first, StateSequence):
+        n_states = first.n_states
+    labels = _oracle_labels(first, 0, n_states)
     if n_states is None:
-        if isinstance(first, StateSequence):
-            n_states = first.n_states
-        else:
-            n_states = int(max(first, default=0)) + 1
-    if _checked(first, n_states) and first.labels:
-        labels = first.labels
-    else:
-        labels = tuple(_oracle_labels(first, 0, n_states).tolist())
-    bootstrap = StateSequence._known(labels, n_states)
+        n_states = int(labels.max()) + 1
+        labels = _oracle_labels(labels, 0, n_states)
+    bootstrap = StateSequence._known(tuple(labels.tolist()), n_states)
 
-    model = markov.estimate_transition(bootstrap, n_states)
+    model = markov.estimate_transition(labels, n_states)
     window = config.window_len
     # The evaluator reads only the last two windows, so that is all the
     # history a windowed session keeps.
@@ -302,7 +300,6 @@ def run_session(
         except StopIteration:
             break
         actual = _oracle_labels(actual_raw, iteration, n_states)
-        length = int(actual.size)
 
         outcome: EvaluatorOutcome | None = None
         basis = model
@@ -321,14 +318,10 @@ def run_session(
             checked = bool(bernoulli_rng.random() < interval.p)
 
         if isinstance(config.mode, Argmax):
-            predicted = _as_labels(markov.walk(basis, anchor, length))
-        elif checked:
-            predicted = _closest_walk(
-                basis, anchor, actual, config.seed, iteration, config.candidate_count
-            )
+            predicted = _as_labels(markov.walk(basis, anchor, len(actual)))
         else:
-            rng = np.random.default_rng([config.seed, iteration, 0])
-            predicted = _as_labels(markov.walk(basis, anchor, length, rng))
+            count = config.candidate_count if checked else 1
+            predicted = _closest_walk(basis, anchor, actual, config.seed, iteration, count)
         predicted_labels = predicted.tolist()
 
         verdict = None
@@ -361,25 +354,16 @@ def run_session(
     )
 
 
-def _checked(raw: StateSequence | Sequence[int], n_states: int) -> bool:
-    """Whether `raw` is a StateSequence whose labels its constructor put in ``0..n_states-1``."""
-    return isinstance(raw, StateSequence) and raw.n_states <= n_states
-
-
-def _oracle_labels(raw: StateSequence | Sequence[int], index: int, n_states: int) -> np.ndarray:
-    """Oracle sequence `index` as an array, rejected when empty or out of range.
-
-    A StateSequence whose alphabet fits the session's was range-checked when
-    it was built, so only its length is checked here.
-    """
-    labels = _as_labels(raw)
+def _oracle_labels(
+    raw: StateSequence | Sequence[int], index: int, n_states: int | None
+) -> np.ndarray:
+    """Oracle sequence `index` as labels by `_as_labels`, rejected when empty."""
+    try:
+        labels = _as_labels(raw, n_states)
+    except ValidationError as exc:
+        raise ValidationError(f"oracle sequence {index}: {exc}") from None
     if labels.size == 0:
         raise ValidationError(f"oracle sequence {index} is empty")
-    if not _checked(raw, n_states):
-        try:
-            markov._validate_labels(labels, n_states)
-        except ValidationError as exc:
-            raise ValidationError(f"oracle sequence {index}: {exc}") from None
     return labels
 
 
@@ -393,7 +377,9 @@ def _closest_walk(
     argmin of their mismatch counts, the lowest index among ties: a
     candidate stops walking once its mismatches reach the fewest so far,
     since it can then at best tie, and an exact match ends the sampling.
-    Candidate 0 always walks whole, as no walk reaches ``len(actual) + 1``.
+    Candidate 0 always walks whole, as no walk reaches ``len(actual) + 1``,
+    so with a `count` of 1 (an unchecked iteration) this is candidate 0's
+    plain sampled walk.
     """
     best, fewest = actual[:0], len(actual) + 1
     for j in range(count):

@@ -37,8 +37,8 @@ PredictionMode = Argmax | Sampled
 class StateSequence:
     """Ordered speaker-state labels, optionally time-aligned.
 
-    The constructor stores each label as ``operator.index(label)``, a Python
-    int (a float or a string is rejected), and range-checks it.
+    The constructor takes the labels by `_as_labels`, so each is stored as
+    a Python int in range (a float or a string is rejected).
 
     Attributes:
         labels: state ids, each in ``0..n_states-1``.
@@ -54,8 +54,8 @@ class StateSequence:
     def __post_init__(self):
         if self.n_states < 1:
             raise ValidationError(f"n_states must be >= 1, got {self.n_states}")
-        object.__setattr__(self, "labels", _index_labels(self.labels))
-        _validate_labels(self.labels, self.n_states)
+        labels = tuple(_as_labels(self.labels, self.n_states).tolist())
+        object.__setattr__(self, "labels", labels)
         if self.times is not None:
             times = tuple((float(a), float(b)) for a, b in self.times)
             object.__setattr__(self, "times", times)
@@ -119,12 +119,50 @@ class TransitionModel:
         object.__setattr__(self, "probs", probs)
 
 
-def _as_labels(seq: StateSequence | Sequence[int] | Iterable[int]) -> np.ndarray:
+def _as_labels(
+    seq: StateSequence | Sequence[int] | Iterable[int], n_states: int | None = None
+) -> np.ndarray:
+    """`seq` as a 1-D int64 array: the one rule for what counts as a label.
+
+    Each label must pass ``operator.index`` (a bool or NumPy integer does; a
+    float, string, None or nested sequence is named by its index) and fit
+    int64; with `n_states` it must lie in ``0..n_states-1``. A StateSequence
+    whose alphabet fits was checked when it was built, so it is not checked
+    again.
+    """
     if isinstance(seq, StateSequence):
-        return np.fromiter(seq.labels, np.int64, len(seq))
-    if not isinstance(seq, (np.ndarray, list, tuple)):
+        if n_states is None or seq.n_states <= n_states:
+            return np.fromiter(seq.labels, np.int64, len(seq))
+        seq = seq.labels
+    elif not isinstance(seq, (np.ndarray, list, tuple)):
         seq = list(seq)
-    return np.asarray(seq, dtype=np.int64)
+    try:
+        labels = np.asarray(seq)
+    except ValueError:  # ragged nesting
+        labels = None
+    if labels is None or labels.ndim != 1 or labels.dtype.kind not in "biu":
+        # Python ints, as object: numpy would turn [0, 2**63] into floats.
+        labels = np.array([_label(v, i) for i, v in enumerate(seq)], dtype=object)
+    if n_states is None:
+        kind = labels.dtype.kind
+        if kind in "bi" or kind == "u" and labels.itemsize < 8:  # fits int64 by its dtype
+            return labels.astype(np.int64, copy=False)
+        low, high = -(2**63), 2**63 - 1
+    else:
+        low, high = 0, min(n_states, 2**63) - 1
+    if labels.size and not (low <= labels.min() and labels.max() <= high):
+        # C-speed min/max above; walk the labels only to name the bad one.
+        for i, value in enumerate(map(operator.index, seq)):
+            if not low <= value <= high:
+                raise ValidationError(f"label {value} at index {i} outside {low}..{high}")
+    return labels.astype(np.int64, copy=False)
+
+
+def _label(value, i: int) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"label {value!r} at index {i} is not an integer") from None
 
 
 def _state(value, n_states: int, name: str = "state", used: bool = True) -> int:
@@ -138,37 +176,12 @@ def _state(value, n_states: int, name: str = "state", used: bool = True) -> int:
     return state
 
 
-def _index_labels(labels: Iterable) -> tuple[int, ...]:
-    """The labels as a tuple of Python ints; a non-integer label is named by its index."""
-    labels = tuple(labels)
-    try:
-        return tuple(map(operator.index, labels))
-    except TypeError:
-        for i, lab in enumerate(labels):
-            if not hasattr(type(lab), "__index__"):
-                raise ValidationError(f"label {lab!r} at index {i} is not an integer") from None
-        raise
-
-
-def _validate_labels(labels: Sequence[int], n_states: int) -> None:
-    """Range-check with C-speed min/max; walk the labels only to name a bad one."""
-    low, high = (np.min, np.max) if isinstance(labels, np.ndarray) else (min, max)
-    if len(labels) == 0 or 0 <= low(labels) and high(labels) < n_states:
-        return
-    for i, lab in enumerate(labels):
-        if not 0 <= lab < n_states:
-            raise ValidationError(
-                f"label {lab} at index {i} outside 0..{n_states - 1}"
-            )
-
-
 def count_transitions(seq: StateSequence | Sequence[int], n_states: int) -> np.ndarray:
     """Count adjacent bigrams: result[i][j] = number of i -> j pairs.
 
     The cell total equals ``max(len(seq) - 1, 0)``.
     """
-    labels = _as_labels(seq)
-    _validate_labels(labels, n_states)
+    labels = _as_labels(seq, n_states)
     pairs = labels[:-1] * n_states + labels[1:]
     return np.bincount(pairs, minlength=n_states * n_states).reshape(n_states, n_states)
 

@@ -455,7 +455,7 @@ def parse_labels_text(text: str, n_states: int | None = None) -> StateSequence:
     if low < -(2**63) or high >= 2**63:
         raise SchemaError(f"label {low if low < -(2**63) else high} is outside the int64 range")
     inferred = n_states if n_states is not None else high + 1
-    return StateSequence(labels=tuple(labels), n_states=inferred, times=times)
+    return StateSequence(labels=labels, n_states=inferred, times=times)
 
 
 def read_labels(path: str, n_states: int | None = None) -> StateSequence:

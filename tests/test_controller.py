@@ -406,7 +406,10 @@ class TestCandidateChoice:
         truth = data.draw(chain_models(n_states))
         seed = data.draw(st.integers(0, 2**32 - 1))
         count = data.draw(st.integers(1, 6))
-        every = data.draw(st.integers(1, 2))
+        interval = data.draw(st.one_of(
+            st.builds(FixedEvery, st.integers(1, 3)),
+            st.builds(RandomBernoulli, st.sampled_from([0.25, 0.5, 1.0])),
+        ))
         bootstrap = walk(
             truth, data.draw(st.integers(0, n_states - 1)), data.draw(st.integers(1, 40)),
             np.random.default_rng(seed),
@@ -420,20 +423,28 @@ class TestCandidateChoice:
                 data.draw(oracle_labels(estimate, oracle[-1][-1], seed, iteration, count))
             )
         config = SessionConfig(
-            thresholds=Thresholds(checker_interval=FixedEvery(every)),
+            thresholds=Thresholds(checker_interval=interval),
             mode=Sampled(0),
             seed=seed,
             candidate_count=count,
         )
 
-        def report_text():
+        def session():
             report = run_session(oracle, config, n_states=n_states)
-            return storage.json_text(storage.session_to_document(report))
+            return storage.json_text(storage.session_to_document(report)), report
 
-        chosen = report_text()
+        counts = []
+
+        def counted_full_walk_argmin(*args):
+            counts.append(args[-1])
+            return full_walk_argmin(*args)
+
+        chosen, report = session()
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(controller, "_closest_walk", full_walk_argmin)
-            assert chosen == report_text()
+            patch.setattr(controller, "_closest_walk", counted_full_walk_argmin)
+            assert chosen == session()[0]
+        # An unchecked iteration walks candidate 0 alone, whole.
+        assert counts == [count if rec.checked else 1 for rec in report.iterations]
 
     def test_one_mismatch_does_not_end_the_search(self):
         """Only an exact match stops sampling: a later exact candidate still wins."""

@@ -15,7 +15,6 @@ from convstate.markov import (
     predict_next,
     predict_sequence,
     _as_labels,
-    _validate_labels,
     update_online,
     walk,
     walk_within,
@@ -120,19 +119,21 @@ def outcome(check, *args):
 
 class TestLabelIngestion:
     @given(label_sequences(min_len=0, max_len=100), st.sampled_from(
-        ["ndarray", "list", "tuple", "generator", "sequence", "int32"]
-    ))
-    def test_as_labels_matches_list_conversion(self, case, kind):
+        ["ndarray", "list", "tuple", "generator", "sequence", "int32", "uint8"]
+    ), st.booleans())
+    def test_as_labels_matches_list_conversion(self, case, kind, ranged):
         labels, n_states = case
         make = {
             "ndarray": lambda: np.array(labels, dtype=np.int64),
             "int32": lambda: np.array(labels, dtype=np.int32),
+            "uint8": lambda: np.array(labels, dtype=np.uint8),
             "list": lambda: list(labels),
             "tuple": lambda: tuple(labels),
             "generator": lambda: (x for x in labels),
             "sequence": lambda: StateSequence(labels=tuple(labels), n_states=n_states),
         }[kind]
-        got, expected = _as_labels(make()), list_as_labels(make())
+        got = _as_labels(make(), n_states if ranged else None)
+        expected = list_as_labels(make())
         assert got.dtype == expected.dtype == np.int64
         assert got.shape == expected.shape
         assert got.tolist() == expected.tolist()
@@ -142,8 +143,8 @@ class TestLabelIngestion:
         st.integers(-1, 6),
         st.sampled_from([list, tuple, lambda x: np.array(x, dtype=np.int64)]),
     )
-    def test_validate_labels_matches_per_label_loop(self, labels, n_states, container):
-        assert outcome(_validate_labels, container(labels), n_states) == outcome(
+    def test_as_labels_range_check_matches_per_label_loop(self, labels, n_states, container):
+        assert outcome(_as_labels, container(labels), n_states) == outcome(
             loop_validate_labels, container(labels), n_states
         )
 

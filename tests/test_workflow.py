@@ -52,3 +52,13 @@ def test_gate_fails_on_a_failed_check_or_an_absent_target(tmp_path, line, passes
     result = subprocess.run([sys.executable, "-c", program, str(output)],
                             capture_output=True, text=True, timeout=60)
     assert (result.returncode == 0) == passes, result.stdout + result.stderr
+
+
+def test_numpy_only_job_smoke_runs_every_command():
+    with open(WORKFLOW) as handle:
+        steps = yaml.safe_load(handle)["jobs"]["numpy-only"]["steps"]
+    run = next(step for step in steps if step.get("name") == "Smoke run")["run"]
+    lines = [line.strip() for line in run.splitlines()]
+    for command in ("vad", "diarize", "estimate", "predict", "check", "session",
+                    "simulate chain", "simulate embeddings"):
+        assert any(line.startswith(f"convstate {command} ") for line in lines), command
