@@ -298,20 +298,20 @@ def _sweep_percentiles(
     sparse for small segment counts and too dense for large ones; sweeping
     a grid and keeping the sharpest spectrum adapts to the data. Ties
     break toward the sparsest (highest) percentile. Affinity and blur do
-    not depend on the percentile, so they run once per sweep.
+    not depend on the percentile, so they run once per sweep. The ranking
+    needs eigenvalues only, so one batched ``eigvalsh`` scores the whole
+    grid and ``symmetric_eigh`` decomposes the winner alone.
     """
     blurred = gaussian_blur(affinity(embeddings), sigma)
-    best: tuple[float, float, np.ndarray, np.ndarray] | None = None
-    for p in grid:
-        refined = _refine_blurred(blurred, p)
-        # Row scaling breaks symmetry; the spectral step uses the symmetric average.
-        eigenvalues, eigenvectors = symmetric_eigh(0.5 * (refined + refined.T))
-        ratios = _gap_ratios(eigenvalues)
-        score = ratios.max() if ratios.size else 0.0
-        if best is None or score >= best[0]:
-            best = (score, p, eigenvalues, eigenvectors)
-    assert best is not None
-    return best[1], best[2], best[3]
+    refined = np.stack([_refine_blurred(blurred, p) for p in grid])
+    # Row scaling breaks symmetry; the spectral step uses the symmetric average.
+    matrices = 0.5 * (refined + refined.transpose(0, 2, 1))
+    best = 0
+    if len(grid) > 1:
+        scores = [_gap_ratios(values[::-1]).max() for values in np.linalg.eigvalsh(matrices)]
+        best = max(range(len(grid)), key=lambda i: (scores[i], i))
+    eigenvalues, eigenvectors = symmetric_eigh(matrices[best])
+    return grid[best], eigenvalues, eigenvectors
 
 
 def auto_percentile(embeddings: EmbeddingSet, sigma: float = 1.0) -> float:

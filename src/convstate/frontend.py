@@ -365,6 +365,10 @@ def vad_classify(
     probability); an (n, d) feature matrix gives a boolean mask and the
     probabilities as arrays, each row equal bit for bit to its one-frame
     call. A probability of exactly 0.5 classifies as non-speech.
+
+    One frame runs on Python floats: its dot product is the same BLAS
+    ``ddot`` that vecdot runs per row, and its logistic the same formula,
+    without the per-call cost of a gufunc and 0-d array arithmetic.
     """
     x = features.row if isinstance(features, FrameFeatures) else np.asarray(features)
     if x.ndim not in (1, 2):
@@ -375,10 +379,11 @@ def vad_classify(
             f"weights must have dimension {x.shape[-1] + 1} (features + bias), "
             f"got {w.size}"
         )
+    if x.ndim == 1:
+        probability = _logistic(float(x.dot(w[:-1])) + float(w[-1]))
+        return bool(probability > 0.5), float(probability)
     # vecdot, unlike X @ w or matvec, reproduces the per-row np.dot bits.
     probabilities = _logistic(np.vecdot(x, w[:-1]) + w[-1])
-    if x.ndim == 1:
-        return bool(probabilities > 0.5), float(probabilities)
     return probabilities > 0.5, probabilities
 
 

@@ -194,11 +194,15 @@ def align_labels(
     the lexicographically smallest permutation). Returns the permutation
     and the relabeled sequence. Alphabets above 8 states are rejected;
     the factorial search is the point, not a bottleneck to engineer around.
+    A truth may hold -1 for a span no speaker owns; a prediction may not.
     """
     p = _as_labels(pred)
     t = _as_labels(truth)
     if p.size != t.size:
         raise ValidationError(f"length mismatch: {p.size} vs {t.size}")
+    if p.min(initial=0) < 0:
+        i = int(np.argmax(p < 0))
+        raise ValidationError(f"predicted label {p[i]} at index {i} is negative")
     n_states = int(max(p.max(initial=0), t.max(initial=0))) + 1
     if isinstance(pred, StateSequence):
         n_states = max(n_states, pred.n_states)

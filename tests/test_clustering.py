@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -443,31 +444,99 @@ class TestSeparableBlur:
         assert labels == reference
 
 
-class TestPercentileSweep:
-    def per_percentile_spectra(self, embeddings, sigma):
-        """The sweep's reference: the whole refinement chain per percentile."""
-        spectra = []
-        for percentile in PERCENTILE_GRID:
-            refined = refine(embeddings, sigma, percentile)
-            spectra.append(symmetric_eigh(0.5 * (refined + refined.T)))
-        return spectra
+def reference_sweep(embeddings, sigma):
+    """The sweep as a full symmetric_eigh per percentile, last best score winning."""
+    best = None
+    for percentile in PERCENTILE_GRID:
+        refined = refine(embeddings, sigma, percentile)
+        values, vectors = symmetric_eigh(0.5 * (refined + refined.T))
+        score = clustering._gap_ratios(values).max()
+        if best is None or score >= best[0]:
+            best = (score, percentile, values, vectors)
+    return best[1:]
 
+
+class TestPercentileSweep:
     @pytest.mark.parametrize("sigma", [0.0, 1.0, 2.5])
     def test_spectra_equal_per_percentile_refinement(self, monkeypatch, sigma):
         embeddings, _ = generate_synthetic_embeddings(3, 12, 6, 4.0, 1.5, 21)
-        expected = self.per_percentile_spectra(embeddings, sigma)
-        seen = []
+        references = []
+        for percentile in PERCENTILE_GRID:
+            refined = refine(embeddings, sigma, percentile)
+            references.append(0.5 * (refined + refined.T))
+        ranked, decomposed = [], []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording_eigvalsh(matrices):
+            ranked.append(matrices.copy())
+            return eigvalsh(matrices)
 
         def recording_eigh(matrix):
-            seen.append(symmetric_eigh(matrix))
-            return seen[-1]
+            decomposed.append((matrix.copy(), symmetric_eigh(matrix)))
+            return decomposed[-1][1]
 
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
         monkeypatch.setattr(clustering, "symmetric_eigh", recording_eigh)
-        spectral_cluster(embeddings, seed=0, sigma=sigma)
-        assert len(seen) == len(expected)
-        for (values, vectors), (ref_values, ref_vectors) in zip(seen, expected):
-            assert np.array_equal(values, ref_values)
-            assert np.array_equal(vectors, ref_vectors)
+        percentile, values, vectors = clustering._sweep_percentiles(
+            embeddings, sigma, PERCENTILE_GRID
+        )
+        assert len(ranked) == 1 and len(ranked[0]) == len(references)
+        for matrix, reference in zip(ranked[0], references):
+            assert np.array_equal(matrix, reference)
+        [(matrix, (seen_values, seen_vectors))] = decomposed
+        winner = references[PERCENTILE_GRID.index(percentile)]
+        reference_values, reference_vectors = symmetric_eigh(winner)
+        assert np.array_equal(matrix, winner)
+        for got in ((values, vectors), (seen_values, seen_vectors)):
+            assert np.array_equal(got[0], reference_values)
+            assert np.array_equal(got[1], reference_vectors)
+
+    def test_pinned_percentile_decomposes_once_without_ranking(self, monkeypatch):
+        embeddings, _ = FIXTURE
+        monkeypatch.setattr(np.linalg, "eigvalsh", None)
+        percentile, values, vectors = clustering._sweep_percentiles(embeddings, 1.0, (80.0,))
+        refined = refine(embeddings, 1.0, 80.0)
+        reference_values, reference_vectors = symmetric_eigh(0.5 * (refined + refined.T))
+        assert percentile == 80.0
+        assert np.array_equal(values, reference_values)
+        assert np.array_equal(vectors, reference_vectors)
+
+    @given(
+        clusters=st.integers(1, 6),
+        points=st.integers(2, 120),
+        separation=st.floats(0.3, 8.0),
+        noise=st.sampled_from([0.5, 1.5]),
+        sigma=st.sampled_from([0.0, 1.0, 2.5]),
+        duplicates=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_sweep_picks_as_a_full_decomposition_per_percentile(
+        self, clusters, points, separation, noise, sigma, duplicates, seed
+    ):
+        per_cluster = max(1, points // clusters)
+        embeddings, _ = generate_synthetic_embeddings(
+            clusters, per_cluster, clusters + 2, separation, noise, seed
+        )
+        if duplicates:
+            # Repeated points give identical rows, so eigenvalues repeat.
+            embeddings = EmbeddingSet(np.repeat(embeddings.vectors, duplicates + 1, axis=0)[:120])
+        expected = reference_sweep(embeddings, sigma)
+        got = clustering._sweep_percentiles(embeddings, sigma, PERCENTILE_GRID)
+        assert got[0] == expected[0]
+        assert np.array_equal(got[1], expected[1])
+        assert np.array_equal(got[2], expected[2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            k = clustering._eigen_gap_from_values(expected[1])
+            try:
+                expected_labels = kmeans(expected[2][:, :k], k, seed % 1000).tolist()
+            except ValidationError as error:
+                with pytest.raises(ValidationError, match=re.escape(str(error))):
+                    spectral_cluster(embeddings, seed=seed % 1000, sigma=sigma)
+                return
+            labels = spectral_cluster(embeddings, seed=seed % 1000, sigma=sigma).labels
+        assert list(labels) == expected_labels
 
     @pytest.mark.parametrize("percentile", [None, 80.0])
     def test_affinity_and_blur_run_once(self, monkeypatch, percentile):

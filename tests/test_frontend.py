@@ -490,17 +490,42 @@ class TestVadClassify:
         seed=st.integers(0, 2**32 - 1),
         rows=st.integers(0, 3000),
         dim=st.integers(1, 20),
+        dtype=st.sampled_from(["float64", "float32", "int16", "bool"]),
+        layout=st.sampled_from(["C", "F", "columns"]),
+        scale=st.sampled_from([1.0, 1e3, 1e308]),
     )
-    @settings(max_examples=30, deadline=None)
-    def test_matrix_rows_equal_one_frame_calls(self, seed, rows, dim):
+    @settings(max_examples=60, deadline=None)
+    def test_matrix_rows_equal_one_frame_calls(self, seed, rows, dim, dtype, layout, scale):
         rng = np.random.default_rng(seed)
-        x = rng.normal(0.0, 3.0, (rows, dim))
-        weights = rng.normal(0.0, 1.0, dim + 1)
-        mask, probabilities = vad_classify(x, weights)
+        values = rng.normal(0.0, 3.0, (rows, 2 * dim))
+        if dtype == "int16":
+            values = values * 1000
+        values = values > 0 if dtype == "bool" else values.astype(dtype)
+        # Strided rows too: a Fortran-order matrix and a column slice.
+        x = {"C": np.ascontiguousarray(values[:, :dim]),
+             "F": np.asfortranarray(values[:, :dim]),
+             "columns": values[:, ::2]}[layout]
+        # A scale of 1e3 saturates the logistic; 1e308 overflows logits to +-inf.
+        weights = rng.uniform(-1.0, 1.0, dim + 1) * scale
+        with np.errstate(over="ignore", invalid="ignore"):
+            mask, probabilities = vad_classify(x, weights)
+            single = [vad_classify(row, weights) for row in x]
         assert mask.shape == probabilities.shape == (rows,)
-        single = [vad_classify(row, weights) for row in x]
+        assert all(type(speech) is bool and type(p) is float for speech, p in single)
         assert mask.tolist() == [speech for speech, _ in single]
-        assert probabilities.tolist() == [p for _, p in single]
+        assert probabilities.tobytes() == np.array([p for _, p in single]).tobytes()
+
+    @pytest.mark.parametrize("rate", ACCEPTED_RATES)
+    def test_matrix_rows_equal_frame_feature_calls(self, rate):
+        rng = np.random.default_rng(rate)
+        audio = AudioBuffer(rng.uniform(-1, 1, rate) * np.repeat([1.0, 1e-4], rate // 2), rate)
+        records = extract_features(audio)
+        weights = rng.normal(0.0, 1.0, records[0].row.size + 1)
+        mask, probabilities = vad_classify(feature_matrix(audio), weights)
+        single = [vad_classify(record, weights) for record in records]
+        assert all(type(speech) is bool and type(p) is float for speech, p in single)
+        assert mask.tolist() == [speech for speech, _ in single]
+        assert probabilities.tobytes() == np.array([p for _, p in single]).tobytes()
 
     def test_matrix_dimension_mismatch(self):
         with pytest.raises(ValidationError, match="16"):

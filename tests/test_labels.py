@@ -48,3 +48,21 @@ def test_a_bad_label_is_one_error_naming_its_index_and_value(entry, bad):
 def test_integer_kinds_give_the_same_results_as_python_ints(entry):
     kinds = [True, np.uint8(0), np.int64(2), np.int32(1)]
     assert ENTRY_POINTS[entry](kinds) == ENTRY_POINTS[entry]([1, 0, 2, 1])
+
+
+@pytest.mark.parametrize(
+    "pred, message",
+    [
+        ([-1, 0, 1], "predicted label -1 at index 0 is negative"),
+        ([0, 1, -3], "predicted label -3 at index 2 is negative"),
+        (np.array([1, -2, -1]), "predicted label -2 at index 1 is negative"),
+    ],
+)
+def test_align_labels_rejects_a_negative_prediction(pred, message):
+    with pytest.raises(ValidationError) as excinfo:
+        align_labels(pred, [0, 1, 1])
+    assert str(excinfo.value) == message
+
+
+def test_align_labels_truth_may_hold_minus_one():
+    assert align_labels([1, 0, 1], [-1, 1, 0]) == ((1, 0), [0, 1, 0])

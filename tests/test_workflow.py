@@ -1,4 +1,5 @@
-"""The CI workflow's benchmark smoke step: where it runs and what it gates on."""
+"""The CI workflow's steps: where the benchmark smoke runs and what it gates on,
+and what the no-SIMD step and the numpy-only job run."""
 
 import json
 import os
@@ -13,11 +14,15 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKFLOW = os.path.join(ROOT, ".github", "workflows", "tests.yml")
 
 
-def smoke_step():
+def tier1_step(name):
     with open(WORKFLOW) as handle:
         workflow = yaml.safe_load(handle)
     steps = workflow["jobs"]["tier1"]["steps"]
-    return next(step for step in steps if step.get("name") == "Benchmark smoke")
+    return next(step for step in steps if step.get("name") == name)
+
+
+def smoke_step():
+    return tier1_step("Benchmark smoke")
 
 
 def test_runs_every_workload_traced_on_ubuntu_python_3_11():
@@ -62,3 +67,14 @@ def test_numpy_only_job_smoke_runs_every_command():
     for command in ("vad", "diarize", "estimate", "predict", "check", "session",
                     "simulate chain", "simulate embeddings"):
         assert any(line.startswith(f"convstate {command} ") for line in lines), command
+
+
+def test_no_simd_step_runs_the_frontend_classes_that_compare_kernels():
+    run = tier1_step("Feature CSV without SIMD")["run"]
+    selection = re.search(r'tests/test_frontend\.py -k "([^"]*)"', run).group(1)
+    classes = selection.split(" or ")
+    assert "TestVadClassify" in classes
+    with open(os.path.join(ROOT, "tests", "test_frontend.py")) as handle:
+        source = handle.read()
+    for name in classes:
+        assert f"\nclass {name}:" in source, name
