@@ -36,8 +36,10 @@ class FixedEvery:
     every: int
 
     def __post_init__(self):
-        if self.every < 1:
-            raise ValidationError(f"checker interval must be >= 1, got {self.every}")
+        every = markov._integer(self.every, "checker interval")
+        if every < 1:
+            raise ValidationError(f"checker interval must be >= 1, got {every}")
+        object.__setattr__(self, "every", every)
 
 
 @dataclass(frozen=True)
@@ -217,14 +219,15 @@ class SessionConfig:
     iterations: int | None = None
 
     def __post_init__(self):
-        if self.candidate_count < 1:
-            raise ValidationError(
-                f"candidate_count must be >= 1, got {self.candidate_count}"
-            )
-        if self.window_len is not None and self.window_len < 2:
-            raise ValidationError(f"window_len must be >= 2, got {self.window_len}")
-        if self.iterations is not None and self.iterations < 0:
-            raise ValidationError(f"iterations must be >= 0, got {self.iterations}")
+        for name, least in (("seed", 0), ("candidate_count", 1), ("window_len", 2),
+                            ("iterations", 0)):
+            value = getattr(self, name)
+            if value is None and getattr(SessionConfig, name) is None:
+                continue  # window_len and iterations are optional
+            value = markov._integer(value, name)
+            if value < least:
+                raise ValidationError(f"{name} must be >= {least}, got {value}")
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)

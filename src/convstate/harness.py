@@ -30,20 +30,27 @@ def _chain_chunks(
     truth_chain: TransitionModel,
     length: int,
     current: int,
-    count: int,
     iterations: int | None,
+    bootstrap: StateSequence | None,
     rng_for: Callable[[int], np.random.Generator],
 ) -> Iterator[StateSequence]:
     """Continue one trajectory in chunks; chunk `count` draws from ``rng_for(count)``.
 
-    Chunk 0 starts at `current` itself, every later chunk at the successor
-    of the previous chunk's last label. Each chunk holds `length` labels,
-    walked states, so they are boxed without a second check.
+    Chunk 0 is `bootstrap`, when given, or starts at `current` itself; every
+    later chunk starts at the successor of the previous chunk's last label.
+    Each walked chunk holds `length` labels, walked states, so they are boxed
+    without a second check.
     """
+    count = 0
+    if bootstrap is not None:
+        if bootstrap.n_states != truth_chain.n_states:
+            raise ValidationError("bootstrap alphabet does not match the chain")
+        current, count = bootstrap.labels[-1], 1
+        yield bootstrap
     if length < 1:
         raise ValidationError(f"length must be >= 1, got {length}")
     n_states = truth_chain.n_states
-    current = markov._state(current, n_states, "initial")
+    current = markov._integer(current, "initial", n_states)
     while iterations is None or count < iterations:
         labels = [current] if count == 0 else []
         labels += markov.walk(truth_chain, current, length - len(labels), rng_for(count))
@@ -58,15 +65,17 @@ def chain_oracle(
     initial: int,
     seed: int,
     iterations: int | None = None,
+    bootstrap: StateSequence | None = None,
 ) -> Iterator[StateSequence]:
     """Yield sequences that continue one sampled trajectory of the chain.
 
-    The first sequence starts at `initial`; each later one picks up from
-    the state following the previous sequence's last label. One generator
-    is threaded across the whole trajectory.
+    The first sequence is `bootstrap` (see matched_chain_oracle) or starts
+    at `initial`; each later one picks up from the state following the
+    previous sequence's last label. One generator is threaded across the
+    whole trajectory.
     """
     rng = np.random.default_rng(seed)
-    yield from _chain_chunks(truth_chain, length, initial, 0, iterations, lambda _: rng)
+    yield from _chain_chunks(truth_chain, length, initial, iterations, bootstrap, lambda _: rng)
 
 
 def matched_chain_oracle(
@@ -91,15 +100,8 @@ def matched_chain_oracle(
     equal the truth chain) replaces the sampled first sequence; the chain
     then continues from its last label.
     """
-    count = 0
-    if bootstrap is not None:
-        if bootstrap.n_states != truth_chain.n_states:
-            raise ValidationError("bootstrap alphabet does not match the chain")
-        initial = bootstrap.labels[-1]
-        count = 1
-        yield bootstrap
     yield from _chain_chunks(
-        truth_chain, length, initial, count, iterations,
+        truth_chain, length, initial, iterations, bootstrap,
         lambda i: np.random.default_rng([seed, i, 0]),
     )
 

@@ -165,15 +165,15 @@ def _label(value, i: int) -> int:
         raise ValidationError(f"label {value!r} at index {i} is not an integer") from None
 
 
-def _state(value, n_states: int, name: str = "state", used: bool = True) -> int:
-    """`value` as a Python int by ``operator.index``, range-checked when `used`."""
+def _integer(value, name: str, n_states: int | None = None) -> int:
+    """`value` as a Python int by ``operator.index``, in 0..n_states-1 when `n_states` is given."""
     try:
-        state = operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise ValidationError(f"{name} {value!r} is not an integer") from None
-    if used and not 0 <= state < n_states:
-        raise ValidationError(f"{name} {state} outside 0..{n_states - 1}")
-    return state
+    if n_states is not None and not 0 <= value < n_states:
+        raise ValidationError(f"{name} {value} outside 0..{n_states - 1}")
+    return value
 
 
 def count_transitions(seq: StateSequence | Sequence[int], n_states: int) -> np.ndarray:
@@ -212,7 +212,7 @@ def update_online(model: TransitionModel, from_state: int, to_state: int) -> Tra
     one label.
     """
     n = model.n_states
-    from_state, to_state = _state(from_state, n, "from_state"), _state(to_state, n, "to_state")
+    from_state, to_state = _integer(from_state, "from_state", n), _integer(to_state, "to_state", n)
     counts = model.counts.copy()
     counts[from_state, to_state] += 1
     return normalize(counts)
@@ -234,7 +234,7 @@ def walk(
     last entry, so a draw above the row's rounded total lands on the last
     state.
     """
-    start = _state(start, model.n_states, used=steps > 0)
+    start = _integer(start, "state", model.n_states if steps > 0 else None)
     if rng is None:
         # Argmax is the same walk over one-hot rows with every draw at 0.5.
         rows, draws = np.eye(model.n_states)[np.argmax(model.probs, axis=1)], [0.5] * steps
@@ -262,7 +262,7 @@ def walk_within(
     `bound` equals ``walk(model, start, len(labels), rng)``.
     """
     labels = _as_labels(labels)
-    start = _state(start, model.n_states, used=labels.size > 0)
+    start = _integer(start, "state", model.n_states if labels.size > 0 else None)
     table = _table(model.probs)
     walked = [labels[:0]]
     misses, state, done, chunk = 0, start, 0, max(16, bound)
@@ -312,7 +312,7 @@ def predict_sequence(
     """Roll the chain forward: output[0] = initial, then `length - 1` steps."""
     if length < 1:
         raise ValidationError(f"length must be >= 1, got {length}")
-    initial = _state(initial, model.n_states, "initial")
+    initial = _integer(initial, "initial", model.n_states)
     rng = None if isinstance(mode, Argmax) else np.random.default_rng(mode.seed)
     labels = (initial, *walk(model, initial, length - 1, rng))
     return StateSequence._known(labels, model.n_states)

@@ -48,9 +48,11 @@ _POLICY = "uniform"
 # A plain-text label token; int() alone would also take "1_0" and
 # non-ASCII digits such as "\u0663".
 _LABEL_TOKEN = re.compile(r"[+-]?[0-9]+")
-# An embedding CSV cell such as -1.5, .5, 2. or 3e-7; float() alone would
-# also take "1_0", "nan", "1e400" (as inf) and non-ASCII digits.
-_DECIMAL_TOKEN = re.compile(r"[ \t]*[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?[ \t]*")
+# A plain decimal such as -1.5, .5, 2. or 3e-7; float() alone would also
+# take "1_0", "nan", "1e400" (as inf) and non-ASCII digits. An embedding CSV
+# cell may have blanks around it.
+_DECIMAL = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+_DECIMAL_TOKEN = re.compile(rf"[ \t]*{_DECIMAL.pattern}[ \t]*")
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -285,19 +287,20 @@ def _path_field(value, path: str, noun: str) -> str:
 
 
 def parse_interval(spec: str) -> CheckerInterval:
-    """`every`, `fixed:m` or `bernoulli:p` as a checker interval."""
+    """`every`, `fixed:m` or `bernoulli:p` as a checker interval; `m` is read
+    as a label token and `p` as a plain decimal, with no blanks around it."""
     if spec == "every":
         return FixedEvery(1)
     kind, _, value = spec.partition(":")
     try:
-        if kind == "fixed":
+        if kind == "fixed" and _LABEL_TOKEN.fullmatch(value):
             return FixedEvery(int(value))
-        if kind == "bernoulli":
+        if kind == "bernoulli" and _DECIMAL.fullmatch(value):
             return RandomBernoulli(float(value))
     except ValidationError:
         raise
     except ValueError:
-        pass  # an unparsable number gets the same message as an unknown kind
+        pass  # more digits than int() converts
     raise ValidationError(
         f"invalid checker interval {spec!r}; expected every, fixed:m, or bernoulli:p"
     )
@@ -335,11 +338,9 @@ def _oracle_from_document(spec, iterations: int | None, seed: int):
     bootstrap = None
     if _bool_field(spec, "exact_bootstrap", False, "$.oracle.exact_bootstrap"):
         bootstrap = harness.sequence_with_exact_counts(truth.counts)
-    if _bool_field(spec, "matched", True, "$.oracle.matched"):
-        return harness.matched_chain_oracle(
-            truth, length, initial, seed, iterations + 1, bootstrap=bootstrap
-        )
-    return harness.chain_oracle(truth, length, initial, seed, iterations + 1)
+    matched = _bool_field(spec, "matched", True, "$.oracle.matched")
+    oracle = harness.matched_chain_oracle if matched else harness.chain_oracle
+    return oracle(truth, length, initial, seed, iterations + 1, bootstrap=bootstrap)
 
 
 def session_config_from_document(doc):

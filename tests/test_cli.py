@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from convstate.cli import main
 from convstate.frontend import ACCEPTED_RATES, AudioBuffer, save_wav
-from convstate.markov import Sampled, normalize
-from convstate.storage import model_to_document, save_model
+from convstate.markov import Sampled, count_transitions, normalize
+from convstate.storage import load_model, model_to_document, save_model
 
 
 @pytest.fixture
@@ -266,6 +266,18 @@ class TestSessionCommand:
         assert len(table) == 1 + 7 * 3
         trace = json.loads(open(report_json).read())
         assert len(trace["iterations"]) == 7
+
+    @pytest.mark.parametrize("matched", [True, False])
+    def test_exact_bootstrap_whichever_matched(self, capsys, tmp_path, truth_model_path, matched):
+        oracle = {"kind": "chain", "model": truth_model_path, "length": 300,
+                  "matched": matched, "exact_bootstrap": True}
+        config = self.write_config(tmp_path, truth_model_path, iterations=2, oracle=oracle)
+        report_json = str(tmp_path / "report.json")
+        code, _, err = run_cli(capsys, "session", config, "--report-out", report_json)
+        assert (code, err) == (0, "")
+        bootstrap = json.loads(open(report_json).read())["bootstrap"]
+        truth, _ = load_model(truth_model_path)
+        assert count_transitions(bootstrap, 3).tolist() == truth.counts.tolist()
 
     def test_table_to_stdout_without_paths(self, capsys, tmp_path, truth_model_path):
         config = self.write_config(tmp_path, truth_model_path, iterations=2)

@@ -485,3 +485,44 @@ class TestThresholdsValidation:
     def test_rejects_bad_interval(self):
         with pytest.raises(ValidationError):
             FixedEvery(0)
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [(1.5, "checker interval 1.5 is not an integer"),
+         ("2", "checker interval '2' is not an integer")],
+    )
+    def test_rejects_non_integer_interval(self, value, message):
+        with pytest.raises(ValidationError) as excinfo:
+            FixedEvery(value)
+        assert str(excinfo.value) == message
+
+    def test_interval_is_stored_as_an_int(self):
+        assert type(FixedEvery(np.int64(3)).every) is int
+
+
+class TestSessionConfigValidation:
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("seed", -1, "seed must be >= 0, got -1"),
+            ("seed", None, "seed None is not an integer"),
+            ("seed", 1.0, "seed 1.0 is not an integer"),
+            ("candidate_count", 2.5, "candidate_count 2.5 is not an integer"),
+            ("candidate_count", 0, "candidate_count must be >= 1, got 0"),
+            ("window_len", 2.5, "window_len 2.5 is not an integer"),
+            ("window_len", 1, "window_len must be >= 2, got 1"),
+            ("iterations", 1.5, "iterations 1.5 is not an integer"),
+            ("iterations", -1, "iterations must be >= 0, got -1"),
+        ],
+    )
+    def test_rejects_at_construction(self, field, value, message):
+        with pytest.raises(ValidationError) as excinfo:
+            SessionConfig(**{field: value})
+        assert str(excinfo.value) == message
+
+    def test_integers_are_stored_as_ints(self):
+        config = SessionConfig(seed=np.uint8(3), candidate_count=np.int64(2),
+                               window_len=np.int32(4), iterations=np.int16(5))
+        assert config == SessionConfig(seed=3, candidate_count=2, window_len=4, iterations=5)
+        for field in ("seed", "candidate_count", "window_len", "iterations"):
+            assert type(getattr(config, field)) is int

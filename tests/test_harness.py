@@ -68,15 +68,20 @@ class TestChainOracles:
         replayed = walk(STICKY, pieces[0].labels[-1], 10, rng)
         assert list(pieces[1].labels) == replayed
 
-    def test_explicit_bootstrap_is_first(self):
+    @pytest.mark.parametrize("make_oracle", [chain_oracle, matched_chain_oracle])
+    def test_explicit_bootstrap_is_first(self, make_oracle):
         bootstrap = sequence_with_exact_counts(STICKY.counts)
         pieces = list(
-            matched_chain_oracle(
-                STICKY, length=10, initial=0, seed=5, iterations=3, bootstrap=bootstrap
-            )
+            make_oracle(STICKY, length=10, initial=0, seed=5, iterations=3, bootstrap=bootstrap)
         )
         assert pieces[0].labels == bootstrap.labels
         assert len(pieces) == 3
+
+    @pytest.mark.parametrize("make_oracle", [chain_oracle, matched_chain_oracle])
+    def test_bootstrap_alphabet_must_match(self, make_oracle):
+        bootstrap = sequence_with_exact_counts(np.array([[1, 1], [1, 1]]))
+        with pytest.raises(ValidationError, match="bootstrap alphabet does not match the chain"):
+            next(make_oracle(STICKY, 10, 0, seed=5, iterations=3, bootstrap=bootstrap))
 
     @pytest.mark.parametrize("length", [1, 3])
     @pytest.mark.parametrize("initial", [1.0, np.float64(1.0), "1"])
@@ -93,6 +98,7 @@ class TestChainOracles:
             chain_oracle(STICKY, length, 0, seed=1, iterations=2),
             matched_chain_oracle(STICKY, length, 0, seed=1, iterations=2),
             matched_chain_oracle(STICKY, length, 0, seed=1, iterations=2, bootstrap=bootstrap),
+            chain_oracle(STICKY, length, 0, seed=1, iterations=2, bootstrap=bootstrap),
         ]
         for oracle in oracles:
             with pytest.raises(ValidationError, match=f"length must be >= 1, got {length}"):
@@ -210,10 +216,37 @@ class TestUncheckedProducers:
             chain_oracle(model, length, start, seed, iterations=3),
             matched_chain_oracle(model, length, start, seed, iterations=3),
             matched_chain_oracle(model, length, start, seed, iterations=3, bootstrap=bootstrap),
+            chain_oracle(model, length, start, seed, iterations=3, bootstrap=bootstrap),
         ]
         for oracle in oracles:
             for piece in oracle:
                 assert_boxed_once(piece)
+
+    @given(walked_cases(), st.booleans(), st.booleans(), st.data())
+    @settings(deadline=None)
+    def test_one_oracle_continues_one_trajectory(self, case, matched, with_bootstrap, data):
+        """Sequence 0 is the bootstrap or starts at `start`; chunk i walks on from
+        chunk i - 1's last label, with default_rng([seed, i, 0]) when matched
+        and one threaded default_rng(seed) otherwise."""
+        model, start, length, seed = case
+        bootstrap = None
+        if with_bootstrap:
+            circuit = data.draw(st.lists(st.integers(0, model.n_states - 1), min_size=1, max_size=50))
+            bootstrap = sequence_with_exact_counts(count_transitions([*circuit, circuit[0]], model.n_states))
+        make_oracle = matched_chain_oracle if matched else chain_oracle
+        pieces = list(make_oracle(model, length, start, seed, iterations=4, bootstrap=bootstrap))
+        assert len(pieces) == 4
+        threaded = np.random.default_rng(seed)
+
+        def rng_for(i):
+            return np.random.default_rng([seed, i, 0]) if matched else threaded
+
+        if bootstrap is None:
+            assert list(pieces[0].labels) == [int(start), *walk(model, start, length - 1, rng_for(0))]
+        else:
+            assert pieces[0] is bootstrap
+        for i in range(1, 4):
+            assert list(pieces[i].labels) == walk(model, pieces[i - 1].labels[-1], length, rng_for(i))
 
     @given(walked_cases(), st.booleans(), st.integers(1, 2))
     @settings(deadline=None)

@@ -7,9 +7,10 @@ import re
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import convstate
-from convstate.cli import build_parser
+from convstate.cli import build_parser, main
 from convstate.controller import SessionConfig
 from convstate.markov import Sampled, normalize
 from convstate.storage import save_model, session_config_from_document
@@ -53,3 +54,22 @@ def test_session_config_example_is_read_by_the_one_reader(tmp_path):
     assert config == SessionConfig(mode=Sampled(11), seed=11, iterations=7)
     assert n_states is None
     assert next(iter(oracle)).n_states == 3
+
+
+def test_experiment_recipe_runs_the_session_config(tmp_path, monkeypatch, capsys):
+    """The truth.json line of "Experiment scripts" and the session config, run
+    by `convstate session`: seven checked iterations with mean TPE 10.62%."""
+    text = README.read_text()
+    block = text.split("## Experiment scripts", 1)[1].split("```bash\n", 1)[1].split("\n```", 1)[0]
+    echo, session = block.splitlines()[:2]
+    truth = re.fullmatch(r"echo '(.*)' > truth\.json", echo).group(1)
+    assert session.split("#", 1)[0].split() == ["convstate", "session", "session.json"]
+    section = text.split("### Session configs", 1)[1]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "truth.json").write_text(truth + "\n")
+    (tmp_path / "session.json").write_text(section.split("```json\n", 1)[1].split("\n```", 1)[0])
+    code = main(["session", "session.json", "--report-out", "report.json", "--table-out", "table.csv"])
+    assert code == 0
+    assert len((tmp_path / "table.csv").read_text().splitlines()) == 1 + 7 * 3
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["mean_tpe"] == pytest.approx(10.62, abs=0.005)

@@ -13,7 +13,6 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     "script, last_line_prefix",
     [
         ("diarization_demo.py", "prediction "),
-        ("run_synthetic_session.py", "session-mean TPE:"),
     ],
 )
 def test_script_runs(script, last_line_prefix):

@@ -676,13 +676,27 @@ class TestSessionConfigDocument:
         ("every", FixedEvery(1)),
         ("fixed:3", FixedEvery(3)),
         ("bernoulli:0.25", RandomBernoulli(0.25)),
+        ("fixed:+4", FixedEvery(4)),
+        ("bernoulli:.5", RandomBernoulli(0.5)),
+        ("bernoulli:1e-1", RandomBernoulli(0.1)),
     ],
 )
 def test_parse_interval(spec, interval):
     assert parse_interval(spec) == interval
 
 
-@pytest.mark.parametrize("spec", ["bernoulli:0.5:3", "bernoulli:", "fixed:x", "sometimes"])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "bernoulli:0.5:3", "bernoulli:", "fixed:x", "sometimes",
+        # Each number is read by the rule every other number of a config
+        # follows: no underscores, non-ASCII digits or surrounding blanks.
+        "fixed:1_0", "fixed:\u0665", "fixed: 5", "fixed:5 ", "fixed:", "fixed:2.0",
+        "fixed:" + "9" * 5000,
+        "bernoulli:0_5", "bernoulli:\u0660.5", "bernoulli: 0.5", "bernoulli:0.5\t",
+        "bernoulli:nan", "bernoulli:inf",
+    ],
+)
 def test_parse_interval_rejects(spec):
     with pytest.raises(ValidationError, match="invalid checker interval"):
         parse_interval(spec)

@@ -10,6 +10,8 @@ import sys
 import pytest
 import yaml
 
+from convstate.cli import main
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKFLOW = os.path.join(ROOT, ".github", "workflows", "tests.yml")
 
@@ -59,14 +61,49 @@ def test_gate_fails_on_a_failed_check_or_an_absent_target(tmp_path, line, passes
     assert (result.returncode == 0) == passes, result.stdout + result.stderr
 
 
-def test_numpy_only_job_smoke_runs_every_command():
+def numpy_only_smoke_run():
     with open(WORKFLOW) as handle:
         steps = yaml.safe_load(handle)["jobs"]["numpy-only"]["steps"]
-    run = next(step for step in steps if step.get("name") == "Smoke run")["run"]
+    return next(step for step in steps if step.get("name") == "Smoke run")["run"]
+
+
+def test_numpy_only_job_smoke_runs_every_command():
+    run = numpy_only_smoke_run()
     lines = [line.strip() for line in run.splitlines()]
     for command in ("vad", "diarize", "estimate", "predict", "check", "session",
                     "simulate chain", "simulate embeddings"):
         assert any(line.startswith(f"convstate {command} ") for line in lines), command
+
+
+def test_numpy_only_job_checks_the_exact_bootstrap_of_both_oracles(tmp_path, monkeypatch, capsys):
+    """The job's README sessions, matched and unmatched, run here by cli.main:
+    its check passes on their reports and fails on a bootstrap one label short."""
+    run = numpy_only_smoke_run()
+    truth = re.search(r"^echo '(.*)' > truth\.json$", run, re.M).group(1)
+    programs = re.findall(r'^python -c "\n(.*?)\n"$', run, re.S | re.M)
+    write = next(p for p in programs if "'exact_bootstrap': True" in p)
+    check = next(p for p in programs if "['bootstrap']" in p)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "truth.json").write_text(truth + "\n")
+    subprocess.run([sys.executable, "-c", write], check=True, timeout=60)
+    assert "for matched in true false; do" in run
+    for matched in ("true", "false"):
+        assert (f'convstate session "readme-$matched.json" --report-out "readme-report-$matched.json"'
+                in run)
+        assert main(["session", f"readme-{matched}.json",
+                     "--report-out", f"readme-report-{matched}.json"]) == 0
+    capsys.readouterr()
+
+    def checked():
+        return subprocess.run([sys.executable, "-c", check], capture_output=True, text=True,
+                              timeout=60)
+
+    result = checked()
+    assert result.returncode == 0, result.stdout + result.stderr
+    report = json.loads((tmp_path / "readme-report-false.json").read_text())
+    report["bootstrap"].pop()
+    (tmp_path / "readme-report-false.json").write_text(json.dumps(report))
+    assert checked().returncode != 0
 
 
 def test_no_simd_step_runs_the_frontend_classes_that_compare_kernels():
