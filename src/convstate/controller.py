@@ -10,6 +10,7 @@ winner before the windowed model is trusted as a prediction basis.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
@@ -27,6 +28,13 @@ from .markov import (
 )
 from .metrics import EvaluationReport, evaluate
 from .metrics import tpe  # noqa: F401  the benchmark's layer tracer wraps controller.tpe
+
+
+def _real(value, name: str):
+    """`value` unchanged when it is a real number, else a ValidationError naming `name`."""
+    if not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -53,7 +61,7 @@ class RandomBernoulli:
     p: float
 
     def __post_init__(self):
-        if not 0.0 < self.p <= 1.0:
+        if not 0.0 < _real(self.p, "checker probability") <= 1.0:
             raise ValidationError(f"checker probability must be in (0, 1], got {self.p}")
 
 
@@ -75,14 +83,12 @@ class Thresholds:
     checker_interval: CheckerInterval = FixedEvery(1)
 
     def __post_init__(self):
-        for name in ("tpe_threshold", "epps_threshold", "matrix_diff_max"):
+        for name in ("tpe_threshold", "epps_threshold", "matrix_diff_max", "row_diff_min"):
             value = getattr(self, name)
-            if not 0 < value < math.inf:
+            if value is None and name == "row_diff_min":
+                continue
+            if not 0 < _real(value, name) < math.inf:
                 raise ValidationError(f"{name} must be positive and finite, got {value}")
-        if self.row_diff_min is not None and not 0 < self.row_diff_min < math.inf:
-            raise ValidationError(
-                f"row_diff_min must be positive and finite, got {self.row_diff_min}"
-            )
 
 
 class Decision(Enum):

@@ -51,14 +51,28 @@ class AudioBuffer:
 
     def __post_init__(self):
         samples = np.ascontiguousarray(self.samples, dtype=np.float64)
+        if samples.ndim == 1 and samples.size:
+            # NaN propagates through min and max, and an infinity is one of them.
+            lowest, highest = float(samples.min()), float(samples.max())
+            if not (math.isfinite(lowest) and math.isfinite(highest)):
+                raise ValidationError("samples contain NaN or Inf")
+            if max(-lowest, highest) > 1.0 + 1e-9:
+                raise ValidationError("samples must lie in [-1, 1]")
+        self._seal(samples)
+
+    @classmethod
+    def _in_range(cls, samples: np.ndarray, sample_rate: int) -> AudioBuffer:
+        """Contiguous float64 samples that the caller guarantees finite and in
+        [-1, 1], stored without the NaN and range passes; the shape and rate
+        checks still run."""
+        audio = object.__new__(cls)
+        object.__setattr__(audio, "sample_rate", sample_rate)
+        audio._seal(samples)
+        return audio
+
+    def _seal(self, samples: np.ndarray) -> None:
         if samples.ndim != 1 or samples.size == 0:
             raise ValidationError("samples must be a non-empty 1-D array")
-        # NaN propagates through min and max, and an infinity is one of them.
-        lowest, highest = float(samples.min()), float(samples.max())
-        if not (math.isfinite(lowest) and math.isfinite(highest)):
-            raise ValidationError("samples contain NaN or Inf")
-        if max(-lowest, highest) > 1.0 + 1e-9:
-            raise ValidationError("samples must lie in [-1, 1]")
         if self.sample_rate not in ACCEPTED_RATES:
             raise ValidationError(
                 f"sample rate {self.sample_rate} not supported; expected one of "
@@ -103,6 +117,9 @@ def load_wav(path: str) -> AudioBuffer:
     A file in another format, one whose header or data is cut short, or
     one whose audio AudioBuffer rejects (no samples, an unsupported rate)
     is a ValidationError that names the file; a missing file is an OSError.
+    The buffer is built without AudioBuffer's NaN and range passes: an int16
+    value times 2**-15, or a channel mean of such values, is finite and lies
+    in [-1, 1).
     """
     try:
         with wave.open(str(path), "rb") as handle:
@@ -136,7 +153,7 @@ def load_wav(path: str) -> AudioBuffer:
     if channels > 1:
         data = data.reshape(-1, channels).mean(axis=1)
     try:
-        return AudioBuffer(samples=data, sample_rate=rate)
+        return AudioBuffer._in_range(data, rate)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
 
@@ -300,19 +317,60 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _map_blocks(fn: Callable[[int], object], starts: range) -> list:
-    """[fn(start) for start in starts], the calls spread over a thread pool.
+# The helper pools of _map_blocks by size (one per usable-CPU count seen, so
+# in practice one): each is built on first use and kept for the life of the
+# process, and a forked child, which inherits none of their threads, drops them.
+_helper_pools: dict[int, ThreadPoolExecutor] = {}
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_helper_pools.clear)
 
-    The pool has at most one worker per usable CPU and one per start; with
-    one of either the calls run inline. Each call must touch only its own
-    block (NumPy releases the GIL in its FFTs, matvecs and ufuncs), so the
-    results do not depend on the thread count.
+
+def _helper_pool(size: int) -> ThreadPoolExecutor:
+    pool = _helper_pools.get(size)
+    if pool is None:
+        # A new executor starts no thread until work is submitted, so a racing
+        # caller's spare is dropped unused.
+        pool = _helper_pools.setdefault(size, ThreadPoolExecutor(size, "convstate-blocks"))
+    return pool
+
+
+def _map_blocks(fn: Callable[[int], object], starts: range) -> list:
+    """[fn(start) for start in starts], the calls shared by the caller and helper threads.
+
+    Up to one thread per usable CPU and one per start takes part: the caller
+    and min(cpus, len(starts)) - 1 helpers from a pool kept for the life of
+    the process, all taking indices from one shared iterator and storing
+    each result at its index. With one CPU or at most one start the calls
+    run inline. Each call must touch only its own block (NumPy releases the
+    GIL in its FFTs, matvecs and ufuncs), so the results do not depend on
+    the thread count. A failing call stops the thread that made it; the
+    first error is raised once every helper of this call has returned.
     """
-    workers = min(_usable_cpus(), len(starts))
-    if workers <= 1:
+    cpus = _usable_cpus()
+    helpers = min(cpus, len(starts)) - 1
+    if helpers < 1:
         return [fn(start) for start in starts]
-    with ThreadPoolExecutor(workers) as pool:
-        return list(pool.map(fn, starts))
+    results = [None] * len(starts)
+    # next() on a range iterator is one C call under the GIL, so every index
+    # goes to exactly one thread.
+    indices = iter(range(len(starts)))
+
+    def drain() -> None:
+        for i in indices:
+            results[i] = fn(starts[i])
+
+    pool = _helper_pool(cpus - 1)
+    futures = [pool.submit(drain) for _ in range(helpers)]
+    try:
+        drain()
+    finally:
+        # A helper not yet started is cancelled: the caller has taken every
+        # index left, or is raising. The started ones are awaited.
+        errors = [future.exception() for future in futures if not future.cancel()]
+    for error in errors:
+        if error is not None:
+            raise error
+    return results
 
 
 def feature_matrix(audio: AudioBuffer) -> np.ndarray:
@@ -380,8 +438,10 @@ def vad_classify(
             f"got {w.size}"
         )
     if x.ndim == 1:
-        probability = _logistic(float(x.dot(w[:-1])) + float(w[-1]))
-        return bool(probability > 0.5), float(probability)
+        # _logistic's operations, each on a Python float.
+        z = float(x.dot(w[:-1])) + float(w[-1])
+        probability = 0.5 + 0.5 * float(np.tanh(0.5 * z))
+        return probability > 0.5, probability
     # vecdot, unlike X @ w or matvec, reproduces the per-row np.dot bits.
     probabilities = _logistic(np.vecdot(x, w[:-1]) + w[-1])
     return probabilities > 0.5, probabilities

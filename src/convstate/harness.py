@@ -38,17 +38,19 @@ def _chain_chunks(
 
     Chunk 0 is `bootstrap`, when given, or starts at `current` itself; every
     later chunk starts at the successor of the previous chunk's last label.
-    Each walked chunk holds `length` labels, walked states, so they are boxed
-    without a second check.
+    `iterations` counts chunk 0 too. Each walked chunk holds `length` labels,
+    walked states, so they are boxed without a second check.
     """
+    if length < 1:
+        raise ValidationError(f"length must be >= 1, got {length}")
     count = 0
     if bootstrap is not None:
         if bootstrap.n_states != truth_chain.n_states:
             raise ValidationError("bootstrap alphabet does not match the chain")
+        if iterations is not None and iterations < 1:
+            return
         current, count = bootstrap.labels[-1], 1
         yield bootstrap
-    if length < 1:
-        raise ValidationError(f"length must be >= 1, got {length}")
     n_states = truth_chain.n_states
     current = markov._integer(current, "initial", n_states)
     while iterations is None or count < iterations:
@@ -71,8 +73,9 @@ def chain_oracle(
 
     The first sequence is `bootstrap` (see matched_chain_oracle) or starts
     at `initial`; each later one picks up from the state following the
-    previous sequence's last label. One generator is threaded across the
-    whole trajectory.
+    previous sequence's last label. With a bootstrap, `initial` has no
+    effect: the chain continues from the bootstrap's last label. One
+    generator is threaded across the whole trajectory.
     """
     rng = np.random.default_rng(seed)
     yield from _chain_chunks(truth_chain, length, initial, iterations, bootstrap, lambda _: rng)

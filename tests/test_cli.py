@@ -279,6 +279,22 @@ class TestSessionCommand:
         truth, _ = load_model(truth_model_path)
         assert count_transitions(bootstrap, 3).tolist() == truth.counts.tolist()
 
+    @pytest.mark.parametrize("matched", [True, False])
+    def test_initial_is_unused_with_exact_bootstrap(self, capsys, tmp_path, truth_model_path,
+                                                     matched):
+        # The chain continues from the bootstrap's last label; initial is only range-checked.
+        outputs = []
+        for initial in (0, 2):
+            oracle = {"kind": "chain", "model": truth_model_path, "length": 300,
+                      "initial": initial, "matched": matched, "exact_bootstrap": True}
+            config = self.write_config(tmp_path, truth_model_path, iterations=3, oracle=oracle)
+            report, table = str(tmp_path / "report.json"), str(tmp_path / "table.csv")
+            code, out, err = run_cli(capsys, "session", config, "--report-out", report,
+                                     "--table-out", table)
+            assert (code, err) == (0, "")
+            outputs.append((out, open(report, "rb").read(), open(table, "rb").read()))
+        assert outputs[0] == outputs[1]
+
     def test_table_to_stdout_without_paths(self, capsys, tmp_path, truth_model_path):
         config = self.write_config(tmp_path, truth_model_path, iterations=2)
         code, out, _ = run_cli(capsys, "session", config)

@@ -1,6 +1,8 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from convstate import controller, storage
@@ -498,6 +500,27 @@ class TestThresholdsValidation:
 
     def test_interval_is_stored_as_an_int(self):
         assert type(FixedEvery(np.int64(3)).every) is int
+
+    @given(
+        value=st.one_of(
+            st.text(), st.none(), st.complex_numbers(), st.binary(), st.decimals(),
+            st.lists(st.floats(), max_size=2), st.dictionaries(st.text(), st.floats(), max_size=1),
+        ),
+        field=st.sampled_from(["p", "tpe_threshold", "epps_threshold", "matrix_diff_max",
+                               "row_diff_min"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_non_real_numbers_name_their_field(self, value, field):
+        assume(not (value is None and field == "row_diff_min"))  # None: the default rule
+        name = "checker probability" if field == "p" else field
+        with pytest.raises(ValidationError) as excinfo:
+            RandomBernoulli(value) if field == "p" else Thresholds(**{field: value})
+        assert str(excinfo.value) == f"{name} must be a real number, got {value!r}"
+
+    @pytest.mark.parametrize("value", [np.float32(0.5), np.int64(1), Fraction(1, 2), True])
+    def test_real_numbers_of_any_type_are_kept(self, value):
+        assert RandomBernoulli(value).p is value
+        assert Thresholds(tpe_threshold=value, row_diff_min=value).row_diff_min is value
 
 
 class TestSessionConfigValidation:

@@ -1,9 +1,11 @@
 import math
 import os
 import pickle
+import signal
 import sys
+import threading
+import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -392,43 +394,35 @@ def clip_of(frames: int, rate: int = 16000) -> AudioBuffer:
     return AudioBuffer(np.random.default_rng(frames).uniform(-1, 1, length), rate)
 
 
+def block_threads() -> int:
+    return sum(t.name.startswith("convstate-blocks") for t in threading.enumerate())
+
+
 class TestFeatureBlockThreads:
-    @staticmethod
-    def record_pools(monkeypatch, cpus):
-        sizes = []
-
-        def recording_pool(workers):
-            sizes.append(workers)
-            return ThreadPoolExecutor(workers)
-
-        monkeypatch.setattr(frontend, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(frontend, "ThreadPoolExecutor", recording_pool)
-        return sizes
-
     @pytest.mark.parametrize("rate", ACCEPTED_RATES)
-    def test_bytes_do_not_depend_on_thread_count(self, monkeypatch, rate):
+    def test_bytes_do_not_depend_on_thread_count(self, use_cpus, rate):
         audio = clip_of(2 * _BLOCK_FRAMES + 7, rate)
-        outputs, pools = {}, {}
+        outputs, helpers = {}, {}
         for cpus in (1, 4):
-            pools[cpus] = self.record_pools(monkeypatch, cpus)
+            helpers[cpus] = use_cpus(cpus)
             outputs[cpus] = feature_matrix(audio).tobytes()
-        assert pools == {1: [], 4: [3]}
+        assert helpers == {1: [], 4: [2]}
         assert outputs[1] == outputs[4]
 
     @pytest.mark.parametrize(
-        "cpus, blocks, pools",
-        [(2, 5, [2]), (4, 3, [3]), (8, 2, [2]), (4, 1, []), (4, 0, []), (1, 3, [])],
+        "cpus, blocks, helpers",
+        [(2, 5, [1]), (4, 3, [2]), (8, 2, [1]), (4, 1, []), (4, 0, []), (1, 3, [])],
     )
-    def test_pool_bounded_by_blocks_and_cpus(self, monkeypatch, cpus, blocks, pools):
-        sizes = self.record_pools(monkeypatch, cpus)
+    def test_helpers_bounded_by_blocks_and_cpus(self, use_cpus, cpus, blocks, helpers):
+        counts = use_cpus(cpus)
         assert feature_matrix(clip_of(blocks * _BLOCK_FRAMES)).shape[0] == blocks * _BLOCK_FRAMES
-        assert sizes == pools
+        assert counts == helpers
 
-    def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
+    def test_more_workers_than_cores_under_fast_switching(self, use_cpus):
         audio = clip_of(12 * _BLOCK_FRAMES - 5)
-        self.record_pools(monkeypatch, 1)
+        use_cpus(1)
         serial = feature_matrix(audio).tobytes()
-        pools = self.record_pools(monkeypatch, 8)
+        helpers = use_cpus(8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -436,8 +430,112 @@ class TestFeatureBlockThreads:
             threaded = feature_matrix(audio).tobytes()
         finally:
             sys.setswitchinterval(interval)
-        assert pools == [8]
+        assert helpers == [7]
         assert threaded == serial
+
+    def test_later_calls_reuse_the_helper_threads(self, monkeypatch):
+        monkeypatch.setattr(frontend, "_usable_cpus", lambda: 4)
+        audio = clip_of(8 * _BLOCK_FRAMES)
+        first = feature_matrix(audio).tobytes()
+        threads, pool = block_threads(), frontend._helper_pools[3]
+        for _ in range(5):
+            assert feature_matrix(audio).tobytes() == first
+        assert block_threads() == threads
+        assert frontend._helper_pools[3] is pool
+
+    def test_the_caller_works_while_every_helper_is_busy(self, monkeypatch):
+        # The one helper is held, so the caller runs every block itself and
+        # returns without waiting for the helper task it queued.
+        monkeypatch.setattr(frontend, "_usable_cpus", lambda: 2)
+        release = threading.Event()
+        busy = frontend._helper_pool(1).submit(release.wait, 10)
+        try:
+            threads = frontend._map_blocks(lambda start: threading.get_ident(), range(4))
+            assert not busy.done()
+        finally:
+            release.set()
+        assert busy.result(timeout=10)
+        assert threads == [threading.get_ident()] * 4
+
+    def test_concurrent_callers_share_the_helpers(self, monkeypatch):
+        # Two callers with three helpers each, switching often: each caller
+        # must get the serial bytes and none may wait forever.
+        audios = [clip_of(6 * _BLOCK_FRAMES + k) for k in (1, 2)]
+        monkeypatch.setattr(frontend, "_usable_cpus", lambda: 1)
+        expected = [feature_matrix(audio).tobytes() for audio in audios]
+        monkeypatch.setattr(frontend, "_usable_cpus", lambda: 4)
+        outputs = [[], []]
+
+        def call(k):
+            for _ in range(5):
+                outputs[k].append(feature_matrix(audios[k]).tobytes())
+
+        callers = [threading.Thread(target=call, args=(k,)) for k in (0, 1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert outputs == [[expected[0]] * 5, [expected[1]] * 5]
+
+    @pytest.mark.parametrize("failing", [0, 5, 11])
+    def test_a_block_error_surfaces_after_every_helper_returns(self, monkeypatch, failing):
+        # Whichever thread takes the failing block, caller or helper.
+        monkeypatch.setattr(frontend, "_usable_cpus", lambda: 4)
+        started, finished = set(), set()
+
+        def fn(start):
+            started.add(start)
+            if start == failing:
+                raise ValueError(f"block {start} failed")
+            time.sleep(0.01)
+            finished.add(start)
+
+        with pytest.raises(ValueError, match=f"block {failing} failed"):
+            frontend._map_blocks(fn, range(12))
+        assert started - {failing} == finished
+        # The pool still serves later calls.
+        assert frontend._map_blocks(lambda start: -start, range(6)) == [0, -1, -2, -3, -4, -5]
+
+    # macOS system libraries (Accelerate among them) are not safe to use in a
+    # forked child, which is why Python does not fork there by default.
+    @pytest.mark.skipif(not hasattr(os, "fork") or sys.platform == "darwin",
+                        reason="needs a fork-safe POSIX platform")
+    def test_forked_child_builds_its_own_helpers(self, monkeypatch):
+        monkeypatch.setattr(frontend, "_usable_cpus", lambda: 4)
+        audio = clip_of(8 * _BLOCK_FRAMES + 3)
+        expected = feature_matrix(audio).tobytes()  # the parent's pool is up
+        assert frontend._helper_pools
+        read_end, write_end = os.pipe()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads
+            pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                os.close(read_end)
+                inherited = len(frontend._helper_pools)
+                same = feature_matrix(audio).tobytes() == expected
+                os.write(write_end, f"{inherited} {same}".encode())
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write_end)
+        deadline = time.monotonic() + 60
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if done[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        with os.fdopen(read_end, "rb") as reader:
+            report = reader.read().decode()
+        assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
+        assert report == "0 True"
 
     @pytest.mark.parametrize("count, expected", [(6, 6), (None, 1)])
     def test_cpu_count_fallback_without_affinity(self, monkeypatch, count, expected):

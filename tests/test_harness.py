@@ -68,14 +68,17 @@ class TestChainOracles:
         replayed = walk(STICKY, pieces[0].labels[-1], 10, rng)
         assert list(pieces[1].labels) == replayed
 
+    @pytest.mark.parametrize("iterations", [0, 1, 3])
     @pytest.mark.parametrize("make_oracle", [chain_oracle, matched_chain_oracle])
-    def test_explicit_bootstrap_is_first(self, make_oracle):
+    def test_explicit_bootstrap_is_first(self, make_oracle, iterations):
+        # `iterations` counts the bootstrap, as it counts the sampled first sequence.
         bootstrap = sequence_with_exact_counts(STICKY.counts)
-        pieces = list(
-            make_oracle(STICKY, length=10, initial=0, seed=5, iterations=3, bootstrap=bootstrap)
-        )
-        assert pieces[0].labels == bootstrap.labels
-        assert len(pieces) == 3
+        pieces = list(make_oracle(STICKY, length=10, initial=0, seed=5, iterations=iterations,
+                                  bootstrap=bootstrap))
+        unbootstrapped = list(make_oracle(STICKY, length=10, initial=0, seed=5,
+                                          iterations=iterations))
+        assert len(pieces) == len(unbootstrapped) == iterations
+        assert pieces[:1] == [bootstrap][:iterations]
 
     @pytest.mark.parametrize("make_oracle", [chain_oracle, matched_chain_oracle])
     def test_bootstrap_alphabet_must_match(self, make_oracle):
@@ -101,8 +104,9 @@ class TestChainOracles:
             chain_oracle(STICKY, length, 0, seed=1, iterations=2, bootstrap=bootstrap),
         ]
         for oracle in oracles:
+            # Before a bootstrap is yielded.
             with pytest.raises(ValidationError, match=f"length must be >= 1, got {length}"):
-                list(oracle)
+                next(oracle)
 
 
 def flatnonzero_exact_counts(counts):

@@ -4,7 +4,6 @@ import json
 import math
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -433,24 +432,18 @@ class TestFeaturesCsv:
             rows[cell] = value if toward is None else math.nextafter(value, toward)
         assert features_to_csv(rows).split("\n", 1)[1] == percent_lines(rows)
 
-    def test_bytes_do_not_depend_on_thread_count(self, monkeypatch):
+    def test_bytes_do_not_depend_on_thread_count(self, use_cpus):
         # Three full blocks and a partial one, the second written with ``%``
-        # for its NaN; the blocks are joined in order whatever the pool.
+        # for its NaN; the blocks are joined in order whatever the threads.
         rng = np.random.default_rng(11)
         rows = rng.standard_normal((3 * _CSV_BLOCK + 5, 15)) * 10.0
         rows[_CSV_BLOCK + 17, 4] = np.nan
-        texts, pools = {}, []
-
-        def recording_pool(workers):
-            pools.append(workers)
-            return ThreadPoolExecutor(workers)
-
-        monkeypatch.setattr(frontend, "ThreadPoolExecutor", recording_pool)
-        monkeypatch.setattr(frontend, "_usable_cpus", lambda: 1)
+        texts, helpers = {}, {}
+        helpers[1] = use_cpus(1)
         texts[1] = features_to_csv(rows)
-        # One worker per block, switching often, and the writer's tables
-        # filled by whichever worker comes first.
-        monkeypatch.setattr(frontend, "_usable_cpus", lambda: 4)
+        # One thread per block, switching often, and the writer's tables
+        # filled by whichever thread comes first.
+        helpers[4] = use_cpus(4)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -458,7 +451,7 @@ class TestFeaturesCsv:
             texts[4] = features_to_csv(rows)
         finally:
             sys.setswitchinterval(interval)
-        assert pools == [4]
+        assert helpers == {1: [], 4: [3]}
         assert texts[1] == texts[4]
         assert texts[1].split("\n", 1)[1] == percent_lines(rows)
         assert "nan" in texts[1].splitlines()[_CSV_BLOCK + 18]

@@ -1,19 +1,23 @@
 """The CI workflow's steps: where the benchmark smoke runs and what it gates on,
 and what the no-SIMD step and the numpy-only job run."""
 
+import contextlib
 import json
 import os
 import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 import yaml
 
 from convstate.cli import main
+from convstate.frontend import AudioBuffer, save_wav
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKFLOW = os.path.join(ROOT, ".github", "workflows", "tests.yml")
+SRC = os.path.join(ROOT, "src")
 
 
 def tier1_step(name):
@@ -106,11 +110,37 @@ def test_numpy_only_job_checks_the_exact_bootstrap_of_both_oracles(tmp_path, mon
     assert checked().returncode != 0
 
 
+def test_numpy_only_job_runs_vad_twice_in_one_process(tmp_path, monkeypatch, capsys):
+    """The job's in-process vad check passes on the command's own outputs
+    and fails when the second run's CSV differs."""
+    run = numpy_only_smoke_run()
+    assert "convstate vad clip.wav --out features.csv > vad.json" in run
+    twice = next(p for p in re.findall(r'^python -c "\n(.*?)\n"$', run, re.S | re.M)
+                 if "for run in (1, 2):" in p)
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(5)
+    save_wav("clip.wav", AudioBuffer(rng.uniform(-0.5, 0.5, 3 * 16000), 16000))
+    with open("vad.json", "w") as handle, contextlib.redirect_stdout(handle):
+        assert main(["vad", "clip.wav", "--out", "features.csv"]) == 0
+    capsys.readouterr()
+
+    def checked():
+        return subprocess.run([sys.executable, "-c", twice], capture_output=True, text=True,
+                              timeout=60, env={**os.environ, "PYTHONPATH": SRC})
+
+    result = checked()
+    assert result.returncode == 0, result.stdout + result.stderr
+    with open("features.csv", "a") as handle:
+        handle.write("\n")
+    assert checked().returncode != 0
+
+
 def test_no_simd_step_runs_the_frontend_classes_that_compare_kernels():
     run = tier1_step("Feature CSV without SIMD")["run"]
     selection = re.search(r'tests/test_frontend\.py -k "([^"]*)"', run).group(1)
     classes = selection.split(" or ")
-    assert "TestVadClassify" in classes
+    assert {"TestVadClassify", "TestFeatureBlockThreads"} <= set(classes)
+    assert "tests/test_storage.py -k TestFeaturesCsv" in run
     with open(os.path.join(ROOT, "tests", "test_frontend.py")) as handle:
         source = handle.read()
     for name in classes:
