@@ -196,7 +196,12 @@ def read_json(path: str):
 
 
 def load_model(path: str) -> tuple[TransitionModel, PredictionMode | None]:
-    return model_from_document(read_json(path))
+    """The model in the JSON file `path`; each validation error names the file once."""
+    doc = read_json(path)
+    try:
+        return model_from_document(doc)
+    except ValidationError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def is_number(value, kind: type) -> bool:
@@ -455,13 +460,19 @@ def parse_labels_text(text: str, n_states: int | None = None) -> StateSequence:
     low, high = min(labels), max(labels)
     if low < -(2**63) or high >= 2**63:
         raise SchemaError(f"label {low if low < -(2**63) else high} is outside the int64 range")
-    inferred = n_states if n_states is not None else high + 1
+    # At least one state, so an all-negative input fails on its first label.
+    inferred = n_states if n_states is not None else max(high + 1, 1)
     return StateSequence(labels=labels, n_states=inferred, times=times)
 
 
 def read_labels(path: str, n_states: int | None = None) -> StateSequence:
+    """The labels in the file `path`; each validation error names the file."""
     with open(path, "r") as handle:
-        return parse_labels_text(handle.read(), n_states)
+        text = handle.read()
+    try:
+        return parse_labels_text(text, n_states)
+    except ValidationError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def labels_to_text(seq: StateSequence) -> str:

@@ -186,9 +186,9 @@ class TestEstimatePredictCheck:
             ('{"start_s": 0, "end_s": 1, "state": 0}\n{"start_s": 1, "end_s": 2, "state": 7}\n',
              "0\n1\n", [], "error: largest label 7 implies 8 states for 2 labels; pass --states\n"),
             ("0\n1000000\n", "0\n1\n", ["--states", "2"],
-             "error: label 1000000 at index 1 outside 0..1\n"),
+             "error: {p}: label 1000000 at index 1 outside 0..1\n"),
             ("0\n1\n", "0\n1000000\n", ["--states", "2"],
-             "error: label 1000000 at index 1 outside 0..1\n"),
+             "error: {a}: label 1000000 at index 1 outside 0..1\n"),
             ("0\n1\n", "0\n1\n", [], {"0": 1, "1": 1}),
             ("0\n1\n2\n3\n", "3\n0\n", [],
              "error: length mismatch: predicted has 4, actual has 2\n"),
@@ -205,7 +205,8 @@ class TestEstimatePredictCheck:
     def test_check_infers_states_only_up_to_the_label_count(
         self, capsys, tmp_path, predicted, actual, flags, expected
     ):
-        # actual=None runs `estimate` on the predicted file alone.
+        # actual=None runs `estimate` on the predicted file alone. An error
+        # from one file names it: {p} for the predicted file, {a} the actual.
         paths = tmp_path / "p.txt", tmp_path / "a.txt"
         paths[0].write_text(predicted)
         if actual is None:
@@ -214,7 +215,7 @@ class TestEstimatePredictCheck:
             paths[1].write_text(actual)
             code, out, err = run_cli(capsys, "check", *map(str, paths), *flags)
         if isinstance(expected, str):
-            assert (code, out, err) == (1, "", expected)
+            assert (code, out, err) == (1, "", expected.format(p=paths[0], a=paths[1]))
         else:
             assert (code, err) == (0, "")
             assert json.loads(out)["per_state_occurrences"] == expected
@@ -443,12 +444,21 @@ class TestCliEdges:
             1, "", "error: affinity contains NaN or Inf\n"
         )
 
-    def test_no_command_loads_scipy(self, capsys, tmp_path, truth_model_path, wav_path):
+    def test_no_command_loads_scipy(self, capsys, tmp_path, truth_model_path):
         # The runtime needs NumPy alone: with scipy made unimportable every
-        # command still succeeds, and vad writes the same feature CSV.
+        # command still succeeds, and vad, run twice in that one process,
+        # writes the same summary and feature CSV as with scipy importable.
+        # The clip's 25 s of alternating tone and silence are 2498 frames, so
+        # both the feature blocks (256 frames) and the CSV blocks (2048 rows)
+        # are several, and the second run reuses the first one's helper threads
+        # wherever more than one CPU is usable.
         def path(name):
             return str(tmp_path / name)
 
+        rate = 16000
+        t = np.arange(25 * rate) / rate
+        save_wav(path("clip.wav"),
+                 AudioBuffer(0.25 * np.sin(2 * np.pi * 440 * t) * (np.floor(t) % 2), rate))
         Path(path("session.json")).write_text(json.dumps({
             "seed": 0, "mode": "sampled", "iterations": 1,
             "oracle": {"kind": "chain", "model": truth_model_path, "length": 30},
@@ -465,7 +475,8 @@ class TestCliEdges:
             ["check", path("pred.txt"), path("labels.txt"), "--out", path("check.json")],
             ["session", path("session.json"), "--report-out", path("report.json"),
              "--table-out", path("table.csv")],
-            ["vad", wav_path, "--out", path("blocked.csv")],
+            ["vad", path("clip.wav"), "--out", path("blocked-1.csv")],
+            ["vad", path("clip.wav"), "--out", path("blocked-2.csv")],
         ]
         script = """
 import contextlib, io, json, sys
@@ -474,11 +485,12 @@ from convstate import cli
 def loaded():
     return sorted(m for m, module in sys.modules.items()
                   if m.partition(".")[0] == "scipy" and module is not None)
-stages = [["import", 0, loaded()]]
+stages = [["import", 0, loaded(), ""]]
 for argv in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
         code = cli.main(argv)
-    stages.append([argv[0], code, loaded()])
+    stages.append([argv[0], code, loaded(), out.getvalue()])
 print(json.dumps(stages))
 """
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -487,11 +499,18 @@ print(json.dumps(stages))
             env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
         )
         assert (result.returncode, result.stderr) == (0, "")
+        stages = json.loads(result.stdout)
         names = ["import", "simulate", "simulate", "diarize", "estimate", "predict", "check",
-                 "session", "vad"]
-        assert json.loads(result.stdout) == [[name, 0, []] for name in names]
-        assert run_cli(capsys, "vad", wav_path, "--out", path("unblocked.csv"))[0] == 0
-        assert Path(path("blocked.csv")).read_bytes() == Path(path("unblocked.csv")).read_bytes()
+                 "session", "vad", "vad"]
+        assert [stage[:3] for stage in stages] == [[name, 0, []] for name in names]
+        summary = stages[-1][3]
+        assert json.loads(summary)["frames"] == 2498
+        assert run_cli(capsys, "vad", path("clip.wav"), "--out", path("unblocked.csv")) == (
+            0, summary, "")
+        assert stages[-2][3] == summary
+        unblocked = Path(path("unblocked.csv")).read_bytes()
+        for run in (1, 2):
+            assert Path(path(f"blocked-{run}.csv")).read_bytes() == unblocked, run
 
     @pytest.mark.parametrize(
         "overrides, field",
@@ -581,6 +600,57 @@ print(json.dumps(stages))
         open(path, "w").write(json.dumps(config))
         assert run_cli(capsys, "session", path) == (1, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("route", ["check", "files-oracle"])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0\nx\n", "label input contains a non-integer token 'x'"),
+            # One state at least is inferred, so the first label is named.
+            ("-1\n", "label -1 at index 0 outside 0..0"),
+        ],
+        ids=["non-integer", "all-negative"],
+    )
+    def test_bad_label_file_is_named(self, capsys, tmp_path, route, text, message):
+        good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+        good.write_text("0\n1\n")
+        bad.write_text(text)
+        if route == "check":
+            argv = ["check", str(good), str(bad)]
+        else:
+            config = tmp_path / "session.json"
+            config.write_text(json.dumps({
+                "iterations": 1, "states": 2,
+                "oracle": {"kind": "files", "paths": [str(good), str(bad)]},
+            }))
+            argv = ["session", str(config)]
+        assert run_cli(capsys, *argv) == (1, "", f"error: {bad}: {message}\n")
+
+    @pytest.mark.parametrize("command", ["predict", "session"])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"version": 1, "s": 0, "counts": [], "policy": "uniform", "mode": null}',
+             "$.s: expected a positive integer state count"),
+            ("{", "not valid JSON ("),
+        ],
+        ids=["no-states", "invalid-json"],
+    )
+    def test_bad_model_file_is_named_once(self, capsys, tmp_path, command, text, message):
+        model = tmp_path / "model.json"
+        model.write_text(text)
+        if command == "predict":
+            argv = ["predict", str(model), "--initial", "0", "--length", "5"]
+        else:
+            config = tmp_path / "session.json"
+            config.write_text(json.dumps({
+                "iterations": 1, "oracle": {"kind": "chain", "model": str(model)},
+            }))
+            argv = ["session", str(config)]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {model}: {message}") and err.count(str(model)) == 1
+        assert err.count("\n") == 1
+
     def test_diarize_sigma_extremes(self, capsys, tmp_path):
         emb = tmp_path / "e.csv"
         emb.write_text("1.0,0.0\n0.0,1.0\n1.0,0.1\n0.1,1.0\n0.9,0.2\n")
@@ -642,7 +712,9 @@ print(json.dumps(stages))
         path.write_text(json.dumps(record) + "\n")
         code, _, err = run_cli(capsys, argv[0], str(path), *argv[1:])
         assert code == 1
-        assert err.startswith(f"error: line 1: field '{field}'")
+        # A label file's errors name the file; an embeddings file's line errors do not.
+        named = f"{path}: " if argv[0] == "estimate" else ""
+        assert err.startswith(f"error: {named}line 1: field '{field}'")
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize(

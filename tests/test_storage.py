@@ -158,7 +158,7 @@ class TestModelPersistence:
         doc["policy"] = "error"
         path = str(tmp_path / "model.json")
         atomic_write_text(path, json.dumps(doc))
-        message = "$.policy: expected one of ['uniform'], got 'error'"
+        message = f"{path}: $.policy: expected one of ['uniform'], got 'error'"
         with pytest.raises(SchemaError, match=re.escape(message)):
             load_model(path)
         assert main(["predict", path, "--initial", "1", "--length", "5"]) == 1

@@ -1,23 +1,20 @@
 """The CI workflow's steps: where the benchmark smoke runs and what it gates on,
 and what the no-SIMD step and the numpy-only job run."""
 
-import contextlib
+import ast
+import glob
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 import yaml
 
-from convstate.cli import main
-from convstate.frontend import AudioBuffer, save_wav
-
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKFLOW = os.path.join(ROOT, ".github", "workflows", "tests.yml")
-SRC = os.path.join(ROOT, "src")
 
 
 def tier1_step(name):
@@ -65,74 +62,48 @@ def test_gate_fails_on_a_failed_check_or_an_absent_target(tmp_path, line, passes
     assert (result.returncode == 0) == passes, result.stdout + result.stderr
 
 
-def numpy_only_smoke_run():
+def imported_names(node):
+    """The modules an import statement names: `from a import b` names a and a.b."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.module:
+        return [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+    return []
+
+
+def modules_importing_scipy():
+    """The test modules whose top-level imports load scipy: directly, or by
+    importing another tests. module that does."""
+    paths = sorted(glob.glob("tests/*.py", root_dir=ROOT)) + sorted(
+        glob.glob("perfbench/test_*.py", root_dir=ROOT))
+    imported = {}
+    for path in paths:
+        with open(os.path.join(ROOT, path)) as handle:
+            body = ast.parse(handle.read()).body
+        imported[path] = {name for node in body for name in imported_names(node)}
+    found = set()
+    while True:
+        targets = {"scipy"} | {path.removesuffix(".py").replace("/", ".") for path in found}
+        hits = {path for path, names in imported.items()
+                if any(name == t or name.startswith(t + ".") for name in names for t in targets)}
+        if hits == found:
+            return found
+        found = hits
+
+
+def test_numpy_only_job_runs_the_suite_without_the_modules_that_import_scipy():
     with open(WORKFLOW) as handle:
         steps = yaml.safe_load(handle)["jobs"]["numpy-only"]["steps"]
-    return next(step for step in steps if step.get("name") == "Smoke run")["run"]
-
-
-def test_numpy_only_job_smoke_runs_every_command():
-    run = numpy_only_smoke_run()
-    lines = [line.strip() for line in run.splitlines()]
-    for command in ("vad", "diarize", "estimate", "predict", "check", "session",
-                    "simulate chain", "simulate embeddings"):
-        assert any(line.startswith(f"convstate {command} ") for line in lines), command
-
-
-def test_numpy_only_job_checks_the_exact_bootstrap_of_both_oracles(tmp_path, monkeypatch, capsys):
-    """The job's README sessions, matched and unmatched, run here by cli.main:
-    its check passes on their reports and fails on a bootstrap one label short."""
-    run = numpy_only_smoke_run()
-    truth = re.search(r"^echo '(.*)' > truth\.json$", run, re.M).group(1)
-    programs = re.findall(r'^python -c "\n(.*?)\n"$', run, re.S | re.M)
-    write = next(p for p in programs if "'exact_bootstrap': True" in p)
-    check = next(p for p in programs if "['bootstrap']" in p)
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "truth.json").write_text(truth + "\n")
-    subprocess.run([sys.executable, "-c", write], check=True, timeout=60)
-    assert "for matched in true false; do" in run
-    for matched in ("true", "false"):
-        assert (f'convstate session "readme-$matched.json" --report-out "readme-report-$matched.json"'
-                in run)
-        assert main(["session", f"readme-{matched}.json",
-                     "--report-out", f"readme-report-{matched}.json"]) == 0
-    capsys.readouterr()
-
-    def checked():
-        return subprocess.run([sys.executable, "-c", check], capture_output=True, text=True,
-                              timeout=60)
-
-    result = checked()
-    assert result.returncode == 0, result.stdout + result.stderr
-    report = json.loads((tmp_path / "readme-report-false.json").read_text())
-    report["bootstrap"].pop()
-    (tmp_path / "readme-report-false.json").write_text(json.dumps(report))
-    assert checked().returncode != 0
-
-
-def test_numpy_only_job_runs_vad_twice_in_one_process(tmp_path, monkeypatch, capsys):
-    """The job's in-process vad check passes on the command's own outputs
-    and fails when the second run's CSV differs."""
-    run = numpy_only_smoke_run()
-    assert "convstate vad clip.wav --out features.csv > vad.json" in run
-    twice = next(p for p in re.findall(r'^python -c "\n(.*?)\n"$', run, re.S | re.M)
-                 if "for run in (1, 2):" in p)
-    monkeypatch.chdir(tmp_path)
-    rng = np.random.default_rng(5)
-    save_wav("clip.wav", AudioBuffer(rng.uniform(-0.5, 0.5, 3 * 16000), 16000))
-    with open("vad.json", "w") as handle, contextlib.redirect_stdout(handle):
-        assert main(["vad", "clip.wav", "--out", "features.csv"]) == 0
-    capsys.readouterr()
-
-    def checked():
-        return subprocess.run([sys.executable, "-c", twice], capture_output=True, text=True,
-                              timeout=60, env={**os.environ, "PYTHONPATH": SRC})
-
-    result = checked()
-    assert result.returncode == 0, result.stdout + result.stderr
-    with open("features.csv", "a") as handle:
-        handle.write("\n")
-    assert checked().returncode != 0
+    runs = [step["run"] for step in steps if "run" in step]
+    installs = [line for run in runs for line in run.splitlines() if "pip install" in line]
+    assert installs
+    # The test extra would pull scipy in as the references' dependency.
+    assert not any("scipy" in line or "[test]" in line for line in installs)
+    assert not any("python -c" in run for run in runs)
+    (suite,) = [run for run in runs if "python -m pytest" in run]
+    ignored = {arg.removeprefix("--ignore=") for arg in shlex.split(suite)
+               if arg.startswith("--ignore=")}
+    assert ignored == modules_importing_scipy()
 
 
 def test_no_simd_step_runs_the_frontend_classes_that_compare_kernels():
