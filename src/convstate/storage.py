@@ -186,22 +186,40 @@ def save_model(
     atomic_write_text(path, json_text(model_to_document(model, mode)) + "\n")
 
 
-def read_json(path: str):
-    """Parse one JSON document from `path`; invalid JSON is a SchemaError."""
-    with open(path, "r") as handle:
+def _read_file(path: str, parse):
+    """``parse(text)`` of the UTF-8 text file `path`.
+
+    Bytes that are not UTF-8 are a SchemaError, and a ValidationError from
+    `parse` is raised again with `path: ` in front, so each error names the
+    file once.
+    """
+    with open(path, encoding="utf-8") as handle:
         try:
-            return json.loads(handle.read())
-        except ValueError as exc:  # also text that is not UTF-8, or an int too long
-            raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path}: not UTF-8 text ({exc})") from None
+    try:
+        return parse(text)
+    except ValidationError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
+def _parse_json(text: str):
+    """One JSON document; invalid JSON is a SchemaError."""
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # also an int too long to convert
+        raise SchemaError(f"not valid JSON ({exc})") from exc
+
+
+def read_json(path: str):
+    """The JSON document in the file `path`."""
+    return _read_file(path, _parse_json)
 
 
 def load_model(path: str) -> tuple[TransitionModel, PredictionMode | None]:
     """The model in the JSON file `path`; each validation error names the file once."""
-    doc = read_json(path)
-    try:
-        return model_from_document(doc)
-    except ValidationError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
+    return _read_file(path, lambda text: model_from_document(_parse_json(text)))
 
 
 def is_number(value, kind: type) -> bool:
@@ -467,12 +485,7 @@ def parse_labels_text(text: str, n_states: int | None = None) -> StateSequence:
 
 def read_labels(path: str, n_states: int | None = None) -> StateSequence:
     """The labels in the file `path`; each validation error names the file."""
-    with open(path, "r") as handle:
-        text = handle.read()
-    try:
-        return parse_labels_text(text, n_states)
-    except ValidationError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
+    return _read_file(path, lambda text: parse_labels_text(text, n_states))
 
 
 def labels_to_text(seq: StateSequence) -> str:
@@ -488,13 +501,11 @@ def labels_to_text(seq: StateSequence) -> str:
     return "\n".join(str(label) for label in seq.labels) + "\n"
 
 
-def read_embeddings(path: str) -> EmbeddingSet:
+def parse_embeddings_text(text: str) -> EmbeddingSet:
     """CSV rows of finite decimal floats, or JSONL records with start_s/end_s/vector."""
-    with open(path, "r") as handle:
-        text = handle.read()
     stripped = text.strip()
     if not stripped:
-        raise SchemaError(f"{path}: embedding input is empty")
+        raise SchemaError("embedding input is empty")
     if stripped[0] == "{":
         rows, times = _timed_jsonl(stripped, "vector", _float_list)
     else:
@@ -515,6 +526,11 @@ def read_embeddings(path: str) -> EmbeddingSet:
     return EmbeddingSet(
         vectors=np.asarray(rows), times=None if times is None else tuple(times)
     )
+
+
+def read_embeddings(path: str) -> EmbeddingSet:
+    """The embeddings in the file `path`; each validation error names the file."""
+    return _read_file(path, parse_embeddings_text)
 
 
 def embeddings_to_csv(embeddings: EmbeddingSet) -> str:

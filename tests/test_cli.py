@@ -448,6 +448,8 @@ class TestCliEdges:
         # The runtime needs NumPy alone: with scipy made unimportable every
         # command still succeeds, and vad, run twice in that one process,
         # writes the same summary and feature CSV as with scipy importable.
+        # The same commands with scipy importable load no scipy module either,
+        # so an import of it that falls back when it fails is caught too.
         # The clip's 25 s of alternating tone and silence are 2498 frames, so
         # both the feature blocks (256 frames) and the CSV blocks (2048 rows)
         # are several, and the second run reuses the first one's helper threads
@@ -480,7 +482,8 @@ class TestCliEdges:
         ]
         script = """
 import contextlib, io, json, sys
-sys.modules["scipy"] = None
+if sys.argv[2] == "blocked":
+    sys.modules["scipy"] = None
 from convstate import cli
 def loaded():
     return sorted(m for m, module in sys.modules.items()
@@ -494,15 +497,17 @@ for argv in json.loads(sys.argv[1]):
 print(json.dumps(stages))
 """
         src = str(Path(__file__).resolve().parents[1] / "src")
-        result = subprocess.run(
-            [sys.executable, "-c", script, json.dumps(commands)],
-            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
-        )
-        assert (result.returncode, result.stderr) == (0, "")
-        stages = json.loads(result.stdout)
         names = ["import", "simulate", "simulate", "diarize", "estimate", "predict", "check",
                  "session", "vad", "vad"]
-        assert [stage[:3] for stage in stages] == [[name, 0, []] for name in names]
+        # The blocked pass runs last, so the files compared below are its own.
+        for block in ("unblocked", "blocked"):
+            result = subprocess.run(
+                [sys.executable, "-c", script, json.dumps(commands), block],
+                env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+            )
+            assert (result.returncode, result.stderr) == (0, ""), block
+            stages = json.loads(result.stdout)
+            assert [stage[:3] for stage in stages] == [[name, 0, []] for name in names], block
         summary = stages[-1][3]
         assert json.loads(summary)["frames"] == 2498
         assert run_cli(capsys, "vad", path("clip.wav"), "--out", path("unblocked.csv")) == (
@@ -712,9 +717,7 @@ print(json.dumps(stages))
         path.write_text(json.dumps(record) + "\n")
         code, _, err = run_cli(capsys, argv[0], str(path), *argv[1:])
         assert code == 1
-        # A label file's errors name the file; an embeddings file's line errors do not.
-        named = f"{path}: " if argv[0] == "estimate" else ""
-        assert err.startswith(f"error: {named}line 1: field '{field}'")
+        assert err.startswith(f"error: {path}: line 1: field '{field}'")
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
@@ -737,7 +740,7 @@ print(json.dumps(stages))
         emb.write_text(text, encoding="utf-8")
         code, out, err = run_cli(capsys, "diarize", str(emb))
         assert (code, out) == (1, "")
-        assert err == f"error: line {lineno}: {token!r} is not a finite decimal number\n"
+        assert err == f"error: {emb}: line {lineno}: {token!r} is not a finite decimal number\n"
 
     def test_embeddings_csv_reads_every_decimal_form(self, capsys, tmp_path):
         plain, forms = tmp_path / "plain.csv", tmp_path / "forms.csv"
@@ -917,15 +920,17 @@ class TestModelFileFuzz:
 
     @pytest.mark.parametrize("command", ["predict", "session"])
     @pytest.mark.parametrize(
-        "data", [b"\xff\xfe{}", b'{"s": ' + b"1" * 5000 + b"}"], ids=["not-utf8", "huge-int"]
+        "data, message",
+        [(b"\xff\xfe{}", "not UTF-8 text ("), (b'{"s": ' + b"1" * 5000 + b"}", "not valid JSON (")],
+        ids=["not-utf8", "huge-int"],
     )
-    def test_unparsable_document_is_one_line_error(self, capsys, tmp_path, command, data):
+    def test_unparsable_document_is_one_line_error(self, capsys, tmp_path, command, data, message):
         path = tmp_path / "doc.json"
         path.write_bytes(data)
         extra = ["--initial", "0", "--length", "5"] if command == "predict" else []
         code, out, err = run_cli(capsys, command, str(path), *extra)
         assert (code, out) == (1, "")
-        assert err.startswith(f"error: {path}: not valid JSON (") and err.count("\n") == 1
+        assert err.startswith(f"error: {path}: {message}") and err.count("\n") == 1
 
 
 SESSION_BASES = {
@@ -1086,7 +1091,8 @@ FUZZ_SETTINGS = settings(
 
 
 class TestInputFileFuzz:
-    """Label files (plain text and timed JSONL) and embeddings CSV, as the CLI reads them."""
+    """Label files (plain text and timed JSONL), embeddings CSV, and bytes that
+    need not be UTF-8, as the CLI reads them."""
 
     @staticmethod
     def run_on(capsys, argv):
@@ -1131,6 +1137,23 @@ class TestInputFileFuzz:
         path = tmp_path / "emb.csv"
         path.write_text("".join(",".join(row) + "\n" for row in cells))
         self.run_on(capsys, ["diarize", str(path), *flags])
+
+    @given(
+        st.one_of(
+            st.binary(max_size=24),
+            st.tuples(PLAIN_LABEL_TEXT, st.sampled_from(["utf-16", "latin-1"])).map(
+                lambda pair: pair[0].encode(pair[1], "replace")
+            ),
+        ),
+        st.sampled_from(["estimate", "check", "diarize"]),
+    )
+    @FUZZ_SETTINGS
+    def test_file_bytes(self, capsys, tmp_path, data, command):
+        # Bytes that need not be UTF-8, read as labels or as embeddings.
+        path = tmp_path / "input"
+        path.write_bytes(data)
+        argv = ["diarize", str(path)] if command == "diarize" else label_argv(command, str(path))
+        self.run_on(capsys, argv)
 
 
 def wav_bytes(channels: int, rate: int, junk: bytes | None) -> tuple[bytes, list[int]]:

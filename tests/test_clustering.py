@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.signal import convolve2d
 
 from convstate import clustering
 from convstate.clustering import (
@@ -61,6 +60,7 @@ def direct_blur_oracle(values, sigma=1.0):
 
 def convolve2d_blur(values, sigma=1.0):
     """The blur as two scipy.signal.convolve2d calls over the full 2-D kernel."""
+    convolve2d = pytest.importorskip("scipy.signal").convolve2d
     radius = math.ceil(2.0 * sigma)
     if radius == 0:
         return values.copy()

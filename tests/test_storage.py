@@ -256,11 +256,18 @@ class TestEmbeddingIo:
         assert loaded.times == ((0.0, 0.4), (0.4, 0.8))
         assert loaded.vectors.shape == (2, 2)
 
-    def test_mixed_dimensions_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text, message",
+        [("1.0,2.0\n3.0\n", "embedding rows have mixed dimensions [1, 2]"),
+         (" \n", "embedding input is empty")],
+        ids=["mixed", "empty"],
+    )
+    def test_error_names_the_file_once(self, tmp_path, text, message):
         path = str(tmp_path / "emb.csv")
-        open(path, "w").write("1.0,2.0\n3.0\n")
-        with pytest.raises(SchemaError, match="mixed dimensions"):
+        open(path, "w").write(text)
+        with pytest.raises(SchemaError) as info:
             read_embeddings(path)
+        assert str(info.value) == f"{path}: {message}"
 
     def test_missing_field_rejected(self, tmp_path):
         path = str(tmp_path / "emb.jsonl")
