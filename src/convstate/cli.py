@@ -1,7 +1,7 @@
 """Command-line surface: vad, diarize, estimate, predict, check, session, simulate.
 
-Exit codes: 0 success, 1 validation error, 2 I/O error, 3 numerical
-non-convergence. Every seeded command is byte-reproducible.
+Exit codes: 0 success, 1 validation error or out of memory, 2 I/O error,
+3 numerical non-convergence. Every seeded command is byte-reproducible.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ def _cmd_vad(args: argparse.Namespace) -> None:
 def _cmd_diarize(args: argparse.Namespace) -> None:
     embeddings = storage.read_embeddings(args.embeddings)
     labels = clustering.spectral_cluster(
-        embeddings, k=args.k, seed=args.seed, sigma=args.sigma, percentile=args.percentile
+        embeddings, k=args.k, seed=args.seed, percentile=args.percentile
     )
     _emit(storage.labels_to_text(labels), args.out)
 
@@ -181,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dia.add_argument("embeddings", help="CSV rows of floats or JSONL with vectors")
     p_dia.add_argument("--k", type=int, default=None, help="fix the cluster count")
     p_dia.add_argument("--seed", type=int, default=0)
-    p_dia.add_argument("--sigma", type=float, default=1.0, help="blur width, 0 disables")
     p_dia.add_argument(
         "--percentile", type=float, default=None,
         help="row-threshold percentile; default picks by eigengap sweep",
@@ -258,6 +257,10 @@ def main(argv: list[str] | None = None) -> int:
         args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        # The message is empty for some allocations (a list repeat), so it is not shown.
+        print("error: out of memory (the requested output is too large)", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -8,14 +8,13 @@ ratio, then k-means over the spectral embedding rows.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .markov import StateSequence
+from .markov import StateSequence, _as_spans
 
 
 @dataclass(frozen=True)
@@ -23,7 +22,7 @@ class EmbeddingSet:
     """Fixed-dimension real vectors, one per audio segment.
 
     `times` optionally carries the segment bounds so labels can be emitted
-    time-aligned.
+    time-aligned; they follow the span rule of `StateSequence`.
     """
 
     vectors: np.ndarray
@@ -39,8 +38,10 @@ class EmbeddingSet:
             raise ValidationError("vectors contain NaN or Inf")
         vectors.setflags(write=False)
         object.__setattr__(self, "vectors", vectors)
-        if self.times is not None and len(self.times) != vectors.shape[0]:
-            raise ValidationError("times length does not match vector count")
+        if self.times is not None:
+            object.__setattr__(self, "times", _as_spans(self.times))
+            if len(self.times) != vectors.shape[0]:
+                raise ValidationError("times length does not match vector count")
 
     def __len__(self) -> int:
         return int(self.vectors.shape[0])
@@ -72,23 +73,13 @@ def affinity(embeddings: EmbeddingSet) -> np.ndarray:
     return _checked(np.clip(a, 0.0, 1.0))
 
 
-def _gaussian_taps(sigma: float, max_radius: int) -> np.ndarray:
-    """Taps exp(-k^2 / 2 sigma^2) at offsets k = 1, 2, ... beside a centre tap of 1.
-
-    Offsets stop at ceil(2 sigma) and at `max_radius`, since a tap past the
-    matrix never touches it. A sigma**2 that overflows gives taps of 1, one
-    that underflows gives taps of 0, and taps of 0 are dropped, so an empty
-    result means the identity.
-    """
-    radius = max_radius if 2.0 * sigma >= max_radius else math.ceil(2.0 * sigma)
-    offsets = np.arange(1, radius + 1)
-    with np.errstate(divide="ignore", over="ignore"):
-        taps = np.exp(-(offsets**2) / (2.0 * np.float64(sigma) ** 2))
-    return taps[taps > 0.0]
+# Off-centre taps exp(-k^2 / 2) of a unit-width Gaussian at offsets k = 1, 2
+# beside a centre tap of 1: the kernel is cut at two segments.
+_BLUR_TAPS = np.exp(-np.arange(1, 3) ** 2 / 2.0)
 
 
 def _blur_axis(values: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
-    """Zero-filled 1-D blur along `axis` by the symmetric taps of `_gaussian_taps`."""
+    """Zero-filled 1-D blur along `axis` by symmetric off-centre `taps`."""
     radius, n = taps.size, values.shape[axis]
     shape = list(values.shape)
     shape[axis] += 2 * radius
@@ -101,22 +92,18 @@ def _blur_axis(values: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def gaussian_blur(a: np.ndarray, sigma: float = 1.0) -> np.ndarray:
-    """2-D Gaussian smoothing, kernel renormalized over in-bounds taps.
+def gaussian_blur(a: np.ndarray) -> np.ndarray:
+    """2-D unit-width Gaussian smoothing, kernel renormalized over in-bounds taps.
 
     The matrix is smoothed as an image, which deliberately couples
     neighbouring segment indices (adjacent segments tend to share a
     speaker). The kernel is the outer product of one 1-D Gaussian, and so
     is its in-bounds weight, so the blur runs as a renormalized 1-D blur
-    down the columns and then along the rows. ``sigma=0``, or a sigma so
-    small that every off-centre tap underflows, is the identity.
+    down the columns and then along the rows. Taps past the matrix never
+    touch it, so a matrix of n rows uses at most n - 1 of them.
     """
-    if not 0 <= sigma < math.inf:
-        raise ValidationError(f"sigma must be non-negative and finite, got {sigma}")
     values = _checked(a)
-    taps = _gaussian_taps(sigma, len(values) - 1)
-    if taps.size == 0:
-        return values.copy()
+    taps = _BLUR_TAPS[: len(values) - 1]
     coverage = _blur_axis(np.ones(len(values)), taps, 0)
     down = _blur_axis(values, taps, 0) / coverage[:, None]
     return _blur_axis(down, taps, 1) / coverage
@@ -272,9 +259,9 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> np.ndarray:
     return np.asarray([remap[int(lab)] for lab in labels], dtype=np.int64)
 
 
-def refine(embeddings: EmbeddingSet, sigma: float = 1.0, percentile: float = 95.0) -> np.ndarray:
+def refine(embeddings: EmbeddingSet, percentile: float = 95.0) -> np.ndarray:
     """Run the full affinity refinement chain."""
-    blurred = gaussian_blur(affinity(embeddings), sigma)
+    blurred = gaussian_blur(affinity(embeddings))
     return _refine_blurred(blurred, percentile)
 
 
@@ -290,7 +277,7 @@ PERCENTILE_GRID = (50.0, 60.0, 70.0, 80.0, 90.0, 95.0)
 
 
 def _sweep_percentiles(
-    embeddings: EmbeddingSet, sigma: float, grid: tuple[float, ...]
+    embeddings: EmbeddingSet, grid: tuple[float, ...]
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Return (percentile, eigenvalues, eigenvectors) with the sharpest eigengap.
 
@@ -302,7 +289,7 @@ def _sweep_percentiles(
     needs eigenvalues only, so one batched ``eigvalsh`` scores the whole
     grid and ``symmetric_eigh`` decomposes the winner alone.
     """
-    blurred = gaussian_blur(affinity(embeddings), sigma)
+    blurred = gaussian_blur(affinity(embeddings))
     refined = np.stack([_refine_blurred(blurred, p) for p in grid])
     # Row scaling breaks symmetry; the spectral step uses the symmetric average.
     matrices = 0.5 * (refined + refined.transpose(0, 2, 1))
@@ -314,9 +301,9 @@ def _sweep_percentiles(
     return grid[best], eigenvalues, eigenvectors
 
 
-def auto_percentile(embeddings: EmbeddingSet, sigma: float = 1.0) -> float:
+def auto_percentile(embeddings: EmbeddingSet) -> float:
     """Thresholding percentile that maximizes the top eigengap ratio."""
-    percentile, _, _ = _sweep_percentiles(embeddings, sigma, PERCENTILE_GRID)
+    percentile, _, _ = _sweep_percentiles(embeddings, PERCENTILE_GRID)
     return percentile
 
 
@@ -324,7 +311,6 @@ def spectral_cluster(
     embeddings: EmbeddingSet,
     k: int | None = None,
     seed: int = 0,
-    sigma: float = 1.0,
     percentile: float | None = None,
 ) -> StateSequence:
     """Refine, eigendecompose, pick k by eigengap, and k-means the rows.
@@ -333,7 +319,7 @@ def spectral_cluster(
     sweep (auto_percentile); pass a value to pin it.
     """
     grid = PERCENTILE_GRID if percentile is None else (percentile,)
-    _, eigenvalues, eigenvectors = _sweep_percentiles(embeddings, sigma, grid)
+    _, eigenvalues, eigenvectors = _sweep_percentiles(embeddings, grid)
     if k is None:
         k = _eigen_gap_from_values(eigenvalues)
     if not 1 <= k <= len(embeddings):

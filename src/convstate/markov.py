@@ -33,6 +33,20 @@ class Sampled:
 PredictionMode = Argmax | Sampled
 
 
+def _as_spans(times) -> tuple[tuple[float, float], ...]:
+    """`times` as ``(start_s, end_s)`` float pairs, each non-empty and none
+    starting before its predecessor ends."""
+    spans = tuple((float(a), float(b)) for a, b in times)
+    prev_end = -np.inf
+    for i, (start, end) in enumerate(spans):
+        if end <= start:
+            raise ValidationError(f"times[{i}]: end {end} <= start {start}")
+        if start < prev_end:
+            raise ValidationError(f"times[{i}] overlaps its predecessor")
+        prev_end = end
+    return spans
+
+
 @dataclass(frozen=True)
 class StateSequence:
     """Ordered speaker-state labels, optionally time-aligned.
@@ -57,19 +71,11 @@ class StateSequence:
         labels = tuple(_as_labels(self.labels, self.n_states).tolist())
         object.__setattr__(self, "labels", labels)
         if self.times is not None:
-            times = tuple((float(a), float(b)) for a, b in self.times)
-            object.__setattr__(self, "times", times)
-            if len(times) != len(self.labels):
+            object.__setattr__(self, "times", _as_spans(self.times))
+            if len(self.times) != len(self.labels):
                 raise ValidationError(
-                    f"times length {len(times)} != labels length {len(self.labels)}"
+                    f"times length {len(self.times)} != labels length {len(self.labels)}"
                 )
-            prev_end = -np.inf
-            for i, (start, end) in enumerate(times):
-                if end <= start:
-                    raise ValidationError(f"times[{i}]: end {end} <= start {start}")
-                if start < prev_end:
-                    raise ValidationError(f"times[{i}] overlaps its predecessor")
-                prev_end = end
 
     @classmethod
     def _known(cls, labels: tuple[int, ...], n_states: int) -> StateSequence:

@@ -383,12 +383,19 @@ def session_config_from_document(doc):
     interval = thresholds_doc.get("checker_interval", "every")
     if not isinstance(interval, str):
         raise SchemaError(f"$.thresholds.checker_interval: expected a string, got {interval!r}")
+
+    def checker_interval() -> CheckerInterval:
+        try:
+            return parse_interval(interval)
+        except ValidationError as exc:
+            raise type(exc)(f"$.thresholds.checker_interval: {exc}") from None
+
     thresholds = Thresholds(
         tpe_threshold=threshold("tpe_threshold"),
         epps_threshold=threshold("epps_threshold"),
         matrix_diff_max=threshold("matrix_diff_max"),
         row_diff_min=threshold("row_diff_min"),
-        checker_interval=parse_interval(interval),
+        checker_interval=checker_interval(),
     )
     seed = _number_field(doc, "seed", SessionConfig.seed, "$.seed", above=-1)
     iterations = _number_field(doc, "iterations", None, "$.iterations", above=-1)

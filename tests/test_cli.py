@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from convstate import clustering
 from convstate.cli import main
 from convstate.frontend import ACCEPTED_RATES, AudioBuffer, save_wav
 from convstate.markov import Sampled, count_transitions, normalize
@@ -366,7 +367,8 @@ class TestSessionCommand:
             "--help", "--report-out", "--table-out"
         }
         for argv in (["session", "session.json", "--window", "120"],
-                     ["vad", "clip.wav", "--hop-s", "0.02"]):
+                     ["vad", "clip.wav", "--hop-s", "0.02"],
+                     ["diarize", "emb.csv", "--sigma", "1"]):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2
@@ -415,8 +417,6 @@ class TestCliEdges:
         assert "k" in err
 
     def test_diarize_k_above_distinct_spectral_rows(self, capsys, tmp_path, monkeypatch):
-        from convstate import clustering
-
         # Real embeddings always gave distinct spectral rows, so a spectrum
         # whose eigenvector rows all coincide stands in for the degenerate case.
         def flat_spectrum(matrix):
@@ -539,6 +539,10 @@ print(json.dumps(stages))
             ({"outputs": {"report_json": True}}, "$.outputs"),
             ({"thresholds": {"tpe_treshold": 5}}, "$.thresholds.tpe_treshold"),
             ({"thresholds": {"checker_interval": "bernoulli:0.5:3"}}, "bernoulli:0.5:3"),
+            ({"thresholds": {"checker_interval": "fixed:0"}},
+             "$.thresholds.checker_interval: checker interval must be >= 1, got 0"),
+            ({"thresholds": {"checker_interval": "bernoulli:2"}},
+             "$.thresholds.checker_interval: checker probability must be in (0, 1], got 2.0"),
         ],
         ids=[
             "oracle-without-model", "candidate-count-not-int", "interval-not-a-number",
@@ -546,7 +550,7 @@ print(json.dumps(stages))
             "threshold-nan", "row-diff-min-not-a-number", "interval-not-a-string",
             "thresholds-not-an-object", "states-fractional", "states-bool",
             "states-numeric-string", "threshold-bool", "outputs-list", "outputs-bool",
-            "threshold-typo", "interval-seed-suffix",
+            "threshold-typo", "interval-seed-suffix", "interval-zero", "interval-probability-2",
         ],
     )
     def test_malformed_session_input_is_one_line_error(
@@ -656,17 +660,43 @@ print(json.dumps(stages))
         assert err.startswith(f"error: {model}: {message}") and err.count(str(model)) == 1
         assert err.count("\n") == 1
 
-    def test_diarize_sigma_extremes(self, capsys, tmp_path):
-        emb = tmp_path / "e.csv"
-        emb.write_text("1.0,0.0\n0.0,1.0\n1.0,0.1\n0.1,1.0\n0.9,0.2\n")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            identity = run_cli(capsys, "diarize", str(emb), "--sigma", "0")
-            assert identity[0] == 0 and identity[2] == ""
-            assert run_cli(capsys, "diarize", str(emb), "--sigma", "1e-200") == identity
-            for sigma in ("1e9", "1e300"):
-                code, out, err = run_cli(capsys, "diarize", str(emb), "--sigma", sigma)
-                assert (code, err) == (0, "") and out.count("\n") == 5
+    @pytest.mark.parametrize(
+        "spans, message",
+        [
+            ([(0.0, 1.0), (0.5, 1.5), (2.0, 3.0)], "times[1] overlaps its predecessor"),
+            ([(1.0, 1.0), (2.0, 3.0), (3.0, 4.0)], "times[0]: end 1.0 <= start 1.0"),
+        ],
+        ids=["overlap", "empty-span"],
+    )
+    def test_timed_embeddings_spans_are_checked_on_read(
+        self, capsys, tmp_path, monkeypatch, spans, message
+    ):
+        emb = tmp_path / "e.jsonl"
+        emb.write_text("".join(
+            json.dumps({"start_s": start, "end_s": end, "vector": [1.0, float(i)]}) + "\n"
+            for i, (start, end) in enumerate(spans)
+        ))
+        monkeypatch.setattr(clustering, "spectral_cluster", None)  # never reached
+        code, out, err = run_cli(capsys, "diarize", str(emb))
+        assert (code, out, err) == (1, "", f"error: {emb}: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["predict", "{model}", "--initial", "0", "--length", "100000000000000000"],
+            ["predict", "{model}", "--initial", "0", "--length", "100000000000000000",
+             "--mode", "sample"],
+            ["simulate", "chain", "--model", "{model}", "--length", "100000000000000000"],
+        ],
+        ids=["predict-argmax", "predict-sample", "simulate-chain"],
+    )
+    def test_output_too_large_to_allocate_is_one_line_error(self, capsys, tmp_path, argv):
+        # 1e17 steps need over 700 PiB at once, so the first allocation fails.
+        model = tmp_path / "model.json"
+        save_model(normalize(np.array([[1, 2], [2, 1]])), str(model))
+        code, out, err = run_cli(capsys, *(arg.format(model=model) for arg in argv))
+        assert (code, out) == (1, "")
+        assert err == "error: out of memory (the requested output is too large)\n"
 
     @pytest.mark.parametrize(
         "text, reason",
@@ -753,22 +783,14 @@ print(json.dumps(stages))
     @pytest.mark.parametrize(
         "argv, field",
         [
-            (["diarize", "{emb}", "--sigma", "nan"], "sigma"),
-            (["diarize", "{emb}", "--sigma", "inf"], "sigma"),
             (["check", "{labels}", "{labels}", "--tpe-threshold", "nan"], "tpe_threshold"),
         ],
-        ids=[
-            "diarize-sigma-nan", "diarize-sigma-inf", "check-threshold-nan",
-        ],
+        ids=["check-threshold-nan"],
     )
-    def test_non_finite_number_flag_is_one_line_error(
-        self, capsys, tmp_path, wav_path, argv, field
-    ):
-        emb, labels = tmp_path / "e.csv", tmp_path / "l.txt"
-        emb.write_text("1.0,0.0\n0.0,1.0\n1.0,0.1\n0.1,1.0\n")
+    def test_non_finite_number_flag_is_one_line_error(self, capsys, tmp_path, argv, field):
+        labels = tmp_path / "l.txt"
         labels.write_text("0 1 1 0\n")
-        paths = {"wav": wav_path, "emb": str(emb), "labels": str(labels)}
-        code, out, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))
+        code, out, err = run_cli(capsys, *(arg.format(labels=labels) for arg in argv))
         assert code == 1 and out == ""
         assert err.startswith("error:") and field in err
         assert err.count("\n") == 1
@@ -1125,7 +1147,7 @@ class TestInputFileFuzz:
 
     @given(
         EMBEDDING_ROWS, CELL_EDITS,
-        st.sampled_from([[], ["--k", "2"], ["--sigma", "0"], ["--percentile", "80"]]),
+        st.sampled_from([[], ["--k", "2"], ["--percentile", "80"]]),
     )
     @FUZZ_SETTINGS
     def test_embeddings_csv(self, capsys, tmp_path, rows, edit, flags):

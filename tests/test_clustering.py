@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from convstate import clustering
@@ -102,8 +102,8 @@ class TestGaussianBlur:
     def test_matches_direct_convolution(self):
         rng = np.random.default_rng(3)
         values = rng.uniform(0, 1, (9, 9))
-        ours = gaussian_blur(values, sigma=1.0)
-        oracle = direct_blur_oracle(values, sigma=1.0)
+        ours = gaussian_blur(values)
+        oracle = direct_blur_oracle(values)
         assert np.abs(ours - oracle).max() < 1e-12
 
     def test_single_spike_spreads(self):
@@ -122,36 +122,17 @@ class TestGaussianBlur:
         blurred = gaussian_blur(symmetric)
         assert np.abs(blurred - blurred.T).max() < 1e-12
 
-    def test_sigma_zero_is_identity(self):
-        rng = np.random.default_rng(5)
-        values = rng.uniform(0, 1, (6, 6))
-        assert np.array_equal(gaussian_blur(values, sigma=0.0), values)
-
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        n=st.integers(1, 40),
-        sigma=st.floats(0.0, 3.0),
-    )
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40))
+    # n = 1, 2, 3: the taps are capped at n - 1, so 0, 1 and 2 of them.
+    @example(seed=0, n=1)
+    @example(seed=0, n=2)
+    @example(seed=0, n=3)
     @settings(max_examples=40, deadline=None)
-    def test_matches_direct_convolution_on_any_square(self, seed, n, sigma):
+    def test_matches_direct_convolution_on_any_square(self, seed, n):
         values = np.random.default_rng(seed).uniform(-1, 1, (n, n))
-        blurred = gaussian_blur(values, sigma)
+        blurred = gaussian_blur(values)
         assert np.isfinite(blurred).all()
-        assert np.abs(blurred - direct_blur_oracle(values, sigma)).max() < 1e-12
-
-    @pytest.mark.parametrize("sigma", [1e-300, 1e-200, 1e9, 1e300])
-    @pytest.mark.parametrize("n", [1, 2, 9])
-    def test_extreme_sigma_is_finite_and_silent(self, sigma, n):
-        values = np.random.default_rng(n).uniform(0, 1, (n, n))
-        values[0, 0] = -0.0  # bitwise equality keeps its sign
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            blurred = gaussian_blur(values, sigma)
-        assert np.isfinite(blurred).all()
-        if sigma < 1.0:
-            assert blurred.tobytes() == gaussian_blur(values, 0.0).tobytes()
-        else:  # every tap is 1: each entry becomes the matrix mean
-            assert np.abs(blurred - values.mean()).max() < 1e-12
+        assert np.abs(blurred - direct_blur_oracle(values)).max() < 1e-12
 
 
 class TestRowThreshold:
@@ -405,14 +386,17 @@ class TestSpectralCluster:
         second = spectral_cluster(embeddings, seed=7)
         assert first.labels == second.labels
 
-    def test_permutation_equivariance_without_blur(self):
+    def test_permutation_equivariance_without_blur(self, monkeypatch):
+        # The blur couples neighbouring indices on purpose; without it every
+        # other stage must commute with a reordering of the segments.
+        monkeypatch.setattr(clustering, "gaussian_blur", lambda a: a)
         embeddings, truth = FIXTURE
-        base = spectral_cluster(embeddings, seed=7, sigma=0.0, percentile=80.0)
+        base = spectral_cluster(embeddings, seed=7, percentile=80.0)
         rng = np.random.default_rng(11)
         for _ in range(2):
             order = rng.permutation(len(embeddings.vectors))
             shuffled = EmbeddingSet(embeddings.vectors[order])
-            relabeled = spectral_cluster(shuffled, seed=7, sigma=0.0, percentile=80.0)
+            relabeled = spectral_cluster(shuffled, seed=7, percentile=80.0)
             expected = [base.labels[i] for i in order]
             _, aligned = align_labels(list(relabeled.labels), expected)
             assert aligned == expected
@@ -435,20 +419,19 @@ BLUR_CORPORA = [
 
 class TestSeparableBlur:
     @pytest.mark.parametrize("corpus", BLUR_CORPORA)
-    @pytest.mark.parametrize("sigma", [1.0, 2.5])
-    def test_labels_equal_the_convolve2d_blur(self, monkeypatch, corpus, sigma):
+    def test_labels_equal_the_convolve2d_blur(self, monkeypatch, corpus):
         embeddings, _ = generate_synthetic_embeddings(*corpus)
-        labels = spectral_cluster(embeddings, seed=corpus[-1], sigma=sigma)
+        labels = spectral_cluster(embeddings, seed=corpus[-1])
         monkeypatch.setattr(clustering, "gaussian_blur", convolve2d_blur)
-        reference = spectral_cluster(embeddings, seed=corpus[-1], sigma=sigma)
+        reference = spectral_cluster(embeddings, seed=corpus[-1])
         assert labels == reference
 
 
-def reference_sweep(embeddings, sigma):
+def reference_sweep(embeddings):
     """The sweep as a full symmetric_eigh per percentile, last best score winning."""
     best = None
     for percentile in PERCENTILE_GRID:
-        refined = refine(embeddings, sigma, percentile)
+        refined = refine(embeddings, percentile)
         values, vectors = symmetric_eigh(0.5 * (refined + refined.T))
         score = clustering._gap_ratios(values).max()
         if best is None or score >= best[0]:
@@ -457,12 +440,11 @@ def reference_sweep(embeddings, sigma):
 
 
 class TestPercentileSweep:
-    @pytest.mark.parametrize("sigma", [0.0, 1.0, 2.5])
-    def test_spectra_equal_per_percentile_refinement(self, monkeypatch, sigma):
+    def test_spectra_equal_per_percentile_refinement(self, monkeypatch):
         embeddings, _ = generate_synthetic_embeddings(3, 12, 6, 4.0, 1.5, 21)
         references = []
         for percentile in PERCENTILE_GRID:
-            refined = refine(embeddings, sigma, percentile)
+            refined = refine(embeddings, percentile)
             references.append(0.5 * (refined + refined.T))
         ranked, decomposed = [], []
         eigvalsh = np.linalg.eigvalsh
@@ -477,9 +459,7 @@ class TestPercentileSweep:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
         monkeypatch.setattr(clustering, "symmetric_eigh", recording_eigh)
-        percentile, values, vectors = clustering._sweep_percentiles(
-            embeddings, sigma, PERCENTILE_GRID
-        )
+        percentile, values, vectors = clustering._sweep_percentiles(embeddings, PERCENTILE_GRID)
         assert len(ranked) == 1 and len(ranked[0]) == len(references)
         for matrix, reference in zip(ranked[0], references):
             assert np.array_equal(matrix, reference)
@@ -494,8 +474,8 @@ class TestPercentileSweep:
     def test_pinned_percentile_decomposes_once_without_ranking(self, monkeypatch):
         embeddings, _ = FIXTURE
         monkeypatch.setattr(np.linalg, "eigvalsh", None)
-        percentile, values, vectors = clustering._sweep_percentiles(embeddings, 1.0, (80.0,))
-        refined = refine(embeddings, 1.0, 80.0)
+        percentile, values, vectors = clustering._sweep_percentiles(embeddings, (80.0,))
+        refined = refine(embeddings, 80.0)
         reference_values, reference_vectors = symmetric_eigh(0.5 * (refined + refined.T))
         assert percentile == 80.0
         assert np.array_equal(values, reference_values)
@@ -506,13 +486,12 @@ class TestPercentileSweep:
         points=st.integers(2, 120),
         separation=st.floats(0.3, 8.0),
         noise=st.sampled_from([0.5, 1.5]),
-        sigma=st.sampled_from([0.0, 1.0, 2.5]),
         duplicates=st.integers(0, 3),
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=60, deadline=None)
     def test_sweep_picks_as_a_full_decomposition_per_percentile(
-        self, clusters, points, separation, noise, sigma, duplicates, seed
+        self, clusters, points, separation, noise, duplicates, seed
     ):
         per_cluster = max(1, points // clusters)
         embeddings, _ = generate_synthetic_embeddings(
@@ -521,8 +500,8 @@ class TestPercentileSweep:
         if duplicates:
             # Repeated points give identical rows, so eigenvalues repeat.
             embeddings = EmbeddingSet(np.repeat(embeddings.vectors, duplicates + 1, axis=0)[:120])
-        expected = reference_sweep(embeddings, sigma)
-        got = clustering._sweep_percentiles(embeddings, sigma, PERCENTILE_GRID)
+        expected = reference_sweep(embeddings)
+        got = clustering._sweep_percentiles(embeddings, PERCENTILE_GRID)
         assert got[0] == expected[0]
         assert np.array_equal(got[1], expected[1])
         assert np.array_equal(got[2], expected[2])
@@ -533,9 +512,9 @@ class TestPercentileSweep:
                 expected_labels = kmeans(expected[2][:, :k], k, seed % 1000).tolist()
             except ValidationError as error:
                 with pytest.raises(ValidationError, match=re.escape(str(error))):
-                    spectral_cluster(embeddings, seed=seed % 1000, sigma=sigma)
+                    spectral_cluster(embeddings, seed=seed % 1000)
                 return
-            labels = spectral_cluster(embeddings, seed=seed % 1000, sigma=sigma).labels
+            labels = spectral_cluster(embeddings, seed=seed % 1000).labels
         assert list(labels) == expected_labels
 
     @pytest.mark.parametrize("percentile", [None, 80.0])

@@ -69,7 +69,6 @@ GOLDEN = {
     "per-frame/44100": "ca9970d87ac55d7b7d758da2767451fbd863ccebb921afa6cc5691d576e88151",
     "diarize/sweep": "8312c967ae9a1a41f35e47c862eac1188706411503a066111677e92d53dde3c8",
     "diarize/percentile-90": "45b252605df4bcdac74f4f2a5f6eaad22c67113687b2fdeb06d57f8fff0258ed",
-    "diarize/sigma-0": "744731eae511ea8da475f160f574c386c41d88495432834e0cb754ae157f9734",
     "diarize/k-3": "b93d2eb5661dd4933ad77258d6d2eaa765290438f457124dede6f6457b576ca3",
     "diarize/timed-jsonl": "7aed47b6f6fc0b6d3069a08c567f38729ec6758fee25d801d5903a5c5db5f729",
 }
@@ -248,7 +247,6 @@ def test_per_frame_vad_outputs(rate):
 DIARIZE_FLAGS = {
     "sweep": [],
     "percentile-90": ["--percentile", 90],
-    "sigma-0": ["--sigma", 0],
     "k-3": ["--k", 3],
 }
 

@@ -1,25 +1,22 @@
 """The example scripts run end to end against the package in src/."""
 
 import os
+import re
 import subprocess
 import sys
-
-import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-@pytest.mark.parametrize(
-    "script, last_line_prefix",
-    [
-        ("diarization_demo.py", "prediction "),
-    ],
-)
-def test_script_runs(script, last_line_prefix):
+def test_diarization_demo_recovers_the_speakers():
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     result = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "scripts", script)],
+        [sys.executable, os.path.join(ROOT, "scripts", "diarization_demo.py")],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1].startswith(last_line_prefix)
+    lines = result.stdout.splitlines()
+    assert "diarized 120 segments into 3 states" in lines
+    accuracy = re.search(r", label accuracy (\d\.\d+)$", result.stdout, re.MULTILINE)
+    assert accuracy is not None and float(accuracy.group(1)) >= 0.95
+    assert lines[-1].startswith("prediction ")
