@@ -367,12 +367,18 @@ class TestSessionCommand:
             "--help", "--report-out", "--table-out"
         }
         for argv in (["session", "session.json", "--window", "120"],
-                     ["vad", "clip.wav", "--hop-s", "0.02"],
-                     ["diarize", "emb.csv", "--sigma", "1"]):
+                     ["vad", "clip.wav", "--hop-s", "0.02"]):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2
             assert f"unrecognized arguments: {' '.join(argv[2:])}" in capsys.readouterr().err
+
+    def test_diarize_has_no_blur_width_flag(self, capsys):
+        # The blur is a fixed unit-width Gaussian, so there is no width to set.
+        with pytest.raises(SystemExit) as exc:
+            main(["diarize", "emb.csv", "--sigma", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --sigma 1" in capsys.readouterr().err
 
     def test_invalid_config_schema(self, capsys, tmp_path):
         path = str(tmp_path / "broken.json")
@@ -665,8 +671,9 @@ print(json.dumps(stages))
         [
             ([(0.0, 1.0), (0.5, 1.5), (2.0, 3.0)], "times[1] overlaps its predecessor"),
             ([(1.0, 1.0), (2.0, 3.0), (3.0, 4.0)], "times[0]: end 1.0 <= start 1.0"),
+            ([(0.0, 1.0), (3.0, 2.0), (4.0, 5.0)], "times[1]: end 2.0 <= start 3.0"),
         ],
-        ids=["overlap", "empty-span"],
+        ids=["overlap", "empty-span", "reversed-span"],
     )
     def test_timed_embeddings_spans_are_checked_on_read(
         self, capsys, tmp_path, monkeypatch, spans, message
@@ -695,6 +702,19 @@ print(json.dumps(stages))
         model = tmp_path / "model.json"
         save_model(normalize(np.array([[1, 2], [2, 1]])), str(model))
         code, out, err = run_cli(capsys, *(arg.format(model=model) for arg in argv))
+        assert (code, out) == (1, "")
+        assert err == "error: out of memory (the requested output is too large)\n"
+
+    def test_memory_error_without_message_is_one_line_error(self, capsys, tmp_path, monkeypatch):
+        from convstate import markov
+
+        def exhausted(*_):
+            raise MemoryError()
+
+        model = tmp_path / "model.json"
+        save_model(normalize(np.array([[1, 2], [2, 1]])), str(model))
+        monkeypatch.setattr(markov, "predict_sequence", exhausted)
+        code, out, err = run_cli(capsys, "predict", str(model), "--initial", "0", "--length", "3")
         assert (code, out) == (1, "")
         assert err == "error: out of memory (the requested output is too large)\n"
 

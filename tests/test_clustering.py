@@ -95,6 +95,9 @@ class TestAffinity:
 
 
 class TestGaussianBlur:
+    def test_taps_are_the_unit_gaussian_cut_at_two(self):
+        assert clustering._BLUR_TAPS == pytest.approx([math.exp(-0.5), math.exp(-2.0)], rel=1e-15)
+
     def test_constant_matrix_fixed_point(self):
         constant = np.full((7, 7), 0.3)
         assert np.abs(gaussian_blur(constant) - 0.3).max() < 1e-12
@@ -426,6 +429,11 @@ class TestSeparableBlur:
         reference = spectral_cluster(embeddings, seed=corpus[-1])
         assert labels == reference
 
+    @pytest.mark.parametrize("corpus", BLUR_CORPORA)
+    def test_blurred_affinity_equals_the_convolve2d_blur(self, corpus):
+        values = affinity(generate_synthetic_embeddings(*corpus)[0])
+        assert np.abs(gaussian_blur(values) - convolve2d_blur(values)).max() < 1e-12
+
 
 def reference_sweep(embeddings):
     """The sweep as a full symmetric_eigh per percentile, last best score winning."""
@@ -440,7 +448,10 @@ def reference_sweep(embeddings):
 
 
 class TestPercentileSweep:
-    def test_spectra_equal_per_percentile_refinement(self, monkeypatch):
+    @pytest.mark.parametrize("blurred", [True, False], ids=["blur", "no-blur"])
+    def test_spectra_equal_per_percentile_refinement(self, monkeypatch, blurred):
+        if not blurred:
+            monkeypatch.setattr(clustering, "gaussian_blur", lambda a: a)
         embeddings, _ = generate_synthetic_embeddings(3, 12, 6, 4.0, 1.5, 21)
         references = []
         for percentile in PERCENTILE_GRID:

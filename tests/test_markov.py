@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from convstate.clustering import EmbeddingSet
 from convstate.errors import ValidationError
 from convstate.markov import (
     Argmax,
@@ -19,6 +22,13 @@ from convstate.markov import (
     walk,
     walk_within,
 )
+
+
+def timed(owner, spans):
+    """A StateSequence or an EmbeddingSet of len(spans) items carrying `spans`."""
+    if owner == "labels":
+        return StateSequence(labels=(0,) * len(spans), n_states=1, times=spans)
+    return EmbeddingSet(np.eye(len(spans)), times=spans)
 
 
 @st.composite
@@ -38,6 +48,26 @@ class TestStateSequence:
             StateSequence(
                 labels=(0, 1), n_states=2, times=((0.0, 1.0), (0.5, 1.5))
             )
+
+    @pytest.mark.parametrize(
+        "spans, message",
+        [
+            (((0.0, 1.0), (0.5, 1.5), (2.0, 3.0)), "times[1] overlaps its predecessor"),
+            (((0.0, 1.0), (1.0, 2.0), (1.5, 3.0)), "times[2] overlaps its predecessor"),
+            (((1.0, 1.0), (2.0, 3.0), (3.0, 4.0)), "times[0]: end 1.0 <= start 1.0"),
+            (((0.0, 1.0), (3.0, 2.0), (4.0, 5.0)), "times[1]: end 2.0 <= start 3.0"),
+        ],
+        ids=["overlap", "later-overlap", "empty-span", "reversed-span"],
+    )
+    @pytest.mark.parametrize("owner", ["labels", "embeddings"])
+    def test_labels_and_embeddings_share_the_span_rule(self, owner, spans, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            timed(owner, spans)
+
+    @pytest.mark.parametrize("owner", ["labels", "embeddings"])
+    def test_adjacent_spans_are_kept_as_float_pairs(self, owner):
+        spans = ((0, 1), (1, 2.5), (3, 4))
+        assert timed(owner, spans).times == ((0.0, 1.0), (1.0, 2.5), (3.0, 4.0))
 
     def test_times_length_must_match(self):
         with pytest.raises(ValidationError):
