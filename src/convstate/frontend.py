@@ -169,8 +169,10 @@ def save_wav(path: str, audio: AudioBuffer) -> None:
 
 
 def _windows(x: np.ndarray, window: int, hop: int) -> np.ndarray:
-    """Strided (copy-free) view of the windows of x starting every hop samples."""
-    return np.lib.stride_tricks.sliding_window_view(x, window)[::hop]
+    """Read-only copy-free view sliding_window_view(x, window)[::hop], built directly."""
+    (step,) = x.strides
+    shape = ((x.size - window) // hop + 1, window)
+    return np.lib.stride_tricks.as_strided(x, shape, (hop * step, step), writeable=False)
 
 
 def _geometry(audio: AudioBuffer) -> tuple[int, int]:
@@ -197,20 +199,32 @@ def frame(audio: AudioBuffer) -> np.ndarray:
 # its window of the result. feature_matrix runs them on one block's range;
 # the per-frame functions are one-frame calls, so both share one copy of the
 # numerics. Up to the mel filterbank they keep the per-frame bits: the energy
-# is a per-row pairwise np.sum (einsum differs in the last bits at 44.1 kHz)
+# is a per-row pairwise sum (einsum differs in the last bits at 44.1 kHz)
 # and the FFT input is written zero-padded to n_fft, as rfft(x, n_fft) pads
 # it. The filterbank is banded (see _mel_bands), one gemv per row and band,
-# so a frame's cepstrum does not depend on the other rows of its block.
+# so a frame's cepstrum does not depend on the other rows of its block. A
+# block's fixed cost is kept small: _windows builds each view with one
+# as_strided call, the Hann window is cached, the energy calls np.add.reduce
+# without np.sum's wrapper (the same pairwise loop) and the zero crossings are
+# exact byte sums, not count_nonzero over a boolean view.
 
 
 def _log_energies(x: np.ndarray, window: int, hop: int) -> np.ndarray:
-    return np.log(np.maximum(np.sum(_windows(x * x, window, hop), axis=1), ENERGY_FLOOR))
+    return np.log(np.maximum(np.add.reduce(_windows(x * x, window, hop), axis=1), ENERGY_FLOOR))
 
 
 def _zcrs(x: np.ndarray, window: int, hop: int) -> np.ndarray:
     nonneg = x >= 0.0
-    changes = _windows(nonneg[1:] != nonneg[:-1], window - 1, hop)
-    return np.count_nonzero(changes, axis=1) / (window - 1)
+    changes = _windows((nonneg[1:] != nonneg[:-1]).view(np.uint8), window - 1, hop)
+    # Exact counts, summed in the narrowest type that holds window - 1.
+    return np.add.reduce(changes, axis=1, dtype=np.min_scalar_type(window - 1)) / (window - 1)
+
+
+@lru_cache(maxsize=8)
+def _hann(window: int) -> np.ndarray:
+    hann = np.hanning(window)
+    hann.setflags(write=False)
+    return hann
 
 
 def _mfccs(x: np.ndarray, window: int, hop: int, sample_rate: int) -> np.ndarray:
@@ -221,7 +235,7 @@ def _mfccs(x: np.ndarray, window: int, hop: int, sample_rate: int) -> np.ndarray
     emphasized[0] = x[0]
     np.multiply(x[:-1], PREEMPHASIS, out=emphasized[1:])
     np.subtract(x[1:], emphasized[1:], out=emphasized[1:])
-    hann = np.hanning(window)
+    hann = _hann(window)
     n_fft = 1 << (window - 1).bit_length()
     frames = _windows(emphasized, window, hop)
     padded = np.empty((frames.shape[0], n_fft))

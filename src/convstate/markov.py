@@ -8,6 +8,7 @@ batch re-estimation stay exactly equivalent.
 
 from __future__ import annotations
 
+import math
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -34,11 +35,13 @@ PredictionMode = Argmax | Sampled
 
 
 def _as_spans(times) -> tuple[tuple[float, float], ...]:
-    """`times` as ``(start_s, end_s)`` float pairs, each non-empty and none
-    starting before its predecessor ends."""
+    """`times` as ``(start_s, end_s)`` finite float pairs, each non-empty and
+    none starting before its predecessor ends."""
     spans = tuple((float(a), float(b)) for a, b in times)
     prev_end = -np.inf
     for i, (start, end) in enumerate(spans):
+        if not (math.isfinite(start) and math.isfinite(end)):
+            raise ValidationError(f"times[{i}]: start and end must be finite")
         if end <= start:
             raise ValidationError(f"times[{i}]: end {end} <= start {start}")
         if start < prev_end:

@@ -16,11 +16,14 @@ from convstate import frontend
 from convstate.errors import ValidationError
 from convstate.frontend import (
     _BLOCK_FRAMES,
+    _hann,
     ACCEPTED_RATES,
     AudioBuffer,
     FrameFeatures,
     _mel_bands,
     _mel_filterbank,
+    _windows,
+    _zcrs,
     extract_features,
     feature_matrix,
     frame,
@@ -268,6 +271,54 @@ class TestMelBands:
         finally:
             sys.setswitchinterval(interval)
         assert threaded == serial
+
+
+class TestFrameViews:
+    """The kernel's strided views and byte counts against NumPy's own."""
+
+    @given(
+        data=st.data(),
+        dtype=st.sampled_from([np.float64, np.uint8]),
+        step=st.integers(1, 3),
+        window=st.integers(1, 40),
+        hop=st.integers(1, 12),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_windows_equal_the_hop_sliced_sliding_view(self, data, dtype, step, window, hop):
+        length = data.draw(st.one_of(st.just(window), st.integers(window, 200)), label="length")
+        base = np.random.default_rng(length).integers(0, 200, length * step).astype(dtype)
+        x = base[::step]
+        views = _windows(x, window, hop)
+        reference = np.lib.stride_tricks.sliding_window_view(x, window)[::hop]
+        assert views.shape == reference.shape and views.dtype == reference.dtype
+        assert views.tobytes() == reference.tobytes()
+        assert not views.flags.writeable
+
+    @given(
+        rate=st.sampled_from(ACCEPTED_RATES),
+        frames=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_zcrs_equal_the_count_nonzero_reference(self, rate, frames, seed):
+        window = int(round(frontend.WINDOW_S * rate))
+        hop = int(round(frontend.HOP_S * rate))
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-1, 1, window + (frames - 1) * hop)
+        x[rng.random(x.size) < 0.3] = 0.0
+        nonneg = x >= 0.0
+        changes = np.lib.stride_tricks.sliding_window_view(nonneg[1:] != nonneg[:-1], window - 1)
+        reference = np.count_nonzero(changes[::hop], axis=1) / (window - 1)
+        assert _zcrs(x, window, hop).tobytes() == reference.tobytes()
+
+    def test_zcr_counts_past_the_uint16_range(self):
+        assert zcr(np.tile([1.0, -1.0], 40000)) == 1.0
+
+    @pytest.mark.parametrize("window", [2, 400, 1102])
+    def test_hann_is_a_read_only_hanning(self, window):
+        hann = _hann(window)
+        assert not hann.flags.writeable
+        assert hann.tobytes() == np.hanning(window).tobytes()
 
 
 class TestFeatureMatrix:

@@ -64,6 +64,24 @@ class TestStateSequence:
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             timed(owner, spans)
 
+    @given(
+        owner=st.sampled_from(["labels", "embeddings"]),
+        lengths=st.lists(st.integers(1, 40), min_size=2, max_size=8),
+        at=st.integers(0, 7),
+        side=st.integers(0, 1),
+        bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_non_finite_times_are_rejected_by_index(self, owner, lengths, at, side, bad):
+        # Quarter seconds, so the adjacent spans meet exactly.
+        ends = np.cumsum(lengths) / 4
+        spans = [[end - length / 4, end] for end, length in zip(ends, lengths)]
+        at %= len(spans)
+        spans[at][side] = bad
+        message = f"times[{at}]: start and end must be finite"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            timed(owner, spans)
+
     @pytest.mark.parametrize("owner", ["labels", "embeddings"])
     def test_adjacent_spans_are_kept_as_float_pairs(self, owner):
         spans = ((0, 1), (1, 2.5), (3, 4))

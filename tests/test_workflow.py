@@ -90,7 +90,7 @@ def test_no_simd_step_runs_the_frontend_classes_that_compare_kernels():
     run = tier1_step("Feature CSV without SIMD")["run"]
     selection = re.search(r'tests/test_frontend\.py -k "([^"]*)"', run).group(1)
     classes = selection.split(" or ")
-    assert {"TestVadClassify", "TestFeatureBlockThreads"} <= set(classes)
+    assert {"TestVadClassify", "TestFeatureBlockThreads", "TestFrameViews"} <= set(classes)
     assert "tests/test_storage.py -k TestFeaturesCsv" in run
     with open(os.path.join(ROOT, "tests", "test_frontend.py")) as handle:
         source = handle.read()
