@@ -174,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_vad = sub.add_parser("vad", help="frame features and speech mask from a WAV file")
     p_vad.add_argument("wav")
     p_vad.add_argument("--out", help="write the per-frame feature CSV here")
-    p_vad.add_argument("--weights", help="JSON list of trained VAD weights")
+    p_vad.add_argument("--weights", help="JSON list of trained VAD weights, each within +-1e300")
     p_vad.set_defaults(func=_cmd_vad)
 
     p_dia = sub.add_parser("diarize", help="cluster embeddings into speaker labels")

@@ -162,22 +162,14 @@ def row_diff_check(
 
 
 @dataclass(frozen=True)
-class ProceedNextWindow:
-    """Both difference thresholds held; the windowed model is the basis."""
+class EvaluatorOutcome:
+    """``proceeded``: both difference thresholds held and ``model`` is the last
+    window's; else a threshold failed and ``model`` is the previous window's.
+    ``max_abs_diff`` is the last window's drift either way."""
 
     model: TransitionModel
     max_abs_diff: float
-
-
-@dataclass(frozen=True)
-class FallbackPreviousWindow:
-    """A threshold failed; fall back to the previous window's model."""
-
-    model: TransitionModel
-    max_abs_diff: float
-
-
-EvaluatorOutcome = ProceedNextWindow | FallbackPreviousWindow
+    proceeded: bool
 
 
 def evaluator_step(
@@ -199,11 +191,9 @@ def evaluator_step(
     gap, diff_ok = matrix_diff(full_model, windowed, thresholds.matrix_diff_max)
     _, rows_ok = row_diff_check(windowed, thresholds.row_diff_min)
     if diff_ok and rows_ok:
-        return ProceedNextWindow(model=windowed, max_abs_diff=gap)
+        return EvaluatorOutcome(windowed, gap, proceeded=True)
     previous = labels[-2 * window_len :][:window_len]
-    return FallbackPreviousWindow(
-        model=markov.estimate_transition(previous, n_states), max_abs_diff=gap
-    )
+    return EvaluatorOutcome(markov.estimate_transition(previous, n_states), gap, proceeded=False)
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,6 @@ import wave
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import repeat
-from operator import mul
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -86,13 +84,9 @@ class FrameFeatures(NamedTuple):
     """One frame's features; row is [log_energy, zcr, *mfcc] and mfcc a view of it.
 
     extract_features builds these over read-only rows of one feature
-    matrix; vad_classify reads the row.
+    matrix; vad_classify reads the row. Frame t of the list starts at t * HOP_S.
     """
 
-    frame_index: int
-    time_s: float
-    log_energy: float
-    zcr: float
     mfcc: np.ndarray
     row: np.ndarray
 
@@ -414,18 +408,15 @@ def feature_matrix(audio: AudioBuffer) -> np.ndarray:
 
 
 def extract_features(audio: AudioBuffer) -> list[FrameFeatures]:
-    """feature_matrix as one FrameFeatures per frame.
+    """feature_matrix as one FrameFeatures per frame, in frame order.
 
-    Each record's row and mfcc are read-only views of one matrix; the
-    records are built in C (tuple.__new__ over zipped columns), so no
+    Each record's mfcc and row are read-only views of one matrix; the
+    records are built in C (tuple.__new__ over the zipped views), so no
     Python frame runs per frame.
     """
     matrix = feature_matrix(audio)
     matrix.setflags(write=False)
-    times = map(mul, range(len(matrix)), repeat(HOP_S))
-    columns = zip(range(len(matrix)), times, matrix[:, 0].tolist(), matrix[:, 1].tolist(),
-                  matrix[:, 2:], matrix)
-    return list(map(partial(tuple.__new__, FrameFeatures), columns))
+    return list(map(partial(tuple.__new__, FrameFeatures), zip(matrix[:, 2:], matrix)))
 
 
 def vad_classify(

@@ -231,8 +231,16 @@ def is_number(value, kind: type) -> bool:
     )
 
 
+# The largest weight magnitude read_vad_weights accepts. Every feature_matrix
+# entry lies within +-1e3 (log-energies floored at ln 1e-10, about -23; zcr in
+# [0, 1]; an orthonormal DCT of floored log mel energies), so a logit's terms
+# and their sum stay below 1e305: no dot product overflows to an inf whose sign
+# would rest on the BLAS kernel's order of accumulation.
+VAD_WEIGHT_BOUND = 1e300
+
+
 def read_vad_weights(path: str) -> np.ndarray:
-    """A JSON list of finite numbers: VAD weights per feature, then the bias."""
+    """A JSON list of numbers within +-VAD_WEIGHT_BOUND: weights per feature, then the bias."""
     weights = read_json(path)
     if not isinstance(weights, list):
         raise SchemaError(
@@ -245,6 +253,9 @@ def read_vad_weights(path: str) -> np.ndarray:
             raise SchemaError(
                 f"{path}: weights[{i}]: expected a finite number, got {json.dumps(value)}"
             ) from None
+        if abs(weights[i]) > VAD_WEIGHT_BOUND:
+            raise SchemaError(f"{path}: weights[{i}]: magnitude must be at most "
+                              f"{VAD_WEIGHT_BOUND:g}, got {json.dumps(value)}")
     return np.asarray(weights, dtype=np.float64)
 
 
@@ -688,7 +699,8 @@ def session_to_document(session: SessionReport) -> dict:
             "decision": None if verdict is None else verdict.decision.value,
             "report": None if verdict is None else report_to_document(verdict.report),
             "evaluator": None if evaluator is None else {
-                "outcome": type(evaluator).__name__, "max_abs_diff": evaluator.max_abs_diff
+                "outcome": "ProceedNextWindow" if evaluator.proceeded else "FallbackPreviousWindow",
+                "max_abs_diff": evaluator.max_abs_diff,
             },
         })
     return {

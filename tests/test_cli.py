@@ -728,9 +728,12 @@ print(json.dumps(stages))
             ("[[1, 2]]", "weights[0]: expected a finite number, got [1, 2]"),
             ("[null]", "weights[0]: expected a finite number, got null"),
             ("[1" + "0" * 400 + "]", "weights[0]: expected a finite number, got 1000"),
+            ("[" + ", ".join(["1e308"] * 16) + "]",
+             "weights[0]: magnitude must be at most 1e+300, got 1e+308"),
+            ("[0, -2e300]", "weights[1]: magnitude must be at most 1e+300, got -2e+300"),
         ],
         ids=["nan", "infinity", "object", "bool", "string", "scalar", "nested", "null",
-             "huge-int"],
+             "huge-int", "beyond-bound", "negative-beyond-bound"],
     )
     def test_vad_rejects_malformed_weights_file(self, capsys, wav_path, tmp_path, text, reason):
         weights = tmp_path / "w.json"
@@ -739,6 +742,12 @@ print(json.dumps(stages))
         assert code == 1 and out == ""
         assert err.startswith(f"error: {weights}:") and reason in err
         assert err.count("\n") == 1
+
+    def test_vad_weights_at_the_bound_run_silently(self, capsys, wav_path, tmp_path):
+        weights = tmp_path / "w.json"
+        weights.write_text(json.dumps([1e300, -1e300] * 8))
+        code, out, err = run_cli(capsys, "vad", wav_path, "--weights", str(weights))
+        assert code == 0 and out and err == ""
 
     @pytest.mark.parametrize(
         "argv, record, field",

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from convstate import controller, storage
 from convstate.controller import (
     Decision,
-    FallbackPreviousWindow,
+    EvaluatorOutcome,
     FixedEvery,
-    ProceedNextWindow,
     RandomBernoulli,
     SessionConfig,
     Thresholds,
@@ -141,7 +140,7 @@ class TestEvaluatorStep:
         labels = [0, 1] * 20
         full = estimate_transition(labels, 2)
         outcome = evaluator_step(labels[:8], 8, full, Thresholds())
-        assert isinstance(outcome, ProceedNextWindow)
+        assert type(outcome) is EvaluatorOutcome and outcome.proceeded
         assert outcome.max_abs_diff == pytest.approx(0.0)
 
     def test_drifted_tail_falls_back(self):
@@ -149,7 +148,7 @@ class TestEvaluatorStep:
         full = estimate_transition(labels, 2)
         offset = len(labels) - 8
         outcome = evaluator_step(labels[: offset + 8], 8, full, Thresholds())
-        assert isinstance(outcome, FallbackPreviousWindow)
+        assert outcome.proceeded is False
         # Tail window is all zeros: its row 0 is [1, 0] against the blended
         # full row 0 of [7/17, 10/17]; the gap is 10/17.
         assert outcome.max_abs_diff == pytest.approx(10 / 17)
@@ -160,7 +159,7 @@ class TestEvaluatorStep:
         labels = [0, 0, 0, 0, 1, 1, 1, 1]
         full = estimate_transition(labels, 2)
         outcome = evaluator_step(labels[:4], 4, full, Thresholds())
-        assert isinstance(outcome, FallbackPreviousWindow)
+        assert outcome.proceeded is False
         window_zero = estimate_transition(labels[0:4], 2)
         assert outcome.model.probs.tolist() == window_zero.probs.tolist()
 
@@ -169,6 +168,17 @@ class TestEvaluatorStep:
         full = estimate_transition(labels, 2)
         outcome = evaluator_step(labels, 8, full, Thresholds())
         assert np.abs(outcome.model.probs.sum(axis=1) - 1.0).max() < 1e-9
+
+    @pytest.mark.parametrize(
+        "proceeded, name", [(True, "ProceedNextWindow"), (False, "FallbackPreviousWindow")]
+    )
+    def test_report_names_the_outcome(self, proceeded, name):
+        model = estimate_transition([0, 1, 0], 2)
+        labels = StateSequence(labels=[0, 1], n_states=2)
+        outcome = EvaluatorOutcome(model, 0.25, proceeded)
+        record = controller.IterationRecord(0, labels, False, None, outcome)
+        document = storage.session_to_document(controller.SessionReport(labels, (record,), model))
+        assert document["iterations"][0]["evaluator"] == {"outcome": name, "max_abs_diff": 0.25}
 
     @given(st.data())
     def test_reads_only_the_last_two_windows(self, data):
@@ -179,12 +189,12 @@ class TestEvaluatorStep:
         thresholds = Thresholds(matrix_diff_max=data.draw(st.sampled_from([0.05, 0.15, 0.9])))
         outcome = evaluator_step(labels, window_len, full, thresholds)
         tail = evaluator_step(labels[-2 * window_len :], window_len, full, thresholds)
-        assert type(tail) is type(outcome)
+        assert tail.proceeded == outcome.proceeded
         assert tail.max_abs_diff == outcome.max_abs_diff
         assert tail.model.counts.tolist() == outcome.model.counts.tolist()
         # The window a fallback uses starts one window earlier, clamped at 0.
         start = len(labels) - window_len
-        if isinstance(outcome, FallbackPreviousWindow):
+        if not outcome.proceeded:
             start = max(start - window_len, 0)
         window = estimate_transition(labels[start : start + window_len], n_states)
         assert outcome.model.counts.tolist() == window.counts.tolist()

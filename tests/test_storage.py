@@ -76,9 +76,9 @@ def csv_writer_features(features):
     writer.writerow(
         ["frame_index", "time_s", "log_energy", "zcr"] + [f"mfcc_{i}" for i in range(13)]
     )
-    for feat in features:
-        values = [feat.time_s, feat.log_energy, feat.zcr, *feat.mfcc.tolist()]
-        writer.writerow([feat.frame_index] + [f"{v:.6f}" for v in values])
+    for index, feat in enumerate(features):
+        values = [index * HOP_S, *feat.row.tolist()]
+        writer.writerow([index] + [f"{v:.6f}" for v in values])
     return buffer.getvalue()
 
 
