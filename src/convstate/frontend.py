@@ -11,14 +11,16 @@ from __future__ import annotations
 import math
 import os
 import wave
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
 from .errors import ValidationError
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
 
 ACCEPTED_RATES = (16000, 44100)
 ENERGY_FLOOR = 1e-10
@@ -336,6 +338,10 @@ if hasattr(os, "register_at_fork"):
 def _helper_pool(size: int) -> ThreadPoolExecutor:
     pool = _helper_pools.get(size)
     if pool is None:
+        # Imported here, not at module level: concurrent.futures loads logging,
+        # which no command without a block pool needs to pay for at start-up.
+        from concurrent.futures import ThreadPoolExecutor
+
         # A new executor starts no thread until work is submitted, so a racing
         # caller's spare is dropped unused.
         pool = _helper_pools.setdefault(size, ThreadPoolExecutor(size, "convstate-blocks"))

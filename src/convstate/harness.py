@@ -196,9 +196,11 @@ def align_labels(
 
     Cluster ids are arbitrary, so a brute-force search over permutations of
     the label alphabet finds the one minimizing mismatches (ties break to
-    the lexicographically smallest permutation). Returns the permutation
-    and the relabeled sequence. Alphabets above 8 states are rejected;
-    the factorial search is the point, not a bottleneck to engineer around.
+    the lexicographically smallest permutation), each scored on one k × k
+    matrix of match counts rather than on the labels. Returns the
+    permutation and the relabeled sequence. Alphabets above 8 states are
+    rejected; the factorial search is the point, not a bottleneck to
+    engineer around.
     A truth may hold -1 for a span no speaker owns; a prediction may not.
     """
     p = _as_labels(pred)
@@ -217,14 +219,26 @@ def align_labels(
         raise ValidationError(
             f"alignment supports at most 8 states, got {n_states}"
         )
-    best_perm: tuple[int, ...] | None = None
-    best_mismatches = p.size + 1
-    for perm in itertools.permutations(range(n_states)):
-        table = np.asarray(perm)
-        mismatches = int(np.count_nonzero(table[p] != t))
-        if mismatches < best_mismatches:
-            best_mismatches = mismatches
-            best_perm = perm
-    assert best_perm is not None
-    aligned = [int(best_perm[x]) for x in p]
+    # counts[a, b]: positions where pred says a and truth b. A truth below 0
+    # matches no relabeling, so a permutation's matches are its k counts.
+    owned = t >= 0
+    counts = np.bincount(
+        p[owned] * n_states + t[owned], minlength=n_states * n_states
+    ).reshape(n_states, n_states)
+    best_perm = _best_permutation(counts)
+    aligned = [best_perm[x] for x in p.tolist()]
     return best_perm, aligned
+
+
+def _best_permutation(scores: np.ndarray) -> tuple[int, ...]:
+    """The permutation `perm` of range(k) maximizing the sum of
+    ``scores[i, perm[i]]`` over a k × k matrix, ties broken to the
+    lexicographically smallest, found by trying all k! of them."""
+    k = len(scores)
+    # permutations() of a sorted range runs in lexicographic order, and
+    # argmax takes the first of the tied best.
+    perms = np.fromiter(
+        itertools.chain.from_iterable(itertools.permutations(range(k))), np.intp
+    ).reshape(-1, k)
+    totals = scores[np.arange(k), perms].sum(axis=1)
+    return tuple(perms[int(np.argmax(totals))].tolist())

@@ -8,9 +8,7 @@ never observe a partial document.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import json
 import math
 import os
@@ -655,24 +653,22 @@ def _csv_rows(rows: np.ndarray, first: int) -> str:
 
 def table_to_csv(session: SessionReport) -> str:
     """The result table: one row group per checked iteration, file id and
-    TPE only on a group's first row; the bootstrap gets no group."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["Audio File", "Speaker State", "EPPS (in %)", "TPE (in %)"])
+    TPE only on a group's first row; the bootstrap gets no group. No field
+    holds a comma, quote or line break, so none is quoted."""
+    lines = ["Audio File,Speaker State,EPPS (in %),TPE (in %)\n"]
     for record in session.iterations:
         if record.decision is None:
             continue
         report = record.decision.report
         for state in range(session.final_model.n_states):
-            writer.writerow(
-                [
-                    str(record.index) if state == 0 else "",
-                    state,
-                    f"{report.epps[state]:.2f}" if state in report.epps else "",
-                    f"{report.tpe:.2f}" if state == 0 else "",
-                ]
+            fields = (
+                str(record.index) if state == 0 else "",
+                str(state),
+                f"{report.epps[state]:.2f}" if state in report.epps else "",
+                f"{report.tpe:.2f}" if state == 0 else "",
             )
-    return buffer.getvalue()
+            lines.append(",".join(fields) + "\n")
+    return "".join(lines)
 
 
 def report_to_document(report: EvaluationReport) -> dict:

@@ -456,10 +456,12 @@ class TestCliEdges:
         # writes the same summary and feature CSV as with scipy importable.
         # The same commands with scipy importable load no scipy module either,
         # so an import of it that falls back when it fails is caught too.
+        # Nor does the import or any command without a block pool load
+        # concurrent.futures, logging or csv; with two usable CPUs the first
+        # vad builds the pool and so loads concurrent.futures and its logging.
         # The clip's 25 s of alternating tone and silence are 2498 frames, so
         # both the feature blocks (256 frames) and the CSV blocks (2048 rows)
-        # are several, and the second run reuses the first one's helper threads
-        # wherever more than one CPU is usable.
+        # are several, and the second run reuses the first one's helper threads.
         def path(name):
             return str(tmp_path / name)
 
@@ -490,10 +492,12 @@ class TestCliEdges:
 import contextlib, io, json, sys
 if sys.argv[2] == "blocked":
     sys.modules["scipy"] = None
-from convstate import cli
+from convstate import cli, frontend
+frontend._usable_cpus = lambda: 2
+watched = {"concurrent.futures", "logging", "csv"}
 def loaded():
-    return sorted(m for m, module in sys.modules.items()
-                  if m.partition(".")[0] == "scipy" and module is not None)
+    return sorted(m for m, module in sys.modules.items() if module is not None
+                  and (m.partition(".")[0] == "scipy" or m in watched))
 stages = [["import", 0, loaded(), ""]]
 for argv in json.loads(sys.argv[1]):
     out = io.StringIO()
@@ -513,7 +517,10 @@ print(json.dumps(stages))
             )
             assert (result.returncode, result.stderr) == (0, ""), block
             stages = json.loads(result.stdout)
-            assert [stage[:3] for stage in stages] == [[name, 0, []] for name in names], block
+            assert [stage[:3] for stage in stages] == [
+                [name, 0, ["concurrent.futures", "logging"] if name == "vad" else []]
+                for name in names
+            ], block
         summary = stages[-1][3]
         assert json.loads(summary)["frames"] == 2498
         assert run_cli(capsys, "vad", path("clip.wav"), "--out", path("unblocked.csv")) == (

@@ -326,6 +326,35 @@ class TestAlignLabels:
         identity_score = sum(1 for p, t in zip(pred, truth) if p != t)
         assert achieved <= identity_score
 
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_scan_per_permutation(self, data):
+        # The reference is the earlier search: one pass over every label per
+        # permutation, keeping the first with the fewest mismatches.
+        def scanned(pred, truth, n_states):
+            p, t = np.asarray(pred, np.int64), np.asarray(truth, np.int64)
+            best_perm, best_mismatches = None, p.size + 1
+            for perm in itertools.permutations(range(n_states)):
+                mismatches = int(np.count_nonzero(np.asarray(perm)[p] != t))
+                if mismatches < best_mismatches:
+                    best_perm, best_mismatches = perm, mismatches
+            return best_perm, [int(best_perm[x]) for x in p]
+
+        k = data.draw(st.integers(1, 8), "k")
+        # Few labels over a large alphabet leave many permutations tied.
+        n = data.draw(st.integers(0, 24), "n")
+        pred = data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n), "pred")
+        truth = data.draw(st.lists(st.integers(-1, k - 1), min_size=n, max_size=n), "truth")
+        wrap_pred = data.draw(st.booleans(), "wrap pred")
+        wrap_truth = -1 not in truth and data.draw(st.booleans(), "wrap truth")
+        n_states = k if wrap_pred or wrap_truth else max(pred + truth, default=0) + 1
+        result = align_labels(
+            StateSequence(pred, k) if wrap_pred else pred,
+            StateSequence(truth, k) if wrap_truth else truth,
+        )
+        assert result == scanned(pred, truth, n_states)
+        assert all(type(x) is int for x in result[0] + tuple(result[1]))
+
     def test_rejects_large_alphabet(self):
         with pytest.raises(ValidationError, match="8"):
             align_labels(list(range(9)), list(range(9)))

@@ -550,6 +550,27 @@ class TestTable:
         text = table_to_csv(one_row_session(2, 10.0, {0: 10.0}, 2))
         assert text.splitlines()[1:] == ["2,0,10.00,10.00", ",1,,"]
 
+    @given(
+        file_id=st.integers(0, 10**6),
+        tpe=st.floats(0, 100),
+        epps=st.lists(st.floats(0, 100), max_size=4),
+        n_states=st.integers(1, 4),
+    )
+    def test_matches_the_csv_writer(self, file_id, tpe, epps, n_states):
+        # No field needs quoting, so joining by hand gives csv.writer's bytes.
+        session = one_row_session(file_id, tpe, dict(enumerate(epps)), n_states)
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(["Audio File", "Speaker State", "EPPS (in %)", "TPE (in %)"])
+        for state in range(n_states):
+            writer.writerow([
+                file_id if state == 0 else "",
+                state,
+                f"{epps[state]:.2f}" if state < len(epps) else "",
+                f"{tpe:.2f}" if state == 0 else "",
+            ])
+        assert table_to_csv(session) == buffer.getvalue()
+
     def test_rounding_only_at_emission(self):
         session = one_row_session(1, 100 / 3, {0: 200 / 3}, 1)
         report = session.iterations[0].decision.report
