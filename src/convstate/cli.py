@@ -58,11 +58,11 @@ def _require_seed(seed: int | None) -> None:
 
 def _cmd_vad(args: argparse.Namespace) -> None:
     audio = frontend.load_wav(args.wav)
-    features = frontend.feature_matrix(audio)
     if args.weights:
         weights = storage.read_vad_weights(args.weights)
     else:
-        weights = _default_vad_weights(features.shape[1])
+        weights = _default_vad_weights(2 + frontend.N_COEFFS)
+    features = frontend.feature_matrix(audio)
     mask, _ = frontend.vad_classify(features, weights)
     segments = frontend.segment(mask)
     if args.out:

@@ -328,7 +328,8 @@ def run_session(
             verdict = check_iteration(predicted, actual, config.thresholds, n_states)
         accepted = verdict is None or verdict.decision is Decision.ACCEPT
         if accepted:
-            model = update_from_labels(model, anchor, predicted)
+            added = markov.count_transitions(np.append(anchor, predicted), n_states)
+            model = markov.normalize(model.counts + added)
         else:
             model = markov.estimate_transition(actual, n_states)
         if window is not None:
@@ -371,29 +372,34 @@ def _closest_walk(
 ) -> np.ndarray:
     """The sampled candidate with the fewest mismatches (lowest TPE) against `actual`.
 
-    Candidate ``j`` walks from `anchor` with ``default_rng([seed, iteration, j])``.
-    The result equals walking all `count` candidates whole and taking the
-    argmin of their mismatch counts, the lowest index among ties: a
-    candidate stops walking once its mismatches reach the fewest so far,
-    since it can then at best tie, and an exact match ends the sampling.
+    Candidate ``j`` walks from `anchor` with ``default_rng([seed, iteration, j])``
+    over one sampling table. The result equals walking all `count`
+    candidates whole and taking the argmin of their mismatch counts, the
+    lowest index among ties. A candidate walks in chunks and stops after
+    the chunk whose mismatches reach the fewest so far, since it can then
+    at best tie; no shorter walk can reach that many, so its first chunk
+    holds that many steps (at least 16) and each later one twice the one
+    before. Chunked draws continue the stream exactly as one
+    ``random(len(actual))`` call does. An exact match ends the sampling.
     Candidate 0 always walks whole, as no walk reaches ``len(actual) + 1``,
     so with a `count` of 1 (an unchecked iteration) this is candidate 0's
     plain sampled walk.
     """
-    best, fewest = actual[:0], len(actual) + 1
+    actual = np.asarray(actual, dtype=np.int64)
+    table = markov._table(basis.probs)
+    best, fewest = actual[:0], actual.size + 1
     for j in range(count):
         rng = np.random.default_rng([seed, iteration, j])
-        labels, misses = markov.walk_within(basis, anchor, rng, actual, fewest)
+        pieces, misses, state, done, chunk = [actual[:0]], 0, anchor, 0, max(16, fewest)
+        while misses < fewest and done < actual.size:
+            draws = rng.random(min(chunk, actual.size - done)).tolist()
+            steps = markov._steps(table, state, draws)
+            piece = np.fromiter(steps, np.int64, len(steps))
+            misses += int(np.count_nonzero(piece != actual[done : done + piece.size]))
+            pieces.append(piece)
+            state, done, chunk = steps[-1], done + piece.size, 2 * chunk
         if misses < fewest:
-            best, fewest = labels, misses
+            best, fewest = np.concatenate(pieces), misses
         if fewest == 0:
             break
     return best
-
-
-def update_from_labels(
-    model: TransitionModel, anchor: int, labels: Sequence[int]
-) -> TransitionModel:
-    """Record the transitions anchor -> labels[0] and each adjacent pair."""
-    added = markov.count_transitions(np.append(anchor, _as_labels(labels)), model.n_states)
-    return markov.normalize(model.counts + added)

@@ -252,38 +252,6 @@ def walk(
     return _steps(_table(rows), start, draws)
 
 
-def walk_within(
-    model: TransitionModel,
-    start: int,
-    rng: np.random.Generator,
-    labels: Sequence[int] | np.ndarray,
-    bound: int,
-) -> tuple[np.ndarray, int]:
-    """Sample a walk from `start` beside `labels` until it differs from them `bound` times.
-
-    Returns the states walked, as an int64 array, and how many of them
-    differ from `labels` position by position. The walk draws its uniforms
-    in chunks and stops after the chunk whose mismatches reach `bound`. No
-    shorter walk can reach it, so the first chunk holds `bound` steps (at
-    least 16, at most ``len(labels)``) and each later one twice the one
-    before. Chunked draws continue `rng`'s stream exactly as one
-    ``rng.random(len(labels))`` call does, so a walk that stays under
-    `bound` equals ``walk(model, start, len(labels), rng)``.
-    """
-    labels = _as_labels(labels)
-    start = _integer(start, "state", model.n_states if labels.size > 0 else None)
-    table = _table(model.probs)
-    walked = [labels[:0]]
-    misses, state, done, chunk = 0, start, 0, max(16, bound)
-    while misses < bound and done < labels.size:
-        steps = _steps(table, state, rng.random(min(chunk, labels.size - done)).tolist())
-        piece = np.fromiter(steps, np.int64, len(steps))
-        misses += int(np.count_nonzero(piece != labels[done : done + piece.size]))
-        walked.append(piece)
-        state, done, chunk = steps[-1], done + piece.size, 2 * chunk
-    return np.concatenate(walked), misses
-
-
 def _table(rows: np.ndarray) -> list[list[float]]:
     """The sampling table: each row's cumulative sum without its last entry."""
     return np.cumsum(rows, axis=1)[:, :-1].tolist()

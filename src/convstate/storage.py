@@ -238,22 +238,29 @@ VAD_WEIGHT_BOUND = 1e300
 
 
 def read_vad_weights(path: str) -> np.ndarray:
-    """A JSON list of numbers within +-VAD_WEIGHT_BOUND: weights per feature, then the bias."""
-    weights = read_json(path)
+    """A JSON list of numbers within +-VAD_WEIGHT_BOUND: one weight per
+    feature_matrix column, then the bias."""
+    return _read_file(path, lambda text: _vad_weights(_parse_json(text)))
+
+
+def _vad_weights(weights) -> np.ndarray:
     if not isinstance(weights, list):
         raise SchemaError(
-            f"{path}: expected a JSON list of finite numbers, got {type(weights).__name__}"
+            f"expected a JSON list of finite numbers, got {type(weights).__name__}"
         )
     for i, value in enumerate(weights):
         try:
             weights[i] = _number(value)
         except (ValueError, OverflowError):  # OverflowError: an int too large for a float
             raise SchemaError(
-                f"{path}: weights[{i}]: expected a finite number, got {json.dumps(value)}"
+                f"weights[{i}]: expected a finite number, got {json.dumps(value)}"
             ) from None
         if abs(weights[i]) > VAD_WEIGHT_BOUND:
-            raise SchemaError(f"{path}: weights[{i}]: magnitude must be at most "
+            raise SchemaError(f"weights[{i}]: magnitude must be at most "
                               f"{VAD_WEIGHT_BOUND:g}, got {json.dumps(value)}")
+    dim = 2 + frontend.N_COEFFS + 1
+    if len(weights) != dim:
+        raise SchemaError(f"expected {dim} weights (features + bias), got {len(weights)}")
     return np.asarray(weights, dtype=np.float64)
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from convstate import clustering
+from convstate import clustering, frontend
 from convstate.cli import main
 from convstate.frontend import ACCEPTED_RATES, AudioBuffer, save_wav
 from convstate.markov import Sampled, count_transitions, normalize
@@ -738,13 +738,22 @@ print(json.dumps(stages))
             ("[" + ", ".join(["1e308"] * 16) + "]",
              "weights[0]: magnitude must be at most 1e+300, got 1e+308"),
             ("[0, -2e300]", "weights[1]: magnitude must be at most 1e+300, got -2e+300"),
+            ("[1, 2]", "expected 16 weights (features + bias), got 2"),
+            ("[]", "expected 16 weights (features + bias), got 0"),
         ],
         ids=["nan", "infinity", "object", "bool", "string", "scalar", "nested", "null",
-             "huge-int", "beyond-bound", "negative-beyond-bound"],
+             "huge-int", "beyond-bound", "negative-beyond-bound", "too-few", "empty"],
     )
-    def test_vad_rejects_malformed_weights_file(self, capsys, wav_path, tmp_path, text, reason):
+    def test_vad_rejects_malformed_weights_file(
+        self, capsys, monkeypatch, wav_path, tmp_path, text, reason
+    ):
         weights = tmp_path / "w.json"
         weights.write_text(text)
+
+        def not_reached(audio):
+            raise AssertionError("features computed before the weights were read")
+
+        monkeypatch.setattr(frontend, "feature_matrix", not_reached)
         code, out, err = run_cli(capsys, "vad", wav_path, "--weights", str(weights))
         assert code == 1 and out == ""
         assert err.startswith(f"error: {weights}:") and reason in err

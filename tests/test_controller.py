@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from convstate import controller, storage
+from convstate import controller, markov, storage
 from convstate.controller import (
     Decision,
     EvaluatorOutcome,
@@ -457,6 +457,59 @@ class TestCandidateChoice:
             assert chosen == session()[0]
         # An unchecked iteration walks candidate 0 alone, whole.
         assert counts == [count if rec.checked else 1 for rec in report.iterations]
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_candidates_stop_at_the_first_chunk_reaching_the_fewest(self, data):
+        """Candidate j draws chunks of b, 2b, 4b, ... uniforms, b = max(16,
+        fewest mismatches before it), cut at len(actual), and stops after the
+        first chunk whose mismatches reach that fewest. One sampling table
+        serves every candidate."""
+        n_states = data.draw(st.integers(1, 5))
+        model = data.draw(chain_models(n_states))
+        anchor = data.draw(st.integers(0, n_states - 1))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        iteration = data.draw(st.integers(1, 50))
+        count = data.draw(st.integers(1, 6))
+        actual = data.draw(oracle_labels(model, anchor, seed, iteration, count))
+
+        expected, fewest = [], len(actual) + 1
+        for j in range(count):
+            if fewest == 0:
+                break  # an exact match builds no later candidate
+            whole = walk(model, anchor, len(actual), np.random.default_rng([seed, iteration, j]))
+            misses = np.cumsum(np.array(whole) != np.array(actual))
+            # Chunks of b, 2b, 4b, ... steps end at b, 3b, 7b, ...
+            first = max(16, fewest)
+            edges = [e for e in (first * (2**k - 1) for k in range(1, 10)) if e < len(actual)]
+            edges.append(len(actual))
+            stop = next(i for i, e in enumerate(edges) if misses[e - 1] >= fewest or
+                        e == len(actual))
+            expected.append(np.diff([0, *edges[: stop + 1]]).tolist())
+            fewest = min(fewest, int(misses[-1]))
+
+        real_default_rng, real_table = np.random.default_rng, markov._table
+        draws, tables = [], []
+
+        class RecordedGenerator:
+            def __init__(self, seed):
+                self.rng, self.sizes = real_default_rng(seed), []
+                draws.append(self.sizes)
+
+            def random(self, size):
+                self.sizes.append(size)
+                return self.rng.random(size)
+
+        def counted_table(rows):
+            tables.append(rows)
+            return real_table(rows)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np.random, "default_rng", RecordedGenerator)
+            patch.setattr(markov, "_table", counted_table)
+            controller._closest_walk(model, anchor, actual, seed, iteration, count)
+        assert len(tables) == 1
+        assert draws == expected
 
     def test_one_mismatch_does_not_end_the_search(self):
         """Only an exact match stops sampling: a later exact candidate still wins."""

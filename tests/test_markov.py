@@ -20,7 +20,6 @@ from convstate.markov import (
     _as_labels,
     update_online,
     walk,
-    walk_within,
 )
 
 
@@ -459,33 +458,6 @@ class TestWalk:
             state = path[-1] if path else start
         assert path == walk(model, start, steps, np.random.default_rng(seed))
 
-    @given(st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_walk_within_stops_at_the_first_chunk_reaching_the_bound(self, data):
-        n = data.draw(st.integers(1, 5))
-        cells = data.draw(st.lists(st.integers(0, 4), min_size=n * n, max_size=n * n))
-        model = normalize(np.array(cells).reshape(n, n))
-        start = data.draw(st.integers(0, n - 1))
-        labels = data.draw(st.lists(st.integers(0, n - 1), max_size=300))
-        bound = data.draw(st.integers(0, len(labels) + 1))
-        seed = data.draw(st.integers(0, 2**32 - 1))
-
-        walked, misses = walk_within(model, start, np.random.default_rng(seed), labels, bound)
-        assert walked.dtype == np.int64
-        walked = walked.tolist()
-        whole = walk(model, start, len(labels), np.random.default_rng(seed))
-        assert walked == whole[: len(walked)]
-        assert misses == sum(a != b for a, b in zip(walked, labels))
-        # Chunks of b, 2b, 4b, ... steps (b = max(16, bound)) end at b, 3b, 7b, ...
-        first = max(16, bound)
-        edges = [e for e in (first * (2**k - 1) for k in range(1, 10)) if e < len(labels)]
-        edges.append(len(labels))
-        stop = next(e for e in edges if e == len(labels) or
-                    sum(a != b for a, b in zip(whole[:e], labels)) >= bound)
-        assert len(walked) == (0 if bound == 0 else stop)
-        if misses < bound:
-            assert walked == whole
-
     def test_out_of_range_start(self):
         model = normalize(np.array([[1, 1], [1, 1]]))
         with pytest.raises(ValidationError, match="state 2"):
@@ -497,7 +469,6 @@ class TestWalk:
         model = normalize(np.array([[1, 1], [1, 1]]))
         calls = [
             (lambda: walk(model, start, 3), "state"),
-            (lambda: walk_within(model, start, np.random.default_rng(0), [0, 1], 2), "state"),
             (lambda: predict_sequence(model, start, 3), "initial"),
             (lambda: predict_sequence(model, start, 3, Sampled(0)), "initial"),
         ]
