@@ -24,8 +24,8 @@ from .markov import Argmax, Sampled, StateSequence
 _DEFAULT_VAD_BIAS = 15.0
 
 
-def _default_vad_weights(feature_dim: int) -> np.ndarray:
-    weights = np.zeros(feature_dim + 1)
+def _default_vad_weights() -> np.ndarray:
+    weights = np.zeros(frontend.N_FEATURES + 1)
     weights[0] = 1.0
     weights[-1] = _DEFAULT_VAD_BIAS
     return weights
@@ -61,7 +61,7 @@ def _cmd_vad(args: argparse.Namespace) -> None:
     if args.weights:
         weights = storage.read_vad_weights(args.weights)
     else:
-        weights = _default_vad_weights(2 + frontend.N_COEFFS)
+        weights = _default_vad_weights()
     features = frontend.feature_matrix(audio)
     mask, _ = frontend.vad_classify(features, weights)
     segments = frontend.segment(mask)

@@ -28,6 +28,8 @@ PREEMPHASIS = 0.97
 # The cepstrum: 40 mel filters, of whose DCT the first 13 coefficients are kept.
 N_FILTERS = 40
 N_COEFFS = 13
+# Columns per feature_matrix row: log-energy, zcr, then the cepstrum.
+N_FEATURES = 2 + N_COEFFS
 # The frame geometry: 25 ms windows hopped by 10 ms.
 WINDOW_S = 0.025
 HOP_S = 0.010
@@ -388,7 +390,7 @@ def _map_blocks(fn: Callable[[int], object], starts: range) -> list:
 
 
 def feature_matrix(audio: AudioBuffer) -> np.ndarray:
-    """Per-frame features as a (frames, 2 + N_COEFFS) array.
+    """Per-frame features as a (frames, N_FEATURES) array.
 
     Columns are [log_energy, zcr, mfcc_0 .. mfcc_12]; row t is
     frame t of frame(audio) and equals the per-frame
@@ -400,7 +402,7 @@ def feature_matrix(audio: AudioBuffer) -> np.ndarray:
     window, hop = _geometry(audio)
     samples = audio.samples
     n_frames = max(0, (samples.size - window) // hop + 1)
-    features = np.empty((n_frames, 2 + N_COEFFS))
+    features = np.empty((n_frames, N_FEATURES))
 
     def fill(start: int) -> None:
         rows = features[start : start + _BLOCK_FRAMES]

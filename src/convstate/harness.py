@@ -7,7 +7,6 @@ Gaussian cluster embeddings with known ground truth.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from typing import Callable, Iterator, Sequence
@@ -236,18 +235,10 @@ def _best_permutation(scores: np.ndarray) -> tuple[int, ...]:
     ``scores[i, perm[i]]`` over a k × k matrix, ties broken to the
     lexicographically smallest, found by trying all k! of them."""
     k = len(scores)
-    perms = _permutations(k)
-    totals = scores[np.arange(k), perms].sum(axis=1)
-    return tuple(perms[int(np.argmax(totals))].tolist())
-
-
-@functools.lru_cache(maxsize=8)
-def _permutations(k: int) -> np.ndarray:
-    """All k! permutations of range(k) as read-only rows, in lexicographic
-    order, so argmax over their totals takes the first of the tied best.
-    Built once per k (1 to 8, align_labels' range)."""
+    # permutations() of a sorted range runs in lexicographic order, and
+    # argmax takes the first of the tied best.
     perms = np.fromiter(
         itertools.chain.from_iterable(itertools.permutations(range(k))), np.intp
     ).reshape(-1, k)
-    perms.setflags(write=False)
-    return perms
+    totals = scores[np.arange(k), perms].sum(axis=1)
+    return tuple(perms[int(np.argmax(totals))].tolist())

@@ -258,7 +258,7 @@ def _vad_weights(weights) -> np.ndarray:
         if abs(weights[i]) > VAD_WEIGHT_BOUND:
             raise SchemaError(f"weights[{i}]: magnitude must be at most "
                               f"{VAD_WEIGHT_BOUND:g}, got {json.dumps(value)}")
-    dim = 2 + frontend.N_COEFFS + 1
+    dim = frontend.N_FEATURES + 1
     if len(weights) != dim:
         raise SchemaError(f"expected {dim} weights (features + bias), got {len(weights)}")
     return np.asarray(weights, dtype=np.float64)

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convstate import harness
 from convstate.controller import FixedEvery, SessionConfig, Thresholds, run_session
 from convstate.errors import ValidationError
 from convstate.harness import (
@@ -355,21 +354,6 @@ class TestAlignLabels:
         )
         assert result == scanned(pred, truth, n_states)
         assert all(type(x) is int for x in result[0] + tuple(result[1]))
-
-    @pytest.mark.parametrize("k", range(1, 9))
-    def test_cached_permutations_are_read_only_and_search_like_fresh_ones(self, k):
-        perms = harness._permutations(k)
-        assert harness._permutations(k) is perms
-        with pytest.raises(ValueError, match="read-only"):
-            perms[0, 0] = 1
-        rng = np.random.default_rng(k)
-        # Scores of 0-2 leave many permutations tied; max() keeps the first best
-        # of a fresh lexicographic search.
-        for scores in (np.zeros((k, k), np.int64), *rng.integers(0, 3, (4, k, k))):
-            rows = scores.tolist()
-            fresh = max(itertools.permutations(range(k)),
-                        key=lambda perm: sum(row[j] for row, j in zip(rows, perm)))
-            assert harness._best_permutation(scores) == fresh
 
     def test_rejects_large_alphabet(self):
         with pytest.raises(ValidationError, match="8"):
