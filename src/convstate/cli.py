@@ -1,7 +1,7 @@
 """Command-line surface: vad, diarize, estimate, predict, check, session, simulate.
 
-Exit codes: 0 success, 1 validation error or out of memory, 2 I/O error,
-3 numerical non-convergence. Every seeded command is byte-reproducible.
+Exit codes: 0 success, 1 validation error or out of memory, 2 I/O error.
+Every seeded command is byte-reproducible.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from . import clustering, frontend, harness, markov, storage
 from .controller import Thresholds, check_iteration, run_session
-from .errors import ConvergenceError, ValidationError
+from .errors import ValidationError
 from .markov import Argmax, Sampled, StateSequence
 
 # Energy gate used when no trained weights are supplied: speech iff the
@@ -265,9 +265,6 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
-    except ConvergenceError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return 3
     return 0
 
 

@@ -209,7 +209,9 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> np.ndarray:
     """Lloyd's k-means with k-means++ seeding and first-occurrence label ids.
 
     An empty cluster is re-seeded at the point farthest from its assigned
-    centroid (lowest index on ties), keeping the run deterministic.
+    centroid (lowest index on ties), keeping the run deterministic. A
+    re-seeded point sits on its new centroid, so no other empty cluster
+    takes it in the same iteration, and the pass repeats while one is empty.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
@@ -236,16 +238,17 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> np.ndarray:
         centroids[c] = pts[choice]
         closest_sq = np.minimum(closest_sq, np.sum((pts - centroids[c]) ** 2, axis=1))
 
-    labels = np.zeros(n, dtype=np.int64)
     for _ in range(100):
         distances = np.linalg.norm(pts[:, None, :] - centroids[None, :, :], axis=2)
         labels = np.argmin(distances, axis=1)
-        for c in range(k):
-            if not (labels == c).any():
-                per_point = distances[np.arange(n), labels]
-                farthest = int(np.argmax(per_point))
-                centroids[c] = pts[farthest]
-                labels[farthest] = c
+        per_point = distances[np.arange(n), labels]
+        while not np.bincount(labels, minlength=k).all():
+            for c in range(k):
+                if not (labels == c).any():
+                    farthest = int(np.argmax(per_point))
+                    centroids[c] = pts[farthest]
+                    labels[farthest] = c
+                    per_point[farthest] = 0.0
         new_centroids = np.stack([pts[labels == c].mean(axis=0) for c in range(k)])
         shift = float(np.linalg.norm(new_centroids - centroids, axis=1).max())
         centroids = new_centroids

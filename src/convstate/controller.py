@@ -9,6 +9,7 @@ winner before the windowed model is trusted as a prediction basis.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -291,13 +292,7 @@ def run_session(
     bernoulli_rng = np.random.default_rng([config.seed, 0xB0])
     records: list[IterationRecord] = []
 
-    iteration = 0
-    while config.iterations is None or iteration < config.iterations:
-        iteration += 1
-        try:
-            actual_raw = next(source)
-        except StopIteration:
-            break
+    for iteration, actual_raw in enumerate(itertools.islice(source, config.iterations), start=1):
         actual = _oracle_labels(actual_raw, iteration, n_states)
 
         outcome: EvaluatorOutcome | None = None

@@ -237,10 +237,9 @@ def _mfccs(x: np.ndarray, window: int, hop: int, sample_rate: int) -> np.ndarray
     n_fft = 1 << (window - 1).bit_length()
     frames = _windows(emphasized, window, hop)
     padded = np.empty((frames.shape[0], n_fft))
+    # hann[0] is 0, so a frame's first sample, pre-emphasized here but not in mfcc, drops out.
     np.multiply(frames, hann, out=padded[:, :window])
     padded[:, window:] = 0.0
-    # A frame's first sample is not pre-emphasized.
-    np.multiply(x[::hop][: frames.shape[0]], hann[0], out=padded[:, 0])
     magnitude = np.abs(np.fft.rfft(padded, axis=1))
     energies = np.empty((frames.shape[0], N_FILTERS))
     for filters, bins, bank in _mel_bands(n_fft, sample_rate):

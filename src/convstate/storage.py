@@ -29,7 +29,7 @@ from .controller import (
     SessionReport,
     Thresholds,
 )
-from .errors import SchemaError, ValidationError
+from .errors import ValidationError
 from .markov import (
     Argmax,
     PredictionMode,
@@ -122,16 +122,16 @@ def mode_from_document(doc, where: str = "$.mode") -> PredictionMode | None:
     if doc is None:
         return None
     if not isinstance(doc, dict) or "kind" not in doc:
-        raise SchemaError(f"{where}: expected null or an object with 'kind'")
+        raise ValidationError(f"{where}: expected null or an object with 'kind'")
     kind = doc["kind"]
     if kind == "argmax":
         return Argmax()
     if kind == "sampled":
         seed = doc.get("seed")
         if not is_number(seed, int) or seed < 0:
-            raise SchemaError(f"{where}.seed: expected a non-negative integer")
+            raise ValidationError(f"{where}.seed: expected a non-negative integer")
         return Sampled(seed)
-    raise SchemaError(f"{where}.kind: unknown mode {kind!r}")
+    raise ValidationError(f"{where}.kind: unknown mode {kind!r}")
 
 
 def model_to_document(model: TransitionModel, mode: PredictionMode | None = None) -> dict:
@@ -146,33 +146,33 @@ def model_to_document(model: TransitionModel, mode: PredictionMode | None = None
 
 def model_from_document(doc) -> tuple[TransitionModel, PredictionMode | None]:
     if not isinstance(doc, dict):
-        raise SchemaError("$: expected a JSON object")
+        raise ValidationError("$: expected a JSON object")
     version = doc.get("version")
     if version is None:
-        raise SchemaError("$.version: missing")
+        raise ValidationError("$.version: missing")
     if not is_number(version, int) or version != MODEL_VERSION:
-        raise SchemaError(
+        raise ValidationError(
             f"$.version: unsupported model version {version!r}, expected {MODEL_VERSION}"
         )
     n_states = doc.get("s")
     if not is_number(n_states, int) or n_states < 1:
-        raise SchemaError("$.s: expected a positive integer state count")
+        raise ValidationError("$.s: expected a positive integer state count")
     counts = doc.get("counts")
     if not isinstance(counts, list) or len(counts) != n_states * n_states:
-        raise SchemaError(
+        raise ValidationError(
             f"$.counts: expected a row-major list of {n_states * n_states} integers"
         )
     limit = np.iinfo(np.int64).max // n_states  # every row total fits in int64
     for flat_index, value in enumerate(counts):
         if not is_number(value, int) or not 0 <= value <= limit:
             row, col = divmod(flat_index, n_states)
-            raise SchemaError(
+            raise ValidationError(
                 f"$.counts[{flat_index}] (row {row}, col {col}): expected a "
                 f"non-negative integer no larger than {limit}, got {value!r}"
             )
     policy = doc.get("policy")
     if policy != _POLICY:
-        raise SchemaError(f"$.policy: expected one of {[_POLICY]}, got {policy!r}")
+        raise ValidationError(f"$.policy: expected one of {[_POLICY]}, got {policy!r}")
     mode = mode_from_document(doc.get("mode"))
     matrix = np.asarray(counts, dtype=np.int64).reshape(n_states, n_states)
     return normalize(matrix), mode
@@ -187,27 +187,26 @@ def save_model(
 def _read_file(path: str, parse):
     """``parse(text)`` of the UTF-8 text file `path`.
 
-    Bytes that are not UTF-8 are a SchemaError, and a ValidationError from
-    `parse` is raised again with `path: ` in front, so each error names the
-    file once.
+    Bytes that are not UTF-8 are a ValidationError, and one from `parse` is
+    raised again with `path: ` in front, so each error names the file once.
     """
     with open(path, encoding="utf-8") as handle:
         try:
             text = handle.read()
         except UnicodeDecodeError as exc:
-            raise SchemaError(f"{path}: not UTF-8 text ({exc})") from None
+            raise ValidationError(f"{path}: not UTF-8 text ({exc})") from None
     try:
         return parse(text)
     except ValidationError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def _parse_json(text: str):
-    """One JSON document; invalid JSON is a SchemaError."""
+    """One JSON document; invalid JSON is a ValidationError."""
     try:
         return json.loads(text)
     except ValueError as exc:  # also an int too long to convert
-        raise SchemaError(f"not valid JSON ({exc})") from exc
+        raise ValidationError(f"not valid JSON ({exc})") from exc
 
 
 def read_json(path: str):
@@ -245,22 +244,22 @@ def read_vad_weights(path: str) -> np.ndarray:
 
 def _vad_weights(weights) -> np.ndarray:
     if not isinstance(weights, list):
-        raise SchemaError(
+        raise ValidationError(
             f"expected a JSON list of finite numbers, got {type(weights).__name__}"
         )
     for i, value in enumerate(weights):
         try:
             weights[i] = _number(value)
         except (ValueError, OverflowError):  # OverflowError: an int too large for a float
-            raise SchemaError(
+            raise ValidationError(
                 f"weights[{i}]: expected a finite number, got {json.dumps(value)}"
             ) from None
         if abs(weights[i]) > VAD_WEIGHT_BOUND:
-            raise SchemaError(f"weights[{i}]: magnitude must be at most "
+            raise ValidationError(f"weights[{i}]: magnitude must be at most "
                               f"{VAD_WEIGHT_BOUND:g}, got {json.dumps(value)}")
     dim = frontend.N_FEATURES + 1
     if len(weights) != dim:
-        raise SchemaError(f"expected {dim} weights (features + bias), got {len(weights)}")
+        raise ValidationError(f"expected {dim} weights (features + bias), got {len(weights)}")
     return np.asarray(weights, dtype=np.float64)
 
 
@@ -275,10 +274,10 @@ _ORACLE_KEYS = {"files": {"kind", "paths"},
 
 def _object(value, path: str, known: set) -> dict:
     if not isinstance(value, dict):
-        raise SchemaError(f"{path}: expected a JSON object")
+        raise ValidationError(f"{path}: expected a JSON object")
     for key in value:
         if key not in known:
-            raise SchemaError(f"{path}.{json.dumps(key)[1:-1]}: unknown field")
+            raise ValidationError(f"{path}.{json.dumps(key)[1:-1]}: unknown field")
     return value
 
 
@@ -293,25 +292,25 @@ def _number_field(doc: dict, key: str, default, path: str, kind: type = int,
 
     A None default makes the field optional: absent or null gives None.
     Values are checked by `is_number`, not converted; a rejected value is a
-    SchemaError at `path`. A float field also takes an int.
+    ValidationError at `path`. A float field also takes an int.
     """
     value = doc.get(key, default)
     if value is None and default is None:
         return None
     noun = "an integer" if kind is int else "a finite number"
     if not is_number(value, kind):
-        raise SchemaError(f"{path}: expected {noun}, got {value!r}")
+        raise ValidationError(f"{path}: expected {noun}, got {value!r}")
     if above is not None and not value > above:
         bound = _BOUND_WORDS.get(above)
         noun = f"a {bound} {noun.split(' ', 1)[1]}" if bound else f"{noun} above {above}"
-        raise SchemaError(f"{path}: expected {noun}, got {value}")
+        raise ValidationError(f"{path}: expected {noun}, got {value}")
     return value
 
 
 def _bool_field(doc: dict, key: str, default: bool, path: str) -> bool:
     value = doc.get(key, default)
     if not isinstance(value, bool):
-        raise SchemaError(f"{path}: expected true or false, got {value!r}")
+        raise ValidationError(f"{path}: expected true or false, got {value!r}")
     return value
 
 
@@ -322,7 +321,7 @@ def _path_field(value, path: str, noun: str) -> str:
             return value
     except (TypeError, UnicodeError):  # not a string, or a lone surrogate
         pass
-    raise SchemaError(f"{path}: expected a {noun} file path")
+    raise ValidationError(f"{path}: expected a {noun} file path")
 
 
 def parse_interval(spec: str) -> CheckerInterval:
@@ -350,29 +349,29 @@ def _mode_from_name(name, seed: int) -> PredictionMode:
         return Argmax()
     if name in ("sample", "sampled"):
         return Sampled(seed)
-    raise SchemaError(f"$.mode: unknown prediction mode {name!r}")
+    raise ValidationError(f"$.mode: unknown prediction mode {name!r}")
 
 
 def _oracle_from_document(spec, iterations: int | None, seed: int):
     if not isinstance(spec, dict) or "kind" not in spec:
-        raise SchemaError("$.oracle: expected an object with 'kind'")
+        raise ValidationError("$.oracle: expected an object with 'kind'")
     kind = spec["kind"]
     if kind not in ("files", "chain"):
-        raise SchemaError(f"$.oracle.kind: unknown oracle kind {kind!r}")
+        raise ValidationError(f"$.oracle.kind: unknown oracle kind {kind!r}")
     _object(spec, "$.oracle", _ORACLE_KEYS[kind])
     if kind == "files":
         paths = spec.get("paths")
         if not isinstance(paths, list) or not paths:
-            raise SchemaError("$.oracle.paths: expected a non-empty list")
+            raise ValidationError("$.oracle.paths: expected a non-empty list")
         paths = [_path_field(p, f"$.oracle.paths[{i}]", "label") for i, p in enumerate(paths)]
         return [read_labels(p) for p in paths]
     if iterations is None:
-        raise SchemaError("$.iterations: required with a chain oracle, which never runs dry")
+        raise ValidationError("$.iterations: required with a chain oracle, which never runs dry")
     truth, _ = load_model(_path_field(spec.get("model"), "$.oracle.model", "model"))
     length = _number_field(spec, "length", 300, "$.oracle.length", above=0)
     initial = _number_field(spec, "initial", 0, "$.oracle.initial")
     if not 0 <= initial < truth.n_states:
-        raise SchemaError(f"$.oracle.initial: state {initial} outside 0..{truth.n_states - 1}")
+        raise ValidationError(f"$.oracle.initial: state {initial} outside 0..{truth.n_states - 1}")
     seed = _number_field(spec, "seed", seed, "$.oracle.seed", above=-1)
     bootstrap = None
     if _bool_field(spec, "exact_bootstrap", False, "$.oracle.exact_bootstrap"):
@@ -398,13 +397,13 @@ def session_config_from_document(doc):
 
     interval = thresholds_doc.get("checker_interval", "every")
     if not isinstance(interval, str):
-        raise SchemaError(f"$.thresholds.checker_interval: expected a string, got {interval!r}")
+        raise ValidationError(f"$.thresholds.checker_interval: expected a string, got {interval!r}")
 
     def checker_interval() -> CheckerInterval:
         try:
             return parse_interval(interval)
         except ValidationError as exc:
-            raise type(exc)(f"$.thresholds.checker_interval: {exc}") from None
+            raise ValidationError(f"$.thresholds.checker_interval: {exc}") from None
 
     thresholds = Thresholds(
         tpe_threshold=threshold("tpe_threshold"),
@@ -452,7 +451,7 @@ def _timed_jsonl(text: str, field: str, parse_field) -> tuple[list, list[tuple[f
     Returns the field values passed through `parse_field` and the (start_s,
     end_s) pairs as floats. A line that is not a JSON object, a missing
     field, a time that is not a finite number, or a field value that
-    `parse_field` rejects raises SchemaError naming the line and the field.
+    `parse_field` rejects raises ValidationError naming the line and the field.
     """
     values, times = [], []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -462,17 +461,17 @@ def _timed_jsonl(text: str, field: str, parse_field) -> tuple[list, list[tuple[f
         try:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise SchemaError(f"line {lineno}: not valid JSON ({exc})") from exc
+            raise ValidationError(f"line {lineno}: not valid JSON ({exc})") from exc
         if not isinstance(record, dict):
-            raise SchemaError(f"line {lineno}: expected a JSON object")
+            raise ValidationError(f"line {lineno}: expected a JSON object")
         parsed = []
         for key, parse in (("start_s", _number), ("end_s", _number), (field, parse_field)):
             if key not in record:
-                raise SchemaError(f"line {lineno}: missing field {key!r}")
+                raise ValidationError(f"line {lineno}: missing field {key!r}")
             try:
                 parsed.append(parse(record[key]))
             except (ValueError, OverflowError):
-                raise SchemaError(
+                raise ValidationError(
                     f"line {lineno}: field {key!r} is malformed, got {record[key]!r}"
                 ) from None
         start, end, value = parsed
@@ -491,16 +490,16 @@ def parse_labels_text(text: str, n_states: int | None = None) -> StateSequence:
         tokens = stripped.replace(",", " ").split()
         bad = next(filterfalse(_LABEL_TOKEN.fullmatch, tokens), None)
         if bad is not None:
-            raise SchemaError(f"label input contains a non-integer token {bad!r}")
+            raise ValidationError(f"label input contains a non-integer token {bad!r}")
         try:
             labels = [int(tok) for tok in tokens]
         except ValueError as exc:  # more digits than int() converts
-            raise SchemaError(f"label input contains a non-integer token: {exc}") from exc
+            raise ValidationError(f"label input contains a non-integer token: {exc}") from exc
     if not labels:
-        raise SchemaError("label input is empty")
+        raise ValidationError("label input is empty")
     low, high = min(labels), max(labels)
     if low < -(2**63) or high >= 2**63:
-        raise SchemaError(f"label {low if low < -(2**63) else high} is outside the int64 range")
+        raise ValidationError(f"label {low if low < -(2**63) else high} is outside the int64 range")
     # At least one state, so an all-negative input fails on its first label.
     inferred = n_states if n_states is not None else max(high + 1, 1)
     return StateSequence(labels=labels, n_states=inferred, times=times)
@@ -528,7 +527,7 @@ def parse_embeddings_text(text: str) -> EmbeddingSet:
     """CSV rows of finite decimal floats, or JSONL records with start_s/end_s/vector."""
     stripped = text.strip()
     if not stripped:
-        raise SchemaError("embedding input is empty")
+        raise ValidationError("embedding input is empty")
     if stripped[0] == "{":
         rows, times = _timed_jsonl(stripped, "vector", _float_list)
     else:
@@ -541,11 +540,13 @@ def parse_embeddings_text(text: str) -> EmbeddingSet:
             row = [float(tok) if _DECIMAL_TOKEN.fullmatch(tok) else math.nan for tok in tokens]
             bad = next((tok for tok, v in zip(tokens, row) if not math.isfinite(v)), None)
             if bad is not None:
-                raise SchemaError(f"line {lineno}: {bad.strip()!r} is not a finite decimal number")
+                raise ValidationError(
+                    f"line {lineno}: {bad.strip()!r} is not a finite decimal number"
+                )
             rows.append(row)
     widths = {len(row) for row in rows}
     if len(widths) != 1:
-        raise SchemaError(f"embedding rows have mixed dimensions {sorted(widths)}")
+        raise ValidationError(f"embedding rows have mixed dimensions {sorted(widths)}")
     return EmbeddingSet(
         vectors=np.asarray(rows), times=None if times is None else tuple(times)
     )

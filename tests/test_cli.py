@@ -654,8 +654,9 @@ print(json.dumps(stages))
             ('{"version": 1, "s": 0, "counts": [], "policy": "uniform", "mode": null}',
              "$.s: expected a positive integer state count"),
             ("{", "not valid JSON ("),
+            ("[]", "$: expected a JSON object"),
         ],
-        ids=["no-states", "invalid-json"],
+        ids=["no-states", "invalid-json", "not-an-object"],
     )
     def test_bad_model_file_is_named_once(self, capsys, tmp_path, command, text, message):
         model = tmp_path / "model.json"
@@ -1168,7 +1169,7 @@ class TestInputFileFuzz:
             warnings.simplefilter("error")
             warnings.filterwarnings("ignore", "degenerate eigenvalue spectrum")
             code, _, err = run_cli(capsys, *argv)
-        assert code in (0, 1, 2, 3)
+        assert code in (0, 1, 2)
         assert "Traceback" not in err
         if code == 0:
             assert err == ""

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from convstate import clustering
@@ -310,6 +310,47 @@ class TestEigenGap:
         vector = np.ones((4, 1))
         assert eigen_gap_k(vector @ vector.T) == 1
 
+    def test_one_by_one(self):
+        assert eigen_gap_k(np.ones((1, 1))) == 1
+
+
+def kmeans_reseeding_once_oracle(points, k, seed):
+    """`kmeans` as it was when each empty cluster was re-seeded once per
+    iteration, from distances that predate the earlier re-seeds."""
+    pts = np.asarray(points, dtype=np.float64)
+    n = pts.shape[0]
+    rng = np.random.default_rng(seed)
+    centroids = np.empty((k, pts.shape[1]))
+    centroids[0] = pts[rng.integers(n)]
+    closest_sq = np.sum((pts - centroids[0]) ** 2, axis=1)
+    for c in range(1, k):
+        total = closest_sq.sum()
+        if total <= 0.0:
+            choice = int(rng.integers(n))
+        else:
+            u = rng.random()
+            choice = int(np.searchsorted(np.cumsum(closest_sq / total), u, side="right"))
+            choice = min(choice, n - 1)
+        centroids[c] = pts[choice]
+        closest_sq = np.minimum(closest_sq, np.sum((pts - centroids[c]) ** 2, axis=1))
+    for _ in range(100):
+        distances = np.linalg.norm(pts[:, None, :] - centroids[None, :, :], axis=2)
+        labels = np.argmin(distances, axis=1)
+        for c in range(k):
+            if not (labels == c).any():
+                farthest = int(np.argmax(distances[np.arange(n), labels]))
+                centroids[c] = pts[farthest]
+                labels[farthest] = c
+        new_centroids = np.stack([pts[labels == c].mean(axis=0) for c in range(k)])
+        shift = float(np.linalg.norm(new_centroids - centroids, axis=1).max())
+        centroids = new_centroids
+        if shift < 1e-6:
+            break
+    remap: dict[int, int] = {}
+    for lab in labels.tolist():
+        remap.setdefault(lab, len(remap))
+    return [remap[lab] for lab in labels.tolist()]
+
 
 class TestKmeans:
     def test_single_cluster(self):
@@ -351,6 +392,31 @@ class TestKmeans:
     def test_deterministic(self):
         points = np.random.default_rng(3).normal(0, 1, (30, 4))
         assert np.array_equal(kmeans(points, 3, seed=5), kmeans(points, 3, seed=5))
+
+    @settings(max_examples=300, deadline=None)
+    # Two clusters empty in one iteration; the oracle takes the mean of an empty one.
+    @example([[0, 1], [0, 0], [-5, 1], [3, 2], [5, -9], [-1, 1], [3, -2], [-5, -1]], 4, 1)
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda dim: st.lists(
+                st.lists(st.integers(-9, 9), min_size=dim, max_size=dim), min_size=4, max_size=11
+            )
+        ),
+        st.integers(2, 6),
+        st.integers(0, 2**16),
+    )
+    def test_k_clusters_and_the_old_loops_labels_where_it_gave_no_warning(self, rows, k, seed):
+        points = np.array(rows, dtype=float)
+        assume(k <= np.unique(points, axis=0).shape[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            labels = kmeans(points, k, seed)
+        assert sorted(set(labels.tolist())) == list(range(k))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            expected = kmeans_reseeding_once_oracle(points, k, seed)
+        if not caught:
+            assert labels.tolist() == expected
 
 
 FIXTURE = generate_synthetic_embeddings(3, 20, 16, 5.0, 1.0, 7)

@@ -778,6 +778,10 @@ class TestSegment:
         mask[10:15] = True
         assert segment(mask, hop_s=0.010, seg_len_s=0.4) == []
 
+    def test_lone_run_of_at_least_half_a_segment_kept_whole(self):
+        spans = segment(np.ones(25, dtype=bool), hop_s=0.010, seg_len_s=0.4)
+        assert [(round(s.start_s, 3), round(s.end_s, 3)) for s in spans] == [(0.0, 0.25)]
+
     def test_two_runs_stay_separate(self):
         mask = np.zeros(200, dtype=bool)
         mask[0:45] = True

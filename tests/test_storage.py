@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import os
 import re
 import sys
 
@@ -24,7 +25,7 @@ from convstate.controller import (
     run_session,
 )
 from convstate import frontend
-from convstate.errors import SchemaError, ValidationError
+from convstate.errors import ValidationError
 from convstate.frontend import (
     ACCEPTED_RATES,
     HOP_S,
@@ -82,6 +83,20 @@ def csv_writer_features(features):
     return buffer.getvalue()
 
 
+def test_failed_write_removes_its_temp_file_and_keeps_the_target(tmp_path, monkeypatch):
+    target = tmp_path / "out.txt"
+    target.write_text("old\n")
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="replace refused"):
+        atomic_write_text(str(target), "new\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+    assert target.read_text() == "old\n"
+
+
 class TestModelPersistence:
     def test_round_trip_counts_exact(self, model, tmp_path):
         path = str(tmp_path / "model.json")
@@ -105,25 +120,25 @@ class TestModelPersistence:
         save_model(model, path)
         text = open(path).read()
         open(path, "w").write(text[: len(text) // 2])
-        with pytest.raises(SchemaError, match="not valid JSON"):
+        with pytest.raises(ValidationError, match="not valid JSON"):
             load_model(path)
 
     def test_negative_count_names_cell(self, model):
         doc = model_to_document(model)
         doc["counts"][5] = -2
-        with pytest.raises(SchemaError, match=r"counts\[5\] \(row 1, col 2\)"):
+        with pytest.raises(ValidationError, match=r"counts\[5\] \(row 1, col 2\)"):
             model_from_document(doc)
 
     def test_version_mismatch(self, model):
         doc = model_to_document(model)
         doc["version"] = 99
-        with pytest.raises(SchemaError, match="version"):
+        with pytest.raises(ValidationError, match="version"):
             model_from_document(doc)
 
     def test_missing_version(self, model):
         doc = model_to_document(model)
         del doc["version"]
-        with pytest.raises(SchemaError, match="version"):
+        with pytest.raises(ValidationError, match="version"):
             model_from_document(doc)
 
     @pytest.mark.parametrize(
@@ -141,13 +156,13 @@ class TestModelPersistence:
     def test_mistyped_field_is_schema_error(self, field, value, states, message):
         doc = model_to_document(normalize(np.ones((states, states), dtype=int)))
         doc[field] = value
-        with pytest.raises(SchemaError, match=re.escape(message)):
+        with pytest.raises(ValidationError, match=re.escape(message)):
             model_from_document(doc)
 
     def test_wrong_counts_length(self, model):
         doc = model_to_document(model)
         doc["counts"] = doc["counts"][:-1]
-        with pytest.raises(SchemaError, match="9 integers"):
+        with pytest.raises(ValidationError, match="9 integers"):
             model_from_document(doc)
 
     def test_error_policy_file_is_rejected(self, tmp_path, capsys):
@@ -159,7 +174,7 @@ class TestModelPersistence:
         path = str(tmp_path / "model.json")
         atomic_write_text(path, json.dumps(doc))
         message = f"{path}: $.policy: expected one of ['uniform'], got 'error'"
-        with pytest.raises(SchemaError, match=re.escape(message)):
+        with pytest.raises(ValidationError, match=re.escape(message)):
             load_model(path)
         assert main(["predict", path, "--initial", "1", "--length", "5"]) == 1
         out, err = capsys.readouterr()
@@ -196,7 +211,7 @@ class TestLabelIo:
         assert loaded.times == seq.times
 
     def test_non_integer_token(self):
-        with pytest.raises(SchemaError, match="non-integer"):
+        with pytest.raises(ValidationError, match="non-integer"):
             parse_labels_text("0 1 x 2")
 
     @pytest.mark.parametrize(
@@ -220,7 +235,7 @@ class TestLabelIo:
         ],
     )
     def test_labels_are_ascii_int64(self, text, match):
-        with pytest.raises(SchemaError, match=match):
+        with pytest.raises(ValidationError, match=match):
             parse_labels_text(text)
 
     def test_signed_and_zero_padded_tokens(self):
@@ -229,7 +244,7 @@ class TestLabelIo:
         )
 
     def test_empty_input(self):
-        with pytest.raises(SchemaError, match="empty"):
+        with pytest.raises(ValidationError, match="empty"):
             parse_labels_text("   \n ")
 
     def test_explicit_state_count_override(self):
@@ -265,14 +280,19 @@ class TestEmbeddingIo:
     def test_error_names_the_file_once(self, tmp_path, text, message):
         path = str(tmp_path / "emb.csv")
         open(path, "w").write(text)
-        with pytest.raises(SchemaError) as info:
+        with pytest.raises(ValidationError) as info:
             read_embeddings(path)
         assert str(info.value) == f"{path}: {message}"
+
+    def test_csv_blank_line_between_rows_skipped(self, tmp_path):
+        path = str(tmp_path / "emb.csv")
+        open(path, "w").write("1.0,2.0\n\n3.0,4.0\n")
+        assert read_embeddings(path).vectors.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
     def test_missing_field_rejected(self, tmp_path):
         path = str(tmp_path / "emb.jsonl")
         open(path, "w").write(json.dumps({"start_s": 0.0, "vector": [1.0]}))
-        with pytest.raises(SchemaError, match="end_s"):
+        with pytest.raises(ValidationError, match="end_s"):
             read_embeddings(path)
 
 
@@ -325,7 +345,7 @@ def test_malformed_jsonl_record_names_line_and_field(tmp_path, reader, lines, ma
     path = tmp_path / "input.jsonl"
     path.write_text("\n".join(json.dumps(line) for line in lines) + "\n")
     read = read_labels if reader == "labels" else read_embeddings
-    with pytest.raises(SchemaError, match=re.escape(match)):
+    with pytest.raises(ValidationError, match=re.escape(match)):
         read(str(path))
 
 
@@ -597,13 +617,13 @@ class TestModeDocument:
     def test_unknown_mode_kind(self, model):
         doc = model_to_document(model)
         doc["mode"] = {"kind": "roulette"}
-        with pytest.raises(SchemaError, match="roulette"):
+        with pytest.raises(ValidationError, match="roulette"):
             model_from_document(doc)
 
     def test_sampled_requires_seed(self, model):
         doc = model_to_document(model)
         doc["mode"] = {"kind": "sampled"}
-        with pytest.raises(SchemaError, match="seed"):
+        with pytest.raises(ValidationError, match="seed"):
             model_from_document(doc)
 
 
@@ -686,7 +706,7 @@ class TestSessionConfigDocument:
                     doc[key] = value
         else:
             doc = edit
-        with pytest.raises(SchemaError) as excinfo:
+        with pytest.raises(ValidationError) as excinfo:
             session_config_from_document(doc)
         assert str(excinfo.value) == message
 
