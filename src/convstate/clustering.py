@@ -17,7 +17,7 @@ from .errors import ValidationError
 from .markov import StateSequence, _as_spans
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmbeddingSet:
     """Fixed-dimension real vectors, one per audio segment.
 
@@ -216,6 +216,8 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> np.ndarray:
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
         raise ValidationError(f"points must be 2-D, got shape {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise ValidationError("points contain NaN or Inf")
     n = pts.shape[0]
     if not 1 <= k <= n:
         raise ValidationError(f"k must be in 1..{n}, got {k}")

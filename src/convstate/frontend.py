@@ -44,7 +44,7 @@ _DCT_II *= np.sqrt(2.0 / N_FILTERS)
 _DCT_II[0] /= np.sqrt(2.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AudioBuffer:
     """Mono audio samples in [-1, 1] at a known sample rate."""
 

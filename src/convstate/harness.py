@@ -16,7 +16,7 @@ import numpy as np
 from . import markov
 from .clustering import EmbeddingSet
 from .errors import ValidationError
-from .markov import Sampled, StateSequence, TransitionModel, _as_labels
+from .markov import Sampled, StateSequence, TransitionModel, _as_labels, _count_matrix
 
 
 def generate_synthetic_sequence(
@@ -117,11 +117,7 @@ def sequence_with_exact_counts(counts: np.ndarray) -> StateSequence:
     ``counts / row_sums`` with no sampling error. Requires every state's
     in-count to equal its out-count and the graph to be connected.
     """
-    matrix = np.asarray(counts, dtype=np.int64)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValidationError(f"counts must be square, got shape {matrix.shape}")
-    if (matrix < 0).any():
-        raise ValidationError("counts must be non-negative")
+    matrix = _count_matrix(counts)
     out_deg = matrix.sum(axis=1)
     in_deg = matrix.sum(axis=0)
     if (out_deg != in_deg).any():

@@ -1,9 +1,9 @@
 """First-order Markov transition models over integer speaker states.
 
 States are dense integers ``0..n_states-1``; any external label alphabet is
-mapped at ingestion. A model stores raw bigram counts next to the
-row-stochastic probability matrix derived from them, so online updates and
-batch re-estimation stay exactly equivalent.
+mapped at ingestion. A model is its bigram counts: the state count and the
+row-stochastic probability matrix are derived from them, so online updates
+and batch re-estimation stay exactly equivalent.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -99,33 +99,47 @@ class StateSequence:
         return iter(self.labels)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransitionModel:
-    """Bigram counts plus the row-stochastic matrix estimated from them.
+    """A model is its bigram counts; `n_states` and `probs` derive from them.
 
-    ``probs[i][j]`` is the probability that state ``j`` follows state ``i``.
-    A row with zero observations (a state never seen leaving) is uniform.
+    ``probs[i][j]``, the probability that state ``j`` follows state ``i``, is
+    ``counts[i][j]`` over its row total; a row with zero observations (a
+    state never seen leaving) is uniform.
     """
 
-    n_states: int
     counts: np.ndarray
-    probs: np.ndarray
+    n_states: int = field(init=False)
+    probs: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        counts = np.ascontiguousarray(self.counts, dtype=np.int64)
-        probs = np.ascontiguousarray(self.probs, dtype=np.float64)
-        if counts.shape != (self.n_states, self.n_states):
-            raise ValidationError(
-                f"counts shape {counts.shape} != ({self.n_states}, {self.n_states})"
-            )
-        if probs.shape != counts.shape:
-            raise ValidationError(f"probs shape {probs.shape} != counts shape")
-        if (counts < 0).any():
-            raise ValidationError("counts must be non-negative")
-        counts.setflags(write=False)
+        counts = _count_matrix(self.counts)
+        n = len(counts)
+        totals = counts.sum(axis=1, keepdims=True)
+        probs = np.divide(counts, totals, out=np.full((n, n), 1.0 / n), where=totals > 0)
         probs.setflags(write=False)
         object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "n_states", n)
         object.__setattr__(self, "probs", probs)
+
+
+def _count_matrix(counts) -> np.ndarray:
+    """`counts` as a read-only int64 copy; the one rule for a count matrix: a
+    non-empty square integer (or bool) array with entries in
+    ``0..int64 max // n``, so no row total can wrap."""
+    matrix = np.asarray(counts)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise ValidationError(f"counts must be square, got shape {matrix.shape}")
+    if matrix.dtype.kind not in "biu" or not matrix.size:
+        raise ValidationError(f"counts must be a non-empty integer matrix, got {matrix.dtype}")
+    if matrix.min() < 0:
+        raise ValidationError("counts must be non-negative")
+    limit = np.iinfo(np.int64).max // len(matrix)
+    if matrix.max() > limit:
+        raise ValidationError(f"counts must be at most {limit}, so row totals fit int64")
+    matrix = matrix.astype(np.int64)
+    matrix.setflags(write=False)
+    return matrix
 
 
 def _as_labels(
@@ -196,17 +210,8 @@ def count_transitions(seq: StateSequence | Sequence[int], n_states: int) -> np.n
 
 
 def normalize(counts: np.ndarray) -> TransitionModel:
-    """Divide each row of a count matrix by its sum; a zero-sum row is uniform."""
-    counts = np.asarray(counts)
-    if counts.ndim != 2 or counts.shape[0] != counts.shape[1]:
-        raise ValidationError(f"counts must be square, got shape {counts.shape}")
-    if (counts < 0).any():
-        raise ValidationError("counts must be non-negative")
-    counts = counts.astype(np.int64)
-    n = counts.shape[0]
-    totals = counts.sum(axis=1, keepdims=True)
-    probs = np.divide(counts, totals, out=np.full((n, n), 1.0 / n), where=totals > 0)
-    return TransitionModel(n_states=n, counts=counts, probs=probs)
+    """The model of a count matrix: each row over its sum; a zero-sum row is uniform."""
+    return TransitionModel(counts)
 
 
 def estimate_transition(seq: StateSequence | Sequence[int], n_states: int) -> TransitionModel:

@@ -418,6 +418,12 @@ class TestKmeans:
         if not caught:
             assert labels.tolist() == expected
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        with pytest.raises(ValidationError, match="points contain NaN or Inf"):
+            kmeans(np.array([[bad], [1.0], [2.0]]), 3, seed=0)
+
 
 FIXTURE = generate_synthetic_embeddings(3, 20, 16, 5.0, 1.0, 7)
 

@@ -165,6 +165,11 @@ class TestSequenceWithExactCounts:
         with pytest.raises(ValidationError, match="in-counts"):
             sequence_with_exact_counts(np.array([[0, 2], [1, 0]]))
 
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_fractional_counts(self):
+        with pytest.raises(ValidationError, match="integer matrix, got float64"):
+            sequence_with_exact_counts([[1.6, 1.2], [1.4, 0.0]])
+
     def test_rejects_disconnected(self):
         disconnected = np.array(
             [[2, 0, 0], [0, 0, 0], [0, 0, 2]]

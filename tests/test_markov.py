@@ -1,4 +1,5 @@
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from convstate.clustering import EmbeddingSet
 from convstate.errors import ValidationError
+from convstate.frontend import AudioBuffer
 from convstate.markov import (
     Argmax,
     Sampled,
@@ -213,6 +215,58 @@ class TestNormalize:
         with pytest.raises(ValidationError):
             normalize(np.array([[1, -1], [0, 0]]))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "counts, message",
+        [
+            ([[1.7, 0.3], [0.5, 0.5]], "counts must be a non-empty integer matrix, got float64"),
+            (np.zeros((0, 0), dtype=int), "counts must be a non-empty integer matrix, got int64"),
+            ([[2**62, 3 * 2**61], [1, 1]], f"counts must be at most {2**62 - 1}, so row"),
+            ([[2**64 - 1]], f"counts must be at most {2**63 - 1}, so row totals fit int64"),
+            ([[2**64]], "counts must be a non-empty integer matrix, got object"),
+            ([[1, 2, 3]], r"counts must be square, got shape \(1, 3\)"),
+        ],
+    )
+    def test_bad_count_matrices_rejected(self, counts, message):
+        with pytest.raises(ValidationError, match=f"^{message}"):
+            normalize(counts)
+
+
+def reference_normalize(counts):
+    """`normalize`'s body from when it built the probabilities for the model."""
+    counts = counts.astype(np.int64)
+    n = counts.shape[0]
+    totals = counts.sum(axis=1, keepdims=True)
+    return np.divide(counts, totals, out=np.full((n, n), 1.0 / n), where=totals > 0)
+
+
+class TestTransitionModel:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_derives_the_reference_probabilities(self, data):
+        n = data.draw(st.integers(1, 6))
+        cells = data.draw(st.lists(st.integers(0, 10**6), min_size=n * n, max_size=n * n))
+        observed = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        counts = np.array(cells).reshape(n, n) * np.array(observed)[:, None]
+        model = TransitionModel(counts)
+        assert model.n_states == n
+        assert model.probs.tobytes() == reference_normalize(counts).tobytes()
+        assert not model.counts.flags.writeable and not model.probs.flags.writeable
+        assert counts.flags.writeable  # the model holds a copy
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: TransitionModel(np.ones((2, 2), dtype=int)),
+            lambda: EmbeddingSet(np.eye(2)),
+            lambda: AudioBuffer(np.zeros(4), 16000),
+        ],
+    )
+    def test_compares_by_identity_and_hashes(self, build):
+        a, b = build(), build()
+        assert a == a and a != b
+        assert hash(a) == hash(a) and isinstance(hash(b), int)
+
 
 class TestEstimateTransition:
     def test_strict_alternation(self):
@@ -305,12 +359,12 @@ class TestNormalizeReference:
 
 class TestPredictNext:
     def test_argmax_picks_row_maximum(self):
-        model = TransitionModel(2, np.ones((2, 2), dtype=int), np.array([[0.9, 0.1], [0.2, 0.8]]))
+        model = normalize(np.array([[9, 1], [2, 8]]))
         assert predict_next(model, 0, Argmax()) == 0
         assert predict_next(model, 1, Argmax()) == 1
 
     def test_argmax_tie_breaks_low(self):
-        model = TransitionModel(2, np.ones((2, 2), dtype=int), np.array([[0.5, 0.5], [0.5, 0.5]]))
+        model = normalize(np.array([[1, 1], [1, 1]]))
         assert predict_next(model, 0, Argmax()) == 0
 
     def test_sampled_degenerate_row(self):
@@ -340,7 +394,7 @@ class TestPredictSequence:
         assert predict_sequence(model, 1, 1).labels == (1,)
 
     def test_argmax_absorbs(self):
-        model = TransitionModel(2, np.ones((2, 2), dtype=int), np.array([[0.6, 0.4], [0.3, 0.7]]))
+        model = normalize(np.array([[6, 4], [3, 7]]))
         assert predict_sequence(model, 0, 4, Argmax()).labels == (0, 0, 0, 0)
 
     def test_sampled_reproducible(self):
@@ -417,7 +471,8 @@ class TestWalk:
         scale = data.draw(st.floats(0.3, 0.999))
         counts = np.array(cells).reshape(n, n)
         probs = scale * counts / counts.sum(axis=1, keepdims=True)
-        model = TransitionModel(n_states=n, counts=counts, probs=probs)
+        # Rows summing below 1 come from no count matrix; walk reads only these two.
+        model = SimpleNamespace(n_states=n, probs=probs)
         start = data.draw(st.integers(0, n - 1))
         seed = data.draw(st.integers(0, 2**32 - 1))
         got = run_walker(walk, model, start, 80, seed)

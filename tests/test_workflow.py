@@ -1,6 +1,6 @@
 """The CI workflow's steps: where the benchmark smoke runs and what it gates on,
-what the no-SIMD step and the numpy-only job run, and that the whole suite
-collects without scipy."""
+what the no-SIMD step and the numpy-only job run, that every suite run tests
+this checkout's `src`, and that the whole suite collects without scipy."""
 
 import json
 import os
@@ -93,3 +93,13 @@ def test_no_simd_step_runs_the_whole_suite():
     args = shlex.split(suite.split("python -m pytest", 1)[1])
     assert not any(arg.startswith(("--ignore", "--deselect", "-k")) for arg in args)
     assert all(arg.startswith("-") for arg in args)  # no test paths narrow it either
+
+
+def test_every_pytest_step_puts_this_checkout_on_the_path():
+    # The test configuration adds no path, so each suite run names `src` itself.
+    with open(WORKFLOW) as handle:
+        jobs = yaml.safe_load(handle)["jobs"]
+    lines = [line.strip() for job in jobs.values() for step in job["steps"]
+             for line in step.get("run", "").splitlines() if "python -m pytest" in line]
+    assert lines
+    assert all(line.startswith("PYTHONPATH=src python -m pytest") for line in lines), lines
