@@ -60,10 +60,12 @@ def _checked(a: np.ndarray) -> np.ndarray:
 def affinity(embeddings: EmbeddingSet) -> np.ndarray:
     """Cosine similarity mapped to [0, 1], diagonal pinned to 1."""
     v = embeddings.vectors
-    # A vector whose squared norm overflows turns its cosines into NaN, which
-    # _checked rejects; numpy's overflow warnings would only repeat that.
+    # A vector whose squared norm overflows would read as orthogonal to every
+    # finite one, so it is rejected; numpy's overflow warnings would only repeat that.
     with np.errstate(over="ignore", invalid="ignore"):
         norms = np.linalg.norm(v, axis=1)
+        if not np.isfinite(norms).all():
+            raise ValidationError("affinity contains NaN or Inf")
         for i, norm in enumerate(norms):
             if norm == 0.0:
                 raise ValidationError(f"embedding {i} has zero norm")

@@ -95,18 +95,11 @@ class FrameFeatures(NamedTuple):
     row: np.ndarray
 
 
-@dataclass(frozen=True)
-class SpeakerSegment:
-    """Half-open time span [start_s, end_s)."""
+class SpeakerSegment(NamedTuple):
+    """Half-open time span [start_s, end_s), the (start, end) pair of a `times` span."""
 
     start_s: float
     end_s: float
-
-    def __post_init__(self):
-        if self.end_s <= self.start_s:
-            raise ValidationError(
-                f"segment end {self.end_s} must exceed start {self.start_s}"
-            )
 
 
 def load_wav(path: str) -> AudioBuffer:
@@ -157,7 +150,8 @@ def load_wav(path: str) -> AudioBuffer:
 
 
 def save_wav(path: str, audio: AudioBuffer) -> None:
-    """Write mono 16-bit PCM; the inverse of load_wav for fixtures."""
+    """Write mono 16-bit PCM for fixtures, each sample times 32767 truncated toward zero;
+    load_wav divides by 32768, so a round trip moves a sample by less than 2/32768."""
     scaled = np.clip(audio.samples * 32767.0, -32768, 32767).astype("<i2")
     with wave.open(str(path), "wb") as handle:
         handle.setnchannels(1)
@@ -519,11 +513,12 @@ def segment(
     """Cut maximal speech runs into consecutive chunks of seg_len_s.
 
     A trailing remainder of at most half a segment merges into its
-    predecessor; a lone run shorter than half a segment is dropped.
+    predecessor; a lone run shorter than half a segment is dropped. Needs
+    0 < hop_s <= seg_len_s < inf, so that every segment holds a frame.
     """
-    if not (0 < seg_len_s < math.inf and 0 < hop_s < math.inf):
+    if not 0 < hop_s <= seg_len_s < math.inf:
         raise ValidationError(
-            f"hop_s and seg_len_s must be positive and finite, got {hop_s} and {seg_len_s}"
+            f"need 0 < hop_s <= seg_len_s < inf, got hop_s {hop_s} and seg_len_s {seg_len_s}"
         )
     mask = np.asarray(speech_mask, dtype=bool)
     segments: list[SpeakerSegment] = []

@@ -41,6 +41,7 @@ def _chain_chunks(
     `iterations` counts chunk 0 too. Each walked chunk holds `length` labels,
     walked states, so they are boxed without a second check.
     """
+    length = markov._integer(length, "length")
     if length < 1:
         raise ValidationError(f"length must be >= 1, got {length}")
     count = 0

@@ -248,6 +248,9 @@ def walk(
     last entry, so a draw above the row's rounded total lands on the last
     state.
     """
+    steps = _integer(steps, "steps")
+    if steps < 0:
+        raise ValidationError(f"steps must be >= 0, got {steps}")
     start = _integer(start, "state", model.n_states if steps > 0 else None)
     if rng is None:
         # Argmax is the same walk over one-hot rows with every draw at 0.5.
@@ -292,6 +295,7 @@ def predict_sequence(
     mode: PredictionMode = Argmax(),
 ) -> StateSequence:
     """Roll the chain forward: output[0] = initial, then `length - 1` steps."""
+    length = _integer(length, "length")
     if length < 1:
         raise ValidationError(f"length must be >= 1, got {length}")
     initial = _integer(initial, "initial", model.n_states)

@@ -436,11 +436,15 @@ class TestCliEdges:
         assert code == 1
         assert err.startswith("error:") and "distinct" in err
 
-    def test_diarize_overflowing_embeddings_is_one_line_error(self, tmp_path):
+    @pytest.mark.parametrize(
+        "rows", ["1e200,1e200\n1e200,0\n1,1\n", "1e200,1e200\n1,2\n"],
+        ids=["both-overflow", "one-overflows"],
+    )
+    def test_diarize_overflowing_embeddings_is_one_line_error(self, tmp_path, rows):
         # Run as a process: under pytest, numpy's RuntimeWarnings would be
         # recorded instead of reaching stderr.
         emb = tmp_path / "e.csv"
-        emb.write_text("1e200,1e200\n1e200,0\n1,1\n")
+        emb.write_text(rows)
         src = str(Path(__file__).resolve().parents[1] / "src")
         result = subprocess.run(
             [sys.executable, "-m", "convstate", "diarize", str(emb), "--seed", "7"],

@@ -254,6 +254,23 @@ class TestStageInputs:
         with pytest.raises(ValidationError, match="affinity must be square"):
             STAGES[stage](np.ones(shape))
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: EmbeddingSet(np.zeros(4)), "vectors must be 2-D, got shape (4,)"),
+            (
+                lambda: EmbeddingSet(np.eye(2), times=[(0.0, 1.0)]),
+                "times length does not match vector count",
+            ),
+            (lambda: symmetric_eigh(np.zeros((2, 3))), "matrix must be square, got shape (2, 3)"),
+            (lambda: kmeans(np.zeros(3), 1, seed=0), "points must be 2-D, got shape (3,)"),
+        ],
+        ids=["embedding-rank", "embedding-times", "eigh-shape", "kmeans-rank"],
+    )
+    def test_shape_checks_name_the_fault(self, call, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            call()
+
     def test_diffuse_rejects_an_overflowing_product(self):
         values = np.array([[1e200, 1e200], [1.0, 1.0]])
         with np.errstate(over="ignore"), pytest.raises(ValidationError, match="NaN or Inf"):
@@ -264,8 +281,13 @@ class TestStageInputs:
         with np.errstate(over="ignore"), pytest.raises(ValidationError, match="NaN or Inf"):
             row_normalize(values)
 
-    def test_affinity_rejects_vectors_whose_products_overflow(self):
-        embeddings = EmbeddingSet(np.array([[1e200, 1e200], [1e200, 0.0]]))
+    @pytest.mark.parametrize(
+        "rows",
+        [[[1e200, 1e200], [1e200, 0.0]], [[1e200, 1e200], [1.0, 2.0]]],
+        ids=["both-overflow", "one-overflows"],
+    )
+    def test_affinity_rejects_vectors_whose_products_overflow(self, rows):
+        embeddings = EmbeddingSet(np.array(rows))
         with np.errstate(all="ignore"), pytest.raises(ValidationError, match="NaN or Inf"):
             affinity(embeddings)
 

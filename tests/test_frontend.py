@@ -1,6 +1,7 @@
 import math
 import os
 import pickle
+import re
 import signal
 import sys
 import threading
@@ -20,6 +21,7 @@ from convstate.frontend import (
     ACCEPTED_RATES,
     AudioBuffer,
     FrameFeatures,
+    SpeakerSegment,
     _mel_bands,
     _mel_filterbank,
     _windows,
@@ -36,6 +38,7 @@ from convstate.frontend import (
     vad_classify,
     zcr,
 )
+from convstate.markov import StateSequence, _as_spans
 from convstate.storage import VAD_WEIGHT_BOUND, features_to_csv
 
 
@@ -156,6 +159,11 @@ class TestLogEnergy:
 
     def test_half_half(self):
         assert log_energy(np.array([0.5, 0.5])) == pytest.approx(math.log(0.5))
+
+    @pytest.mark.parametrize("empty", [np.zeros(0), []], ids=["array", "list"])
+    def test_empty_frame_rejected(self, empty):
+        with pytest.raises(ValidationError, match="^frame is empty$"):
+            log_energy(empty)
 
 
 class TestZcr:
@@ -670,6 +678,12 @@ class TestVadClassify:
         with pytest.raises(ValidationError, match="16"):
             vad_classify(np.zeros((3, 15)), np.zeros(17))
 
+    @pytest.mark.parametrize("shape", [(2, 3, 15), ()], ids=["3-D", "0-D"])
+    def test_features_of_another_rank_rejected(self, shape):
+        message = f"features must be one vector or an (n, d) matrix, got {len(shape)}-D"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            vad_classify(np.zeros(shape), np.zeros(16))
+
     @given(
         rate=st.sampled_from(ACCEPTED_RATES),
         kind=st.sampled_from(["silence", "square", "noise"]),
@@ -725,6 +739,14 @@ class TestTrainVad:
         assert np.array_equal(first, again)
         assert not np.array_equal(first, trained)
         assert np.abs(first).max() < 0.1
+
+    @pytest.mark.parametrize(
+        "x_shape, y_shape", [((10,), (10,)), ((10, 2), (10, 1)), ((10, 2), (9,))],
+        ids=["1-D-features", "2-D-labels", "row-count"],
+    )
+    def test_shape_mismatch_rejected(self, x_shape, y_shape):
+        with pytest.raises(ValidationError, match=r"^features must be \(n, d\) with one label per row$"):
+            train_vad(np.zeros(x_shape), np.zeros(y_shape), epochs=5)
 
     def test_single_class_names_missing(self):
         x, _ = synthetic_vad_corpus()
@@ -790,6 +812,32 @@ class TestSegment:
         assert len(spans) == 2
         assert spans[0].end_s <= spans[1].start_s
 
+    @given(st.lists(st.tuples(st.booleans(), st.integers(1, 120)), max_size=8))
+    @settings(max_examples=200)
+    def test_segments_are_spans_as_they_stand(self, runs):
+        # A segment is the (start, end) pair that the one span rule takes as is.
+        # The mask is drawn as runs: a few seconds with speech runs of any length.
+        mask = np.repeat([speech for speech, _ in runs], [length for _, length in runs])
+        spans = segment(mask.astype(bool))
+        assert _as_spans(spans) == tuple(spans)
+        assert StateSequence([0] * len(spans), 1, times=spans).times == tuple(spans)
+
+    def test_segment_is_a_named_pair(self):
+        (first,) = segment(np.ones(40, dtype=bool))
+        assert SpeakerSegment._fields == ("start_s", "end_s")
+        assert isinstance(first, tuple) and not hasattr(first, "__post_init__")
+        assert first == (0.0, 0.4) and first.start_s == 0.0 and first.end_s == 0.4
+        assert repr(first) == "SpeakerSegment(start_s=0.0, end_s=0.4)"
+
+    @pytest.mark.parametrize(
+        "hop_s, seg_len_s",
+        [(0.01, 1e-300), (0.01, 0.005), (math.nan, 0.4), (0.01, math.inf), (0, 0.4)],
+    )
+    def test_hop_must_fit_in_a_finite_segment(self, hop_s, seg_len_s):
+        message = f"need 0 < hop_s <= seg_len_s < inf, got hop_s {hop_s} and seg_len_s {seg_len_s}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            segment(np.ones(100, dtype=bool), hop_s, seg_len_s)
+
     @given(st.lists(st.booleans(), min_size=1, max_size=300))
     @settings(max_examples=200)
     def test_segment_invariants(self, mask):
@@ -804,12 +852,14 @@ class TestSegment:
 
 class TestWavIo:
     def test_round_trip(self, tmp_path):
+        # save_wav scales by 32767 and truncates; load_wav divides by 32768.
         path = str(tmp_path / "clip.wav")
-        original = AudioBuffer(np.linspace(-0.5, 0.5, 1600), 16000)
+        uniform = np.random.default_rng(0).uniform(-1.0, 1.0, 20000)
+        original = AudioBuffer(np.concatenate((np.linspace(-1.0, 1.0, 1601), uniform)), 16000)
         save_wav(path, original)
         loaded = load_wav(path)
         assert loaded.sample_rate == 16000
-        assert np.abs(loaded.samples - original.samples).max() < 1e-4
+        assert np.abs(loaded.samples - original.samples).max() < 2 / 32768
 
     def test_multichannel_downmix(self, tmp_path):
         import wave as wave_module

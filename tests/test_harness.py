@@ -94,6 +94,13 @@ class TestChainOracles:
                 next(make_oracle(STICKY, length, initial, seed=1, iterations=2))
             assert str(excinfo.value) == f"initial {initial!r} is not an integer"
 
+    @pytest.mark.parametrize("length", [2.5, 2.0, "2"])
+    def test_non_integer_length_names_its_field(self, length):
+        for make_oracle in (chain_oracle, matched_chain_oracle):
+            with pytest.raises(ValidationError) as excinfo:
+                next(make_oracle(STICKY, length, 0, seed=1, iterations=2))
+            assert str(excinfo.value) == f"length {length!r} is not an integer"
+
     @pytest.mark.parametrize("length", [0, -3])
     def test_length_below_one_rejected(self, length):
         bootstrap = sequence_with_exact_counts(STICKY.counts)
@@ -169,6 +176,11 @@ class TestSequenceWithExactCounts:
     def test_rejects_fractional_counts(self):
         with pytest.raises(ValidationError, match="integer matrix, got float64"):
             sequence_with_exact_counts([[1.6, 1.2], [1.4, 0.0]])
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_rejects_all_zero_counts(self, n):
+        with pytest.raises(ValidationError, match="^counts are all zero; nothing to traverse$"):
+            sequence_with_exact_counts(np.zeros((n, n), dtype=int))
 
     def test_rejects_disconnected(self):
         disconnected = np.array(
@@ -290,6 +302,11 @@ class TestGenerateSyntheticEmbeddings:
         vectors = embeddings.vectors
         within = vectors[:30] - vectors[:30].mean(axis=0)
         assert np.abs(within).max() < 1e-9
+
+    @pytest.mark.parametrize("n_clusters, per_cluster", [(0, 10), (2, 0), (-1, 5)])
+    def test_counts_below_one_rejected(self, n_clusters, per_cluster):
+        with pytest.raises(ValidationError, match="^n_clusters and per_cluster must be >= 1$"):
+            generate_synthetic_embeddings(n_clusters, per_cluster, 4, 2.0, 0.1, 0)
 
     def test_dim_must_fit_clusters(self):
         with pytest.raises(ValidationError, match="dim"):

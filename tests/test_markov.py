@@ -100,6 +100,11 @@ class TestStateSequence:
         with pytest.raises(ValidationError, match=f" at index {index} is not an integer$"):
             StateSequence(labels=labels, n_states=3)
 
+    @pytest.mark.parametrize("n_states", [0, -1])
+    def test_rejects_n_states_below_one(self, n_states):
+        with pytest.raises(ValidationError, match=f"^n_states must be >= 1, got {n_states}$"):
+            StateSequence(labels=(), n_states=n_states)
+
     def test_integer_kinds_are_stored_as_python_ints(self):
         labels = (True, np.int64(2), np.uint8(0), np.int32(1), 2)
         seq = StateSequence(labels=labels, n_states=3)
@@ -410,6 +415,13 @@ class TestPredictSequence:
         with pytest.raises(ValidationError):
             predict_sequence(model, 0, 0)
 
+    @pytest.mark.parametrize("mode", [Argmax(), Sampled(0)], ids=["argmax", "sampled"])
+    @pytest.mark.parametrize("length", [2.5, 2.0, "2"])
+    def test_non_integer_length_names_its_field(self, mode, length):
+        model = normalize(np.array([[1, 1], [1, 1]]))
+        with pytest.raises(ValidationError, match=f"^length {re.escape(repr(length))} is not"):
+            predict_sequence(model, 0, length, mode)
+
 
 def query_row(model, state):
     """Reference: the per-state row query walk made before the comprehension kernel."""
@@ -531,6 +543,31 @@ class TestWalk:
             with pytest.raises(ValidationError) as excinfo:
                 call()
             assert str(excinfo.value) == f"{name} {start!r} is not an integer"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("seed", [None, 5], ids=["argmax", "sampled"])
+    @pytest.mark.parametrize(
+        "steps, message",
+        [
+            (-3, "steps must be >= 0, got -3"),
+            (-1, "steps must be >= 0, got -1"),
+            (2.0, "steps 2.0 is not an integer"),
+            ("2", "steps '2' is not an integer"),
+            (None, "steps None is not an integer"),
+        ],
+    )
+    def test_steps_must_be_a_non_negative_integer(self, seed, steps, message):
+        model = normalize(np.array([[1, 1], [1, 1]]))
+        rng = None if seed is None else np.random.default_rng(seed)
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            walk(model, 0, steps, rng)
+
+    @pytest.mark.parametrize("seed", [None, 5], ids=["argmax", "sampled"])
+    def test_zero_steps_walk_nowhere(self, seed):
+        model = normalize(np.array([[1, 1], [1, 1]]))
+        rng = None if seed is None else np.random.default_rng(seed)
+        assert walk(model, 0, 0, rng) == []
+        assert walk(model, 0, np.int64(0), rng) == []
 
     def test_integer_kinds_start_a_walk(self):
         model = normalize(np.array([[0, 1], [1, 0]]))

@@ -129,6 +129,14 @@ class TestEvaluate:
         with pytest.raises(ValidationError):
             EvaluationReport(tpe=120.0, epps={}, compared_length=1, per_state_occurrences={})
 
+    @pytest.mark.parametrize("value", [-0.5, 100.5, float("nan")])
+    def test_report_rejects_out_of_range_epps(self, value):
+        with pytest.raises(ValidationError, match=rf"^epps\[1\] = {value} outside \[0, 100\]$"):
+            EvaluationReport(
+                tpe=0.0, epps={0: 0.0, 1: value}, compared_length=2,
+                per_state_occurrences={0: 1, 1: 1},
+            )
+
 
 class TestProperties:
     @given(sequence_pairs())
