@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .markov import StateSequence, _as_spans
+from .markov import StateSequence, _as_spans, _integer
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,9 +42,6 @@ class EmbeddingSet:
             object.__setattr__(self, "times", _as_spans(self.times))
             if len(self.times) != vectors.shape[0]:
                 raise ValidationError("times length does not match vector count")
-
-    def __len__(self) -> int:
-        return int(self.vectors.shape[0])
 
 
 def _checked(a: np.ndarray) -> np.ndarray:
@@ -163,9 +160,7 @@ def symmetric_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns eigenvalues in descending order (stable on ties) and the
     matching eigenvector columns.
     """
-    a = np.array(matrix, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError(f"matrix must be square, got shape {a.shape}")
+    a = _checked(matrix)
     if not np.allclose(a, a.T, atol=1e-8):
         raise ValidationError("matrix is not symmetric")
     eigenvalues, eigenvectors = np.linalg.eigh(a)
@@ -211,9 +206,9 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> np.ndarray:
     """Lloyd's k-means with k-means++ seeding and first-occurrence label ids.
 
     An empty cluster is re-seeded at the point farthest from its assigned
-    centroid (lowest index on ties), keeping the run deterministic. A
-    re-seeded point sits on its new centroid, so no other empty cluster
-    takes it in the same iteration, and the pass repeats while one is empty.
+    centroid (lowest index on ties) among the clusters of two or more
+    points, keeping the run deterministic. Such a cluster exists while one
+    is empty, since k <= n, so one pass fills every empty cluster.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
@@ -221,8 +216,16 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> np.ndarray:
     if not np.isfinite(pts).all():
         raise ValidationError("points contain NaN or Inf")
     n = pts.shape[0]
+    k = _integer(k, "k")
     if not 1 <= k <= n:
         raise ValidationError(f"k must be in 1..{n}, got {k}")
+    # A coordinate differs from any centroid's by at most 2 max |x| on its axis,
+    # so a finite bound keeps the distances, their k-means++ total and the
+    # centroid sums from overflowing.
+    with np.errstate(over="ignore"):
+        bound = n * np.sum((2.0 * np.abs(pts).max(axis=0)) ** 2)
+    if not np.isfinite(bound):
+        raise ValidationError("points are too large: their squared distances overflow")
     distinct = np.unique(pts, axis=0).shape[0]
     if k > distinct:
         raise ValidationError(f"k={k} exceeds the {distinct} distinct points")
@@ -246,24 +249,21 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> np.ndarray:
         distances = np.linalg.norm(pts[:, None, :] - centroids[None, :, :], axis=2)
         labels = np.argmin(distances, axis=1)
         per_point = distances[np.arange(n), labels]
-        while not np.bincount(labels, minlength=k).all():
-            for c in range(k):
-                if not (labels == c).any():
-                    farthest = int(np.argmax(per_point))
-                    centroids[c] = pts[farthest]
-                    labels[farthest] = c
-                    per_point[farthest] = 0.0
+        sizes = np.bincount(labels, minlength=k)
+        for c in np.flatnonzero(sizes == 0):
+            farthest = int(np.argmax(np.where(sizes[labels] > 1, per_point, -1.0)))
+            sizes[labels[farthest]] -= 1
+            sizes[c] = 1
+            centroids[c] = pts[farthest]
+            labels[farthest] = c
         new_centroids = np.stack([pts[labels == c].mean(axis=0) for c in range(k)])
         shift = float(np.linalg.norm(new_centroids - centroids, axis=1).max())
         centroids = new_centroids
         if shift < 1e-6:
             break
 
-    remap: dict[int, int] = {}
-    for lab in labels:
-        if int(lab) not in remap:
-            remap[int(lab)] = len(remap)
-    return np.asarray([remap[int(lab)] for lab in labels], dtype=np.int64)
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse].astype(np.int64)
 
 
 def refine(embeddings: EmbeddingSet, percentile: float = 95.0) -> np.ndarray:
@@ -327,10 +327,6 @@ def spectral_cluster(
     """
     grid = PERCENTILE_GRID if percentile is None else (percentile,)
     _, eigenvalues, eigenvectors = _sweep_percentiles(embeddings, grid)
-    if k is None:
-        k = _eigen_gap_from_values(eigenvalues)
-    if not 1 <= k <= len(embeddings):
-        raise ValidationError(f"k must be in 1..{len(embeddings)}, got {k}")
-    spectral = eigenvectors[:, :k]
-    labels = kmeans(spectral, k, seed)
-    return StateSequence(labels=labels, n_states=int(k), times=embeddings.times)
+    k = _eigen_gap_from_values(eigenvalues) if k is None else _integer(k, "k")
+    labels = kmeans(eigenvectors[:, :k], k, seed)
+    return StateSequence(labels=labels, n_states=k, times=embeddings.times)

@@ -113,8 +113,7 @@ def decide(report: EvaluationReport, thresholds: Thresholds) -> Decision:
     """
     if report.tpe >= thresholds.tpe_threshold:
         return Decision.REPLACE_WITH_ORACLE
-    worst = report.max_epps()
-    if worst is not None and worst >= thresholds.epps_threshold:
+    if any(value >= thresholds.epps_threshold for value in report.epps.values()):
         return Decision.REPLACE_WITH_ORACLE
     return Decision.ACCEPT
 
@@ -131,7 +130,9 @@ def check_iteration(
 
 
 def matrix_diff(
-    full: TransitionModel, windowed: TransitionModel, max_allowed: float = 0.15
+    full: TransitionModel,
+    windowed: TransitionModel,
+    max_allowed: float = Thresholds.matrix_diff_max,
 ) -> tuple[float, bool]:
     """Largest elementwise |full - windowed| probability gap, and whether it passes.
 

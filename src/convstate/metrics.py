@@ -39,31 +39,12 @@ class EvaluationReport:
             if not 0.0 <= value <= 100.0:
                 raise ValidationError(f"epps[{state}] = {value} outside [0, 100]")
 
-    def max_epps(self) -> float | None:
-        """Largest per-state error, or None when no state was present."""
-        return max(self.epps.values()) if self.epps else None
-
-
-def _paired_labels(
-    predicted: StateSequence | Sequence[int], actual: StateSequence | Sequence[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    pred = _as_labels(predicted)
-    act = _as_labels(actual)
-    if pred.size != act.size:
-        raise ValidationError(
-            f"length mismatch: predicted has {pred.size}, actual has {act.size}"
-        )
-    if pred.size == 0:
-        raise ValidationError("cannot evaluate empty sequences")
-    return pred, act
-
 
 def tpe(
     predicted: StateSequence | Sequence[int], actual: StateSequence | Sequence[int]
 ) -> float:
-    """Percent of positions where predicted differs from actual."""
-    pred, act = _paired_labels(predicted, actual)
-    return 100.0 * float(np.count_nonzero(pred != act)) / pred.size
+    """Percent of positions where predicted differs from actual: `evaluate`'s TPE."""
+    return evaluate(predicted, actual, 0).tpe
 
 
 def evaluate(
@@ -76,7 +57,13 @@ def evaluate(
     Actual labels outside that range count in TPE but get no EPPS or
     occurrence entry.
     """
-    pred, act = _paired_labels(predicted, actual)
+    pred, act = _as_labels(predicted), _as_labels(actual)
+    if pred.size != act.size:
+        raise ValidationError(
+            f"length mismatch: predicted has {pred.size}, actual has {act.size}"
+        )
+    if pred.size == 0:
+        raise ValidationError("cannot evaluate empty sequences")
     n = max(n_states, 0)
     wrong = pred != act
     # Out-of-range labels go to the spare bin n, which is dropped.

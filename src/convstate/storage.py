@@ -209,11 +209,6 @@ def _parse_json(text: str):
         raise ValidationError(f"not valid JSON ({exc})") from exc
 
 
-def read_json(path: str):
-    """The JSON document in the file `path`."""
-    return _read_file(path, _parse_json)
-
-
 def load_model(path: str) -> tuple[TransitionModel, PredictionMode | None]:
     """The model in the JSON file `path`; each validation error names the file once."""
     return _read_file(path, lambda text: model_from_document(_parse_json(text)))
@@ -429,7 +424,7 @@ def session_config_from_document(doc):
 
 def read_session_config(path: str):
     """session_config_from_document of the JSON document at `path`."""
-    return session_config_from_document(read_json(path))
+    return session_config_from_document(_read_file(path, _parse_json))
 
 
 def _number(value, kind: type = float):
@@ -497,11 +492,8 @@ def parse_labels_text(text: str, n_states: int | None = None) -> StateSequence:
             raise ValidationError(f"label input contains a non-integer token: {exc}") from exc
     if not labels:
         raise ValidationError("label input is empty")
-    low, high = min(labels), max(labels)
-    if low < -(2**63) or high >= 2**63:
-        raise ValidationError(f"label {low if low < -(2**63) else high} is outside the int64 range")
     # At least one state, so an all-negative input fails on its first label.
-    inferred = n_states if n_states is not None else max(high + 1, 1)
+    inferred = n_states if n_states is not None else max(max(labels) + 1, 1)
     return StateSequence(labels=labels, n_states=inferred, times=times)
 
 

@@ -1,5 +1,7 @@
 import math
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -262,7 +264,7 @@ class TestStageInputs:
                 lambda: EmbeddingSet(np.eye(2), times=[(0.0, 1.0)]),
                 "times length does not match vector count",
             ),
-            (lambda: symmetric_eigh(np.zeros((2, 3))), "matrix must be square, got shape (2, 3)"),
+            (lambda: symmetric_eigh(np.zeros((2, 3))), "affinity must be square, got shape (2, 3)"),
             (lambda: kmeans(np.zeros(3), 1, seed=0), "points must be 2-D, got shape (3,)"),
         ],
         ids=["embedding-rank", "embedding-times", "eigh-shape", "kmeans-rank"],
@@ -308,6 +310,19 @@ class TestSymmetricEigh:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValidationError, match="symmetric"):
             symmetric_eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: symmetric_eigh(np.array([[np.inf, 0.0], [0.0, 1.0]])),
+            lambda: eigen_gap_k(np.array([[1.0, np.nan], [np.nan, 1.0]])),
+        ],
+        ids=["eigh-inf", "eigen-gap-nan"],
+    )
+    def test_non_finite_entries_rejected(self, call):
+        with pytest.raises(ValidationError, match="^affinity contains NaN or Inf$"):
+            call()
 
     def test_one_by_one(self):
         values, vectors = symmetric_eigh(np.array([[4.0]]))
@@ -445,6 +460,46 @@ class TestKmeans:
     def test_non_finite_points_rejected(self, bad):
         with pytest.raises(ValidationError, match="points contain NaN or Inf"):
             kmeans(np.array([[bad], [1.0], [2.0]]), 3, seed=0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "rows, k",
+        [
+            ([[1e160, 0.0], [-1e160, 0.0], [0.0, 1.0], [1.0, 1.0]], 2),
+            ([[1e200], [-1e200], [0.0]], 3),
+        ],
+        ids=["square-overflows", "one-axis"],
+    )
+    def test_points_whose_squared_distances_overflow_rejected(self, rows, k):
+        with pytest.raises(ValidationError, match="squared distances overflow"):
+            kmeans(np.array(rows), k, seed=0)
+
+    def test_underflowing_distances_fill_every_cluster(self):
+        # Every squared distance underflows to 0, so the farthest point of all
+        # is point 0 for each empty cluster in turn. Run in a child process so
+        # that a loop that never ends fails here instead of hanging the suite.
+        program = (
+            "import numpy as np; from convstate.clustering import kmeans; "
+            "print(kmeans(np.array([[0.0], [1e-200], [3e-200]]), 3, 1).tolist())"
+        )
+        result = subprocess.run([sys.executable, "-W", "error", "-c", program],
+                                capture_output=True, text=True, timeout=10)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[0, 1, 2]\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "call, value",
+    [
+        (lambda: kmeans(np.eye(3), 2.0, 0), 2.0),
+        (lambda: spectral_cluster(EmbeddingSet(np.eye(3) + 0.1), k=2.5), 2.5),
+    ],
+    ids=["kmeans", "spectral_cluster"],
+)
+def test_non_integer_k_rejected(call, value):
+    with pytest.raises(ValidationError, match=f"^k {value} is not an integer$"):
+        call()
 
 
 FIXTURE = generate_synthetic_embeddings(3, 20, 16, 5.0, 1.0, 7)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import pickle
@@ -838,16 +839,34 @@ class TestSegment:
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             segment(np.ones(100, dtype=bool), hop_s, seg_len_s)
 
-    @given(st.lists(st.booleans(), min_size=1, max_size=300))
+    @given(st.lists(st.tuples(st.booleans(), st.integers(1, 120)), min_size=1, max_size=8))
     @settings(max_examples=200)
-    def test_segment_invariants(self, mask):
-        spans = segment(np.array(mask, dtype=bool), hop_s=0.010, seg_len_s=0.4)
+    def test_segment_invariants(self, runs):
+        # The mask is drawn as runs, so runs of the 20 frames (half a segment)
+        # that a kept segment needs occur.
+        mask = np.repeat([speech for speech, _ in runs], [length for _, length in runs])
+        spans = segment(mask.astype(bool), hop_s=0.010, seg_len_s=0.4)
         previous_end = -1.0
         for span in spans:
             assert span.start_s >= previous_end - 1e-9
             previous_end = span.end_s
             assert span.end_s - span.start_s >= 0.2 - 1e-9
             assert span.end_s - span.start_s < 0.8
+        # Tiling: a speech run of at least 20 frames is covered by consecutive
+        # segments from its first frame to its end; a shorter run gives none.
+        remaining = iter(spans)
+        first = 0
+        for speech, group in itertools.groupby(mask.tolist()):
+            stop = first + len(list(group))
+            if speech and stop - first >= 20:
+                cursor = first * 0.010
+                while cursor < stop * 0.010 - 1e-9:
+                    span = next(remaining)
+                    assert abs(span.start_s - cursor) <= 1e-9
+                    cursor = span.end_s
+                assert abs(cursor - stop * 0.010) <= 1e-9
+            first = stop
+        assert next(remaining, None) is None
 
 
 class TestWavIo:

@@ -221,11 +221,14 @@ class TestLabelIo:
             ("0 \u0663", "non-integer token '\u0663'"),
             ("0 1.0", "non-integer token '1.0'"),
             ("0 --1", "non-integer token '--1'"),
-            (f"0 {10**30}", "int64"),
-            (f"{-(2**63) - 1} 0", "int64"),
-            (f"0 {2**63}", "int64"),
+            (f"0 {10**30}", re.escape(f"label {10**30} at index 1 outside 0..{2**63 - 1}")),
+            (f"{-(2**63) - 1} 0", re.escape(f"label {-(2**63) - 1} at index 0 outside 0..0")),
+            (f"0 {2**63}", re.escape(f"label {2**63} at index 1 outside 0..{2**63 - 1}")),
             ("0 " + "9" * 5000, "non-integer token"),
-            (json.dumps({"start_s": 0, "end_s": 1, "state": 10**30}), "int64"),
+            (
+                json.dumps({"start_s": 0, "end_s": 1, "state": 10**30}),
+                re.escape(f"label {10**30} at index 0 outside 0..{2**63 - 1}"),
+            ),
             (", ,", "empty"),
         ],
         ids=[

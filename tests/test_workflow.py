@@ -61,6 +61,14 @@ def test_gate_fails_on_a_failed_check_or_an_absent_target(tmp_path, line, passes
     assert (result.returncode == 0) == passes, result.stdout + result.stderr
 
 
+def test_every_job_is_bounded_to_at_most_30_minutes():
+    # A test that never returns would otherwise run to GitHub's six-hour limit.
+    with open(WORKFLOW) as handle:
+        jobs = yaml.safe_load(handle)["jobs"]
+    unbounded = [name for name, job in jobs.items() if not 0 < job.get("timeout-minutes", 0) <= 30]
+    assert not unbounded
+
+
 def test_numpy_only_job_runs_the_whole_suite_without_scipy():
     with open(WORKFLOW) as handle:
         steps = yaml.safe_load(handle)["jobs"]["numpy-only"]["steps"]
