@@ -38,22 +38,12 @@ def _emit(text: str, out_path: str | None) -> None:
         storage.atomic_write_text(out_path, text)
 
 
-def _require_states(n_states: int) -> None:
-    if n_states < 1:
-        raise ValidationError(f"--states must be >= 1, got {n_states}")
-
-
 def _require_states_within(n_states: int, n_labels: int) -> None:
     # The count sizes the model or report, so it may not outgrow the input.
     if n_states > n_labels:
         raise ValidationError(
             f"--states must be <= {n_labels}, the number of labels read, got {n_states}"
         )
-
-
-def _require_seed(seed: int | None) -> None:
-    if seed is not None and seed < 0:
-        raise ValidationError(f"--seed must be >= 0, got {seed}")
 
 
 def _cmd_vad(args: argparse.Namespace) -> None:
@@ -85,7 +75,7 @@ def _cmd_diarize(args: argparse.Namespace) -> None:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> None:
-    _require_states(args.states)
+    markov._integer(args.states, "--states", least=1)
     seq = storage.read_labels(args.labels, n_states=args.states)
     _require_states_within(args.states, len(seq))
     model = markov.estimate_transition(seq, args.states)
@@ -104,7 +94,7 @@ def _cmd_predict(args: argparse.Namespace) -> None:
 
 def _cmd_check(args: argparse.Namespace) -> None:
     if args.states is not None:
-        _require_states(args.states)
+        markov._integer(args.states, "--states", least=1)
     # With --states, a label at or above it is an error, as in `estimate`.
     predicted = storage.read_labels(args.predicted, n_states=args.states)
     actual = storage.read_labels(args.actual, n_states=args.states)
@@ -253,7 +243,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _require_seed(getattr(args, "seed", None))
+        markov._integer(getattr(args, "seed", 0), "--seed", least=0)
         args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

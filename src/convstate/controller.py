@@ -45,10 +45,7 @@ class FixedEvery:
     every: int
 
     def __post_init__(self):
-        every = markov._integer(self.every, "checker interval")
-        if every < 1:
-            raise ValidationError(f"checker interval must be >= 1, got {every}")
-        object.__setattr__(self, "every", every)
+        object.__setattr__(self, "every", markov._integer(self.every, "checker interval", least=1))
 
 
 @dataclass(frozen=True)
@@ -189,6 +186,7 @@ def evaluator_step(
     at the first label when fewer than ``2 * window_len`` are given.
     """
     n_states = full_model.n_states
+    window_len = markov._integer(window_len, "window_len", least=1)
     windowed = markov.estimate_transition(labels[-window_len:], n_states)
     gap, diff_ok = matrix_diff(full_model, windowed, thresholds.matrix_diff_max)
     _, rows_ok = row_diff_check(windowed, thresholds.row_diff_min)
@@ -222,10 +220,7 @@ class SessionConfig:
             value = getattr(self, name)
             if value is None and getattr(SessionConfig, name) is None:
                 continue  # window_len and iterations are optional
-            value = markov._integer(value, name)
-            if value < least:
-                raise ValidationError(f"{name} must be >= {least}, got {value}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, markov._integer(value, name, least=least))
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 import numpy as np
 
 from .errors import ValidationError
+from .markov import _integer
 
 if TYPE_CHECKING:
     from concurrent.futures import ThreadPoolExecutor
@@ -420,6 +421,9 @@ def extract_features(audio: AudioBuffer) -> list[FrameFeatures]:
     return list(map(partial(tuple.__new__, FrameFeatures), zip(matrix[:, 2:], matrix)))
 
 
+_NAN_PROBABILITY = "VAD probability is NaN: a feature or weight is NaN, or a logit overflowed"
+
+
 def vad_classify(
     features: FrameFeatures | np.ndarray, weights: np.ndarray
 ) -> tuple[bool, float] | tuple[np.ndarray, np.ndarray]:
@@ -428,7 +432,9 @@ def vad_classify(
     One frame (a FrameFeatures or a 1-D vector) gives (is_speech,
     probability); an (n, d) feature matrix gives a boolean mask and the
     probabilities as arrays, each row equal bit for bit to its one-frame
-    call. A probability of exactly 0.5 classifies as non-speech.
+    call. A probability of exactly 0.5 classifies as non-speech. A NaN
+    probability (from a NaN feature or weight, or from logit terms that
+    overflow to +inf and -inf) is a ValidationError.
 
     One frame runs on Python floats: its dot product is the same BLAS
     ``ddot`` that vecdot runs per row, and its logistic the same formula,
@@ -447,9 +453,13 @@ def vad_classify(
         # _logistic's operations, each on a Python float.
         z = float(x.dot(w[:-1])) + float(w[-1])
         probability = 0.5 + 0.5 * float(np.tanh(0.5 * z))
+        if probability != probability:
+            raise ValidationError(_NAN_PROBABILITY)
         return probability > 0.5, probability
     # vecdot, unlike X @ w or matvec, reproduces the per-row np.dot bits.
     probabilities = _logistic(np.vecdot(x, w[:-1]) + w[-1])
+    if np.isnan(probabilities).any():
+        raise ValidationError(_NAN_PROBABILITY)
     return probabilities > 0.5, probabilities
 
 
@@ -477,6 +487,7 @@ def train_vad(
     vector plugs straight into vad_classify. Deterministic per seed.
     Returns (weights, final training loss).
     """
+    epochs = _integer(epochs, "epochs", least=0)
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
     if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.size:

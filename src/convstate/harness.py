@@ -41,9 +41,8 @@ def _chain_chunks(
     `iterations` counts chunk 0 too. Each walked chunk holds `length` labels,
     walked states, so they are boxed without a second check.
     """
-    length = markov._integer(length, "length")
-    if length < 1:
-        raise ValidationError(f"length must be >= 1, got {length}")
+    length = markov._integer(length, "length", least=1)
+    iterations = None if iterations is None else markov._integer(iterations, "iterations")
     count = 0
     if bootstrap is not None:
         if bootstrap.n_states != truth_chain.n_states:
@@ -164,8 +163,8 @@ def generate_synthetic_embeddings(
     ``[0] * per_cluster + [1] * per_cluster + ...``. Both scales must be
     positive and at most MAX_SCALE.
     """
-    if n_clusters < 1 or per_cluster < 1:
-        raise ValidationError("n_clusters and per_cluster must be >= 1")
+    n_clusters = markov._integer(n_clusters, "n_clusters", least=1)
+    per_cluster = markov._integer(per_cluster, "per_cluster", least=1)
     if not (0 < separation < math.inf and 0 < noise_sigma < math.inf):
         raise ValidationError("separation and noise_sigma must be positive and finite, "
                               f"got {separation} and {noise_sigma}")

@@ -69,8 +69,7 @@ class StateSequence:
     times: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self):
-        if self.n_states < 1:
-            raise ValidationError(f"n_states must be >= 1, got {self.n_states}")
+        object.__setattr__(self, "n_states", _integer(self.n_states, "n_states", least=1))
         labels = tuple(_as_labels(self.labels, self.n_states).tolist())
         object.__setattr__(self, "labels", labels)
         if self.times is not None:
@@ -188,14 +187,18 @@ def _label(value, i: int) -> int:
         raise ValidationError(f"label {value!r} at index {i} is not an integer") from None
 
 
-def _integer(value, name: str, n_states: int | None = None) -> int:
-    """`value` as a Python int by ``operator.index``, in 0..n_states-1 when `n_states` is given."""
+def _integer(value, name: str, n_states: int | None = None, least: int | None = None) -> int:
+    """`value` as a Python int by ``operator.index``: the one rule for a count
+    or index. It must lie in 0..n_states-1 when `n_states` is given and be at
+    least `least` when that is given."""
     try:
         value = operator.index(value)
     except TypeError:
         raise ValidationError(f"{name} {value!r} is not an integer") from None
     if n_states is not None and not 0 <= value < n_states:
         raise ValidationError(f"{name} {value} outside 0..{n_states - 1}")
+    if least is not None and value < least:
+        raise ValidationError(f"{name} must be >= {least}, got {value}")
     return value
 
 
@@ -204,6 +207,7 @@ def count_transitions(seq: StateSequence | Sequence[int], n_states: int) -> np.n
 
     The cell total equals ``max(len(seq) - 1, 0)``.
     """
+    n_states = _integer(n_states, "n_states", least=1)
     labels = _as_labels(seq, n_states)
     pairs = labels[:-1] * n_states + labels[1:]
     return np.bincount(pairs, minlength=n_states * n_states).reshape(n_states, n_states)
@@ -248,9 +252,7 @@ def walk(
     last entry, so a draw above the row's rounded total lands on the last
     state.
     """
-    steps = _integer(steps, "steps")
-    if steps < 0:
-        raise ValidationError(f"steps must be >= 0, got {steps}")
+    steps = _integer(steps, "steps", least=0)
     start = _integer(start, "state", model.n_states if steps > 0 else None)
     if rng is None:
         # Argmax is the same walk over one-hot rows with every draw at 0.5.
@@ -295,9 +297,7 @@ def predict_sequence(
     mode: PredictionMode = Argmax(),
 ) -> StateSequence:
     """Roll the chain forward: output[0] = initial, then `length - 1` steps."""
-    length = _integer(length, "length")
-    if length < 1:
-        raise ValidationError(f"length must be >= 1, got {length}")
+    length = _integer(length, "length", least=1)
     initial = _integer(initial, "initial", model.n_states)
     rng = None if isinstance(mode, Argmax) else np.random.default_rng(mode.seed)
     labels = (initial, *walk(model, initial, length - 1, rng))

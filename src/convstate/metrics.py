@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .markov import StateSequence, _as_labels
+from .markov import StateSequence, _as_labels, _integer
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,7 @@ def evaluate(
         )
     if pred.size == 0:
         raise ValidationError("cannot evaluate empty sequences")
-    n = max(n_states, 0)
+    n = max(_integer(n_states, "n_states"), 0)
     wrong = pred != act
     # Out-of-range labels go to the spare bin n, which is dropped.
     bins = np.where((act >= 0) & (act < n), act, n)

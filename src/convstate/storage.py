@@ -13,7 +13,8 @@ import json
 import math
 import os
 import re
-import tempfile
+import stat
+from contextlib import suppress
 from itertools import filterfalse
 from types import SimpleNamespace
 
@@ -36,6 +37,7 @@ from .markov import (
     Sampled,
     StateSequence,
     TransitionModel,
+    _integer,
     normalize,
 )
 from .metrics import EvaluationReport
@@ -54,11 +56,18 @@ _DECIMAL_TOKEN = re.compile(rf"[ \t]*{_DECIMAL.pattern}[ \t]*")
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write via a sibling temp file and rename, so the target is never partial."""
+    """Write via a sibling temp file and rename, so the target is never partial.
+
+    The file gets the mode ``open(path, "w")`` would give it: the target's
+    own when it exists, else 0o666 less the umask.
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    tmp_path = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
+    fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
+            with suppress(FileNotFoundError):
+                os.fchmod(fd, stat.S_IMODE(os.stat(path).st_mode))
             handle.write(text)
         os.replace(tmp_path, path)
     except BaseException:
@@ -125,8 +134,10 @@ def mode_from_document(doc, where: str = "$.mode") -> PredictionMode | None:
         raise ValidationError(f"{where}: expected null or an object with 'kind'")
     kind = doc["kind"]
     if kind == "argmax":
+        _object(doc, where, {"kind"})
         return Argmax()
     if kind == "sampled":
+        _object(doc, where, {"kind", "seed"})
         seed = doc.get("seed")
         if not is_number(seed, int) or seed < 0:
             raise ValidationError(f"{where}.seed: expected a non-negative integer")
@@ -145,8 +156,7 @@ def model_to_document(model: TransitionModel, mode: PredictionMode | None = None
 
 
 def model_from_document(doc) -> tuple[TransitionModel, PredictionMode | None]:
-    if not isinstance(doc, dict):
-        raise ValidationError("$: expected a JSON object")
+    _object(doc, "$", {"version", "s", "counts", "policy", "mode"})
     version = doc.get("version")
     if version is None:
         raise ValidationError("$.version: missing")
@@ -276,30 +286,25 @@ def _object(value, path: str, known: set) -> dict:
     return value
 
 
-# Range-error words for `above`: an integer above -1 is non-negative.
-_BOUND_WORDS = {-1: "non-negative", 0: "positive"}
-
-
 def _number_field(doc: dict, key: str, default, path: str, kind: type = int,
-                  above: int | None = None):
-    """doc[key] (default when absent), which must be a `kind`, int or float,
-    greater than `above` when that is given.
+                  least: int | None = None):
+    """doc[key] (default when absent): an integer, by `_integer` with `least`,
+    or, when `kind` is float, a positive finite number (an int too).
 
     A None default makes the field optional: absent or null gives None.
-    Values are checked by `is_number`, not converted; a rejected value is a
-    ValidationError at `path`. A float field also takes an int.
+    Values are checked by `is_number` first, so true and 1.0 are not
+    integers; a rejected value is a ValidationError at `path`.
     """
     value = doc.get(key, default)
     if value is None and default is None:
         return None
-    noun = "an integer" if kind is int else "a finite number"
-    if not is_number(value, kind):
-        raise ValidationError(f"{path}: expected {noun}, got {value!r}")
-    if above is not None and not value > above:
-        bound = _BOUND_WORDS.get(above)
-        noun = f"a {bound} {noun.split(' ', 1)[1]}" if bound else f"{noun} above {above}"
-        raise ValidationError(f"{path}: expected {noun}, got {value}")
-    return value
+    if kind is float:
+        if not (is_number(value, float) and value > 0):
+            raise ValidationError(f"{path}: expected a positive finite number, got {value!r}")
+        return value
+    if not is_number(value, int):
+        raise ValidationError(f"{path}: expected an integer, got {value!r}")
+    return _integer(value, path, least=least)
 
 
 def _bool_field(doc: dict, key: str, default: bool, path: str) -> bool:
@@ -363,11 +368,11 @@ def _oracle_from_document(spec, iterations: int | None, seed: int):
     if iterations is None:
         raise ValidationError("$.iterations: required with a chain oracle, which never runs dry")
     truth, _ = load_model(_path_field(spec.get("model"), "$.oracle.model", "model"))
-    length = _number_field(spec, "length", 300, "$.oracle.length", above=0)
+    length = _number_field(spec, "length", 300, "$.oracle.length", least=1)
     initial = _number_field(spec, "initial", 0, "$.oracle.initial")
     if not 0 <= initial < truth.n_states:
         raise ValidationError(f"$.oracle.initial: state {initial} outside 0..{truth.n_states - 1}")
-    seed = _number_field(spec, "seed", seed, "$.oracle.seed", above=-1)
+    seed = _number_field(spec, "seed", seed, "$.oracle.seed", least=0)
     bootstrap = None
     if _bool_field(spec, "exact_bootstrap", False, "$.oracle.exact_bootstrap"):
         bootstrap = harness.sequence_with_exact_counts(truth.counts)
@@ -388,7 +393,7 @@ def session_config_from_document(doc):
 
     def threshold(key: str):
         default = getattr(Thresholds, key)
-        return _number_field(thresholds_doc, key, default, f"$.thresholds.{key}", float, above=0)
+        return _number_field(thresholds_doc, key, default, f"$.thresholds.{key}", float)
 
     interval = thresholds_doc.get("checker_interval", "every")
     if not isinstance(interval, str):
@@ -407,16 +412,16 @@ def session_config_from_document(doc):
         row_diff_min=threshold("row_diff_min"),
         checker_interval=checker_interval(),
     )
-    seed = _number_field(doc, "seed", SessionConfig.seed, "$.seed", above=-1)
-    iterations = _number_field(doc, "iterations", None, "$.iterations", above=-1)
-    n_states = _number_field(doc, "states", None, "$.states", above=0)
+    seed = _number_field(doc, "seed", SessionConfig.seed, "$.seed", least=0)
+    iterations = _number_field(doc, "iterations", None, "$.iterations", least=0)
+    n_states = _number_field(doc, "states", None, "$.states", least=1)
     config = SessionConfig(
         thresholds=thresholds,
         mode=_mode_from_name(doc.get("mode", "argmax"), seed),
         seed=seed,
         candidate_count=_number_field(doc, "candidate_count", SessionConfig.candidate_count,
-                                      "$.candidate_count", above=0),
-        window_len=_number_field(doc, "window", None, "$.window", above=1),
+                                      "$.candidate_count", least=1),
+        window_len=_number_field(doc, "window", None, "$.window", least=2),
         iterations=iterations,
     )
     return config, n_states, _oracle_from_document(doc.get("oracle"), iterations, seed)

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import stat
 import struct
 import subprocess
 import sys
@@ -53,7 +54,7 @@ class TestVadCommand:
         assert summary["frames"] == 198
         assert 95 <= summary["speech_frames"] <= 105
         assert summary["segments"][0]["start_s"] == pytest.approx(0.48, abs=0.05)
-        header = open(out_csv).readline().strip().split(",")
+        header = Path(out_csv).read_text().split("\n", 1)[0].split(",")
         assert header[:4] == ["frame_index", "time_s", "log_energy", "zcr"]
         assert len(header) == 17
 
@@ -111,6 +112,25 @@ class TestSimulateAndDiarize:
 
 
 class TestEstimatePredictCheck:
+    @pytest.mark.parametrize("existing, mode", [(None, 0o644), (0o640, 0o640)],
+                             ids=["new", "replaced"])
+    def test_out_file_gets_the_mode_open_would_give(self, capsys, tmp_path, existing, mode):
+        """A new file is 0o666 less the umask; a replaced one keeps its mode."""
+        labels, model = tmp_path / "l.txt", tmp_path / "m.json"
+        labels.write_text("0\n1\n1\n0\n")
+        if existing is not None:
+            model.write_text("old\n")
+            model.chmod(existing)
+        umask = os.umask(0o022)
+        try:
+            code, _, err = run_cli(capsys, "estimate", str(labels), "--states", "2",
+                                   "--out", str(model))
+        finally:
+            os.umask(umask)
+        assert (code, err) == (0, "")
+        assert stat.S_IMODE(model.stat().st_mode) == mode
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["l.txt", "m.json"]
+
     def test_pipeline(self, capsys, tmp_path, truth_model_path):
         labels = str(tmp_path / "labels.txt")
         model = str(tmp_path / "model.json")
@@ -125,7 +145,7 @@ class TestEstimatePredictCheck:
             capsys, "estimate", labels, "--states", "3", "--out", model
         )
         assert code == 0
-        doc = json.loads(open(model).read())
+        doc = json.loads(Path(model).read_text())
         assert doc["s"] == 3 and len(doc["counts"]) == 9
 
         code, _, _ = run_cli(
@@ -153,8 +173,8 @@ class TestEstimatePredictCheck:
     def test_check_decision_thresholds(self, capsys, tmp_path):
         predicted = str(tmp_path / "p.txt")
         actual = str(tmp_path / "a.txt")
-        open(predicted, "w").write("0\n1\n0\n1\n")
-        open(actual, "w").write("0\n1\n1\n1\n")
+        Path(predicted).write_text("0\n1\n0\n1\n")
+        Path(actual).write_text("0\n1\n1\n1\n")
         code, out, _ = run_cli(
             capsys, "check", predicted, actual, "--tpe-threshold", "20"
         )
@@ -223,7 +243,7 @@ class TestEstimatePredictCheck:
 
     def test_bad_labels_validation_error(self, capsys, tmp_path):
         bad = str(tmp_path / "bad.txt")
-        open(bad, "w").write("0 1 oops")
+        Path(bad).write_text("0 1 oops")
         code, _, err = run_cli(capsys, "estimate", bad, "--states", "2")
         assert code == 1
         assert "error" in err
@@ -248,7 +268,7 @@ class TestSessionCommand:
         }
         config.update(overrides)
         path = str(tmp_path / "session.json")
-        open(path, "w").write(json.dumps(config))
+        Path(path).write_text(json.dumps(config))
         return path
 
     def test_matched_session_outputs(self, capsys, tmp_path, truth_model_path):
@@ -263,10 +283,10 @@ class TestSessionCommand:
         summary = json.loads(out)
         assert summary["iterations"] == 7
         assert summary["mean_tpe"] <= 12.0
-        table = open(table_csv).read().splitlines()
+        table = Path(table_csv).read_text().splitlines()
         assert table[0] == "Audio File,Speaker State,EPPS (in %),TPE (in %)"
         assert len(table) == 1 + 7 * 3
-        trace = json.loads(open(report_json).read())
+        trace = json.loads(Path(report_json).read_text())
         assert len(trace["iterations"]) == 7
 
     @pytest.mark.parametrize("matched", [True, False])
@@ -277,7 +297,7 @@ class TestSessionCommand:
         report_json = str(tmp_path / "report.json")
         code, _, err = run_cli(capsys, "session", config, "--report-out", report_json)
         assert (code, err) == (0, "")
-        bootstrap = json.loads(open(report_json).read())["bootstrap"]
+        bootstrap = json.loads(Path(report_json).read_text())["bootstrap"]
         truth, _ = load_model(truth_model_path)
         assert count_transitions(bootstrap, 3).tolist() == truth.counts.tolist()
 
@@ -294,7 +314,7 @@ class TestSessionCommand:
             code, out, err = run_cli(capsys, "session", config, "--report-out", report,
                                      "--table-out", table)
             assert (code, err) == (0, "")
-            outputs.append((out, open(report, "rb").read(), open(table, "rb").read()))
+            outputs.append((out, Path(report).read_bytes(), Path(table).read_bytes()))
         assert outputs[0] == outputs[1]
 
     def test_table_to_stdout_without_paths(self, capsys, tmp_path, truth_model_path):
@@ -309,10 +329,10 @@ class TestSessionCommand:
             [0, 1, 2] * 10, [0, 1, 2] * 10, [0, 1, 2] * 10
         )):
             path = str(tmp_path / f"file{i}.txt")
-            open(path, "w").write("\n".join(map(str, labels)))
+            Path(path).write_text("\n".join(map(str, labels)))
             paths.append(path)
         config_path = str(tmp_path / "session.json")
-        open(config_path, "w").write(json.dumps({
+        Path(config_path).write_text(json.dumps({
             "seed": 0,
             "mode": "argmax",
             "iterations": 2,
@@ -382,7 +402,7 @@ class TestSessionCommand:
 
     def test_invalid_config_schema(self, capsys, tmp_path):
         path = str(tmp_path / "broken.json")
-        open(path, "w").write("{\"oracle\": 5}")
+        Path(path).write_text("{\"oracle\": 5}")
         code, _, err = run_cli(capsys, "session", path)
         assert code == 1
         assert "oracle" in err
@@ -391,7 +411,7 @@ class TestSessionCommand:
 class TestCliEdges:
     def test_bad_checker_interval(self, capsys, tmp_path, truth_model_path):
         config = str(tmp_path / "cfg.json")
-        open(config, "w").write(json.dumps({
+        Path(config).write_text(json.dumps({
             "seed": 0, "mode": "argmax", "iterations": 1,
             "thresholds": {"checker_interval": "sometimes"},
             "oracle": {"kind": "chain", "model": truth_model_path, "length": 30},
@@ -417,7 +437,7 @@ class TestCliEdges:
 
     def test_diarize_k_too_large(self, capsys, tmp_path):
         emb = str(tmp_path / "e.csv")
-        open(emb, "w").write("1.0,0.0\n0.0,1.0\n1.0,0.1\n")
+        Path(emb).write_text("1.0,0.0\n0.0,1.0\n1.0,0.1\n")
         code, _, err = run_cli(capsys, "diarize", emb, "--k", "9")
         assert code == 1
         assert "k" in err
@@ -431,7 +451,7 @@ class TestCliEdges:
 
         monkeypatch.setattr(clustering, "symmetric_eigh", flat_spectrum)
         emb = str(tmp_path / "e.csv")
-        open(emb, "w").write("1.0,0.0\n1.0,0.0\n1.0,0.0\n1.0,0.0\n1.0,0.0\n")
+        Path(emb).write_text("1.0,0.0\n1.0,0.0\n1.0,0.0\n1.0,0.0\n1.0,0.0\n")
         code, _, err = run_cli(capsys, "diarize", emb, "--k", "3")
         assert code == 1
         assert err.startswith("error:") and "distinct" in err
@@ -579,7 +599,7 @@ print(json.dumps(stages))
         }
         config.update(overrides)
         path = str(tmp_path / "cfg.json")
-        open(path, "w").write(json.dumps(config))
+        Path(path).write_text(json.dumps(config))
         code, _, err = run_cli(capsys, "session", path)
         assert code == 1
         assert err.startswith("error:") and field in err
@@ -588,8 +608,8 @@ print(json.dumps(stages))
     @pytest.mark.parametrize(
         "oracle, message",
         [
-            ({"length": 0}, "$.oracle.length: expected a positive integer, got 0"),
-            ({"length": -3}, "$.oracle.length: expected a positive integer, got -3"),
+            ({"length": 0}, "$.oracle.length must be >= 1, got 0"),
+            ({"length": -3}, "$.oracle.length must be >= 1, got -3"),
             ({"initial": 5}, "$.oracle.initial: state 5 outside 0..2"),
             ({"initial": 5, "exact_bootstrap": True}, "$.oracle.initial: state 5 outside 0..2"),
         ],
@@ -600,16 +620,16 @@ print(json.dumps(stages))
     ):
         config = {"iterations": 2, "oracle": {"kind": "chain", "model": truth_model_path, **oracle}}
         path = str(tmp_path / "cfg.json")
-        open(path, "w").write(json.dumps(config))
+        Path(path).write_text(json.dumps(config))
         assert run_cli(capsys, "session", path) == (1, "", f"error: {message}\n")
 
     @pytest.mark.parametrize(
         "overrides, message",
         [
-            ({"window": 0}, "$.window: expected an integer above 1, got 0"),
-            ({"candidate_count": 0}, "$.candidate_count: expected a positive integer, got 0"),
-            ({"states": 0}, "$.states: expected a positive integer, got 0"),
-            ({"iterations": -1}, "$.iterations: expected a non-negative integer, got -1"),
+            ({"window": 0}, "$.window must be >= 2, got 0"),
+            ({"candidate_count": 0}, "$.candidate_count must be >= 1, got 0"),
+            ({"states": 0}, "$.states must be >= 1, got 0"),
+            ({"iterations": -1}, "$.iterations must be >= 0, got -1"),
             (
                 {"thresholds": {"tpe_threshold": 0}},
                 "$.thresholds.tpe_threshold: expected a positive finite number, got 0",
@@ -623,7 +643,7 @@ print(json.dumps(stages))
         config = {"iterations": 2, "oracle": {"kind": "chain", "model": truth_model_path}}
         config.update(overrides)
         path = str(tmp_path / "cfg.json")
-        open(path, "w").write(json.dumps(config))
+        Path(path).write_text(json.dumps(config))
         assert run_cli(capsys, "session", path) == (1, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("route", ["check", "files-oracle"])
@@ -938,7 +958,7 @@ print(json.dumps(stages))
         vector = [0.0] * 16
         vector[0] = 1.0
         vector[-1] = 15.0
-        open(weights, "w").write(json.dumps(vector))
+        Path(weights).write_text(json.dumps(vector))
         code, out, _ = run_cli(capsys, "vad", wav_path, "--weights", weights)
         assert code == 0
         assert json.loads(out)["speech_frames"] > 0

@@ -163,6 +163,22 @@ class TestEvaluatorStep:
         window_zero = estimate_transition(labels[0:4], 2)
         assert outcome.model.probs.tolist() == window_zero.probs.tolist()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "window_len, message",
+        [
+            (0, "window_len must be >= 1, got 0"),
+            (-3, "window_len must be >= 1, got -3"),
+            (2.5, "window_len 2.5 is not an integer"),
+        ],
+    )
+    def test_window_must_be_a_positive_integer(self, window_len, message):
+        labels = [0, 1] * 10
+        full = estimate_transition(labels, 2)
+        with pytest.raises(ValidationError) as excinfo:
+            evaluator_step(labels, window_len, full, Thresholds())
+        assert str(excinfo.value) == message
+
     def test_fallback_model_is_stochastic(self):
         labels = [0, 1] * 10 + [0] * 8
         full = estimate_transition(labels, 2)
@@ -260,6 +276,7 @@ class TestRunSession:
             ([[0, 1], [0, 1], [0, 5]], None, "oracle sequence 2: label 5 at index 1 outside 0..1"),
             ([[0, 1], [-1]], None, "oracle sequence 1: label -1 at index 0 outside 0..1"),
             ([[0, 2, 1]], 2, "oracle sequence 0: label 2 at index 1 outside 0..1"),
+            ([[0, 1], [0, 1]], 2.5, "n_states 2.5 is not an integer"),
         ],
     )
     def test_bad_oracle_sequence_is_named(self, oracle, n_states, message):
@@ -554,7 +571,8 @@ class TestThresholdsValidation:
     @pytest.mark.parametrize(
         "value, message",
         [(1.5, "checker interval 1.5 is not an integer"),
-         ("2", "checker interval '2' is not an integer")],
+         ("2", "checker interval '2' is not an integer"),
+         (0, "checker interval must be >= 1, got 0")],
     )
     def test_rejects_non_integer_interval(self, value, message):
         with pytest.raises(ValidationError) as excinfo:

@@ -8,6 +8,7 @@ import sys
 import threading
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -655,9 +656,21 @@ class TestVadClassify:
              "columns": values[:, ::2]}[layout]
         # A scale of 1e3 saturates the logistic; 1e308 overflows logits to +-inf.
         weights = rng.uniform(-1.0, 1.0, dim + 1) * scale
+
+        def classify(features):
+            try:
+                return vad_classify(features, weights)
+            except ValidationError:  # a NaN probability, from +inf and -inf terms
+                return None
+
         with np.errstate(over="ignore", invalid="ignore"):
+            single = [classify(row) for row in x]
+            # The matrix call raises exactly when some one-frame call does.
+            if None in single:
+                with pytest.raises(ValidationError, match="^VAD probability is NaN"):
+                    vad_classify(x, weights)
+                return
             mask, probabilities = vad_classify(x, weights)
-            single = [vad_classify(row, weights) for row in x]
         assert mask.shape == probabilities.shape == (rows,)
         assert all(type(speech) is bool and type(p) is float for speech, p in single)
         assert mask.tolist() == [speech for speech, _ in single]
@@ -674,6 +687,17 @@ class TestVadClassify:
         assert all(type(speech) is bool and type(p) is float for speech, p in single)
         assert mask.tolist() == [speech for speech, _ in single]
         assert probabilities.tobytes() == np.array([p for _, p in single]).tobytes()
+
+    @pytest.mark.parametrize("where", ["weight", "feature"])
+    def test_nan_probability_rejected(self, where):
+        features, weights = np.zeros((2, 15)), np.zeros(16)
+        if where == "weight":
+            weights[3] = np.nan
+        else:
+            features[1, 3] = np.nan
+        for x in (features, features[1]):
+            with pytest.raises(ValidationError, match="^VAD probability is NaN"):
+                vad_classify(x, weights)
 
     def test_matrix_dimension_mismatch(self):
         with pytest.raises(ValidationError, match="16"):
@@ -748,6 +772,16 @@ class TestTrainVad:
     def test_shape_mismatch_rejected(self, x_shape, y_shape):
         with pytest.raises(ValidationError, match=r"^features must be \(n, d\) with one label per row$"):
             train_vad(np.zeros(x_shape), np.zeros(y_shape), epochs=5)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "epochs, message",
+        [(-1, "epochs must be >= 0, got -1"), (2.5, "epochs 2.5 is not an integer")],
+    )
+    def test_epochs_must_be_a_non_negative_integer(self, epochs, message):
+        x, y = synthetic_vad_corpus()
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            train_vad(x, y, epochs=epochs)
 
     def test_single_class_names_missing(self):
         x, _ = synthetic_vad_corpus()
@@ -986,7 +1020,7 @@ class TestWavValidation:
     def test_damaged_file_is_named(self, tmp_path, damage, message):
         path = str(tmp_path / "clip.wav")
         save_wav(path, AudioBuffer(np.zeros(800), 16000))
-        raw = bytearray(open(path, "rb").read())
+        raw = bytearray(Path(path).read_bytes())
         if damage == "cut inside fmt":
             raw = raw[:24]
         elif damage == "unknown chunk past the end":

@@ -100,6 +100,10 @@ class TestChainOracles:
             with pytest.raises(ValidationError) as excinfo:
                 next(make_oracle(STICKY, length, 0, seed=1, iterations=2))
             assert str(excinfo.value) == f"length {length!r} is not an integer"
+            # iterations has no lower bound: at or below 0 it yields nothing.
+            with pytest.raises(ValidationError) as excinfo:
+                next(make_oracle(STICKY, 10, 0, seed=1, iterations=length))
+            assert str(excinfo.value) == f"iterations {length!r} is not an integer"
 
     @pytest.mark.parametrize("length", [0, -3])
     def test_length_below_one_rejected(self, length):
@@ -303,10 +307,21 @@ class TestGenerateSyntheticEmbeddings:
         within = vectors[:30] - vectors[:30].mean(axis=0)
         assert np.abs(within).max() < 1e-9
 
-    @pytest.mark.parametrize("n_clusters, per_cluster", [(0, 10), (2, 0), (-1, 5)])
-    def test_counts_below_one_rejected(self, n_clusters, per_cluster):
-        with pytest.raises(ValidationError, match="^n_clusters and per_cluster must be >= 1$"):
+    @pytest.mark.parametrize(
+        "n_clusters, per_cluster, message",
+        [
+            (0, 10, "n_clusters must be >= 1, got 0"),
+            (2, 0, "per_cluster must be >= 1, got 0"),
+            (-1, 5, "n_clusters must be >= 1, got -1"),
+            (2.5, 3, "n_clusters 2.5 is not an integer"),
+            (2, 2.5, "per_cluster 2.5 is not an integer"),
+        ],
+        ids=["0-10", "2-0", "-1-5", "2.5-3", "2-2.5"],
+    )
+    def test_counts_below_one_rejected(self, n_clusters, per_cluster, message):
+        with pytest.raises(ValidationError) as excinfo:
             generate_synthetic_embeddings(n_clusters, per_cluster, 4, 2.0, 0.1, 0)
+        assert str(excinfo.value) == message
 
     def test_dim_must_fit_clusters(self):
         with pytest.raises(ValidationError, match="dim"):

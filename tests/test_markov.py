@@ -100,10 +100,24 @@ class TestStateSequence:
         with pytest.raises(ValidationError, match=f" at index {index} is not an integer$"):
             StateSequence(labels=labels, n_states=3)
 
-    @pytest.mark.parametrize("n_states", [0, -1])
-    def test_rejects_n_states_below_one(self, n_states):
-        with pytest.raises(ValidationError, match=f"^n_states must be >= 1, got {n_states}$"):
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "n_states, message",
+        [
+            (0, "n_states must be >= 1, got 0"),
+            (-1, "n_states must be >= 1, got -1"),
+            (2.5, "n_states 2.5 is not an integer"),
+        ],
+        ids=["0", "-1", "2.5"],
+    )
+    def test_rejects_n_states_below_one(self, n_states, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             StateSequence(labels=(), n_states=n_states)
+
+    def test_n_states_is_stored_as_a_python_int(self):
+        for n_states in (True, np.int64(1)):
+            assert type(StateSequence([0], n_states).n_states) is int
+        assert StateSequence([0], True).n_states == 1
 
     def test_integer_kinds_are_stored_as_python_ints(self):
         labels = (True, np.int64(2), np.uint8(0), np.int32(1), 2)
@@ -125,6 +139,16 @@ class TestCountTransitions:
     def test_label_out_of_range_names_index(self):
         with pytest.raises(ValidationError, match="index 1"):
             count_transitions([0, 5, 1], 3)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "n_states, message",
+        [(2.5, "n_states 2.5 is not an integer"), (0, "n_states must be >= 1, got 0")],
+    )
+    def test_state_count_must_be_a_positive_integer(self, n_states, message):
+        for count in (count_transitions, estimate_transition):
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                count([0, 1], n_states)
 
     @given(label_sequences())
     def test_cell_total_is_pair_count(self, case):
@@ -410,9 +434,10 @@ class TestPredictSequence:
         assert a.labels == b.labels
         assert a.labels != c.labels
 
+    @pytest.mark.filterwarnings("error")
     def test_bad_length(self):
         model = normalize(np.array([[1, 1], [1, 1]]))
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^length must be >= 1, got 0$"):
             predict_sequence(model, 0, 0)
 
     @pytest.mark.parametrize("mode", [Argmax(), Sampled(0)], ids=["argmax", "sampled"])

@@ -125,6 +125,12 @@ class TestEvaluate:
         assert all(type(v) is int for v in got.per_state_occurrences.values())
         assert all(type(v) is float for v in got.epps.values())
 
+    @pytest.mark.filterwarnings("error")
+    def test_non_integer_state_count_rejected(self):
+        # A negative count is treated as 0 (see test_matches_per_state_loop).
+        with pytest.raises(ValidationError, match="^n_states 2.5 is not an integer$"):
+            evaluate([0], [0], 2.5)
+
     def test_report_rejects_out_of_range_percent(self):
         with pytest.raises(ValidationError):
             EvaluationReport(tpe=120.0, epps={}, compared_length=1, per_state_occurrences={})

@@ -5,6 +5,7 @@ import math
 import os
 import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -104,13 +105,13 @@ class TestModelPersistence:
         loaded, mode = load_model(path)
         assert loaded.counts.tolist() == model.counts.tolist()
         assert loaded.n_states == 3
-        assert json.loads(open(path).read())["policy"] == "uniform"
+        assert json.loads(Path(path).read_text())["policy"] == "uniform"
         assert mode == Sampled(7)
 
     def test_probs_recomputed_not_trusted(self, model, tmp_path):
         path = str(tmp_path / "model.json")
         save_model(model, path)
-        doc = json.loads(open(path).read())
+        doc = json.loads(Path(path).read_text())
         assert "probs" not in doc
         loaded, _ = load_model(path)
         assert np.abs(loaded.probs.sum(axis=1) - 1).max() < 1e-9
@@ -118,8 +119,8 @@ class TestModelPersistence:
     def test_truncated_file_is_parse_error(self, model, tmp_path):
         path = str(tmp_path / "model.json")
         save_model(model, path)
-        text = open(path).read()
-        open(path, "w").write(text[: len(text) // 2])
+        text = Path(path).read_text()
+        Path(path).write_text(text[: len(text) // 2])
         with pytest.raises(ValidationError, match="not valid JSON"):
             load_model(path)
 
@@ -150,8 +151,12 @@ class TestModelPersistence:
             ("mode", {"kind": "sampled", "seed": True}, 3, "$.mode.seed: expected"),
             ("policy", ["uniform"], 3, "$.policy: expected one of"),
             ("counts", [2**63], 1, "$.counts[0] (row 0, col 0): expected a non-negative"),
+            ("mdoe", {"kind": "sampled", "seed": 3}, 3, "$.mdoe: unknown field"),
+            ("mode", {"kind": "argmax", "junk": 1}, 3, "$.mode.junk: unknown field"),
+            ("mode", {"kind": "sampled", "seed": 3, "junk": 1}, 3, "$.mode.junk: unknown field"),
         ],
-        ids=["s-bool", "version-bool", "version-float", "seed-bool", "policy-list", "count-huge"],
+        ids=["s-bool", "version-bool", "version-float", "seed-bool", "policy-list", "count-huge",
+             "misspelled-mode", "argmax-extra-key", "sampled-extra-key"],
     )
     def test_mistyped_field_is_schema_error(self, field, value, states, message):
         doc = model_to_document(normalize(np.ones((states, states), dtype=int)))
@@ -210,6 +215,11 @@ class TestLabelIo:
         assert loaded.labels == seq.labels
         assert loaded.times == seq.times
 
+    def test_timed_jsonl_skips_blank_lines(self):
+        record = '{"start_s": %d, "end_s": %d, "state": %d}'
+        seq = parse_labels_text(record % (0, 1, 1) + "\n\n  \n" + record % (1, 2, 0) + "\n")
+        assert (seq.labels, seq.times) == ((1, 0), ((0.0, 1.0), (1.0, 2.0)))
+
     def test_non_integer_token(self):
         with pytest.raises(ValidationError, match="non-integer"):
             parse_labels_text("0 1 x 2")
@@ -259,7 +269,7 @@ class TestEmbeddingIo:
     def test_csv_round_trip(self, tmp_path):
         emb = EmbeddingSet(np.array([[1.5, -2.25], [0.125, 3.0]]))
         path = str(tmp_path / "emb.csv")
-        open(path, "w").write(embeddings_to_csv(emb))
+        Path(path).write_text(embeddings_to_csv(emb))
         loaded = read_embeddings(path)
         assert np.array_equal(loaded.vectors, emb.vectors)
 
@@ -269,7 +279,7 @@ class TestEmbeddingIo:
             json.dumps({"start_s": 0.0, "end_s": 0.4, "vector": [1.0, 0.0]}),
             json.dumps({"start_s": 0.4, "end_s": 0.8, "vector": [0.0, 1.0]}),
         ]
-        open(path, "w").write("\n".join(lines))
+        Path(path).write_text("\n".join(lines))
         loaded = read_embeddings(path)
         assert loaded.times == ((0.0, 0.4), (0.4, 0.8))
         assert loaded.vectors.shape == (2, 2)
@@ -282,19 +292,19 @@ class TestEmbeddingIo:
     )
     def test_error_names_the_file_once(self, tmp_path, text, message):
         path = str(tmp_path / "emb.csv")
-        open(path, "w").write(text)
+        Path(path).write_text(text)
         with pytest.raises(ValidationError) as info:
             read_embeddings(path)
         assert str(info.value) == f"{path}: {message}"
 
     def test_csv_blank_line_between_rows_skipped(self, tmp_path):
         path = str(tmp_path / "emb.csv")
-        open(path, "w").write("1.0,2.0\n\n3.0,4.0\n")
+        Path(path).write_text("1.0,2.0\n\n3.0,4.0\n")
         assert read_embeddings(path).vectors.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
     def test_missing_field_rejected(self, tmp_path):
         path = str(tmp_path / "emb.jsonl")
-        open(path, "w").write(json.dumps({"start_s": 0.0, "vector": [1.0]}))
+        Path(path).write_text(json.dumps({"start_s": 0.0, "vector": [1.0]}))
         with pytest.raises(ValidationError, match="end_s"):
             read_embeddings(path)
 
@@ -673,8 +683,8 @@ class TestSessionConfigDocument:
                 {"oracle": {"exact_bootstrap": 1}},
                 "$.oracle.exact_bootstrap: expected true or false, got 1",
             ),
-            ({"seed": -1}, "$.seed: expected a non-negative integer, got -1"),
-            ({"oracle": {"seed": -1}}, "$.oracle.seed: expected a non-negative integer, got -1"),
+            ({"seed": -1}, "$.seed must be >= 0, got -1"),
+            ({"oracle": {"seed": -1}}, "$.oracle.seed must be >= 0, got -1"),
             ({"oracle": {"model": "a\0b"}}, "$.oracle.model: expected a model file path"),
             ({"mode": "roulette"}, "$.mode: unknown prediction mode 'roulette'"),
             ([], "$: expected a JSON object"),
@@ -682,8 +692,11 @@ class TestSessionConfigDocument:
                 {"iterations": None},
                 "$.iterations: required with a chain oracle, which never runs dry",
             ),
-            ({"oracle": {"length": 0}}, "$.oracle.length: expected a positive integer, got 0"),
-            ({"oracle": {"length": -3}}, "$.oracle.length: expected a positive integer, got -3"),
+            ({"oracle": {"length": 0}}, "$.oracle.length must be >= 1, got 0"),
+            ({"oracle": {"length": -3}}, "$.oracle.length must be >= 1, got -3"),
+            ({"window": 1}, "$.window must be >= 2, got 1"),
+            ({"window": 2.5}, "$.window: expected an integer, got 2.5"),
+            ({"states": True}, "$.states: expected an integer, got True"),
             ({"oracle": {"initial": 3}}, "$.oracle.initial: state 3 outside 0..2"),
             ({"oracle": {"initial": -1}}, "$.oracle.initial: state -1 outside 0..2"),
             (
@@ -695,7 +708,8 @@ class TestSessionConfigDocument:
             "outputs", "threshold-typo", "oracle-typo", "chain-key-in-files-oracle",
             "key-with-newline", "matched-string", "exact-bootstrap-int", "seed-negative",
             "oracle-seed-negative", "model-path-nul", "mode-unknown", "not-an-object",
-            "chain-without-iterations", "length-zero", "length-negative", "initial-too-high",
+            "chain-without-iterations", "length-zero", "length-negative", "window-one",
+            "window-float", "states-bool", "initial-too-high",
             "initial-negative", "initial-with-exact-bootstrap",
         ],
     )
